@@ -52,7 +52,7 @@ model = build_model(SMALL, seed=0)
 model.eval()
 world = build_world(SMALL, seed=0)
 sample = world.train_part(SMALL.instances_per_id).samples[0]
-model.forward_sample(sample)
+model.forward_batch([sample])
 print("\nper-layer sequence lengths:", model.last_seq)
 
 # -- independence given the bank ---------------------------------------------
@@ -67,10 +67,10 @@ for mlp in model.bank.rp.values():
     zero(mlp.inner)
     zero(mlp.outer)
 
-before, _ = model.forward_sample(sample)
+before, _ = model.forward_batch([sample])
 for lay in range(cfg.layers):
     model.bank.prompts[lay]["r"].data += 10.0
-after, _ = model.forward_sample(sample)
+after, _ = model.forward_batch([sample])
 d = cfg.embed_dim
 print("stream n unmoved by a scrambled r bank:",
       bool((after.data[:d] == before.data[:d]).all()))

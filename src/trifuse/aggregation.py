@@ -80,12 +80,12 @@ class AggregationBlock(Module):
         for m in MODALITIES:
             scanned = self.intra_ssm[m](self.intra_conv[m](fs[m]))
             gated.append(mul(scanned, self.intra_gate[m](fs[m])))
-        merged = self.intra_merge(concat(gated, axis=1))
+        merged = self.intra_merge(concat(gated, axis=-1))
         return self._residual_split(merged, fs)
 
     def inter(self, fs: dict[str, Tensor]) -> dict[str, Tensor]:
-        conv = concat([self.inter_conv[m](fs[m]) for m in MODALITIES], axis=1)
-        gate = concat([self.inter_gate[m](fs[m]) for m in MODALITIES], axis=1)
+        conv = concat([self.inter_conv[m](fs[m]) for m in MODALITIES], axis=-1)
+        gate = concat([self.inter_gate[m](fs[m]) for m in MODALITIES], axis=-1)
         merged = self.inter_merge(mul(self.inter_ssm(conv), gate))
         return self._residual_split(merged, fs)
 
@@ -94,8 +94,8 @@ class AggregationBlock(Module):
         out = {}
         offset = 0
         for m in MODALITIES:
-            n = fs[m].shape[1]
-            out[m] = add(narrow(merged, 1, offset, n), fs[m])
+            n = fs[m].shape[-1]
+            out[m] = add(narrow(merged, -1, offset, n), fs[m])
             offset += n
         return out
 
@@ -119,12 +119,12 @@ class AggregationHead(Module):
         pieces = []
         for m in MODALITIES:
             t = tokens[m]
-            cls = narrow(t, 1, 0, 1)
-            patches = narrow(t, 1, 1, t.shape[1] - 1)
-            pooled = tmean(patches, axis=1, keepdims=True)
-            v = self.norm(concat([cls, pooled], axis=0))
+            cls = narrow(t, -1, 0, 1)
+            patches = narrow(t, -1, 1, t.shape[-1] - 1)
+            pooled = tmean(patches, axis=-1, keepdims=True)
+            v = self.norm(concat([cls, pooled], axis=-2))
             pieces.append(self.out[m](v))
-        return concat(pieces, axis=0)
+        return concat(pieces, axis=-2)
 
 
 class Aggregator(Module):
@@ -135,10 +135,10 @@ class Aggregator(Module):
         self.head = head
 
     def __call__(self, tokens: dict[str, Tensor]) -> Tensor:
-        cls = {m: narrow(tokens[m], 1, 0, 1) for m in MODALITIES}
-        fs = {m: narrow(tokens[m], 1, 1, tokens[m].shape[1] - 1)
+        cls = {m: narrow(tokens[m], -1, 0, 1) for m in MODALITIES}
+        fs = {m: narrow(tokens[m], -1, 1, tokens[m].shape[-1] - 1)
               for m in MODALITIES}
         for block in self.blocks:
             fs = block(fs)
-        return self.head({m: concat([cls[m], fs[m]], axis=1)
+        return self.head({m: concat([cls[m], fs[m]], axis=-1)
                           for m in MODALITIES})

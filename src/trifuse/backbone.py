@@ -57,17 +57,17 @@ class PatchEmbed(Module):
         self.channels = cfg.channels
         self.proj = Linear(cfg.channels * cfg.patch ** 2, cfg.embed_dim, rng)
 
-    def __call__(self, image: np.ndarray) -> Tensor:
-        c, h, w = image.shape
+    def __call__(self, images: np.ndarray) -> Tensor:
+        """Images ``[..., C, H, W]`` to patch tokens ``[..., D, N]``."""
+        *lead, c, h, w = images.shape
         p = self.patch
         if c != self.channels:
             raise ValueError(f"expected {self.channels} channels, got {c}")
         hp, wp = h // p, w // p
-        cols = (image.reshape(c, hp, p, wp, p)
-                     .transpose(1, 3, 0, 2, 4)
-                     .reshape(hp * wp, c * p * p)
-                     .T)
-        return self.proj(Tensor(np.ascontiguousarray(cols)))
+        # [..., c, hp, p, wp, p] -> [..., c, p, p, hp, wp]: one column per patch
+        cols = np.moveaxis(images.reshape(*lead, c, hp, p, wp, p),
+                           (-4, -2), (-2, -1))
+        return self.proj(Tensor(cols.reshape(*lead, c * p * p, hp * wp)))
 
 
 class EncoderLayer(Module):
@@ -101,7 +101,7 @@ class VisionBackbone(Module):
         ]
         self.norm = LayerNorm(cfg.embed_dim)
 
-    def tokens(self, image: np.ndarray) -> Tensor:
+    def tokens(self, images: np.ndarray) -> Tensor:
         """Class token plus patch embeddings, with positions added."""
-        patches = self.embed(image)
-        return add(concat([self.cls, patches], axis=1), self.pos)
+        patches = self.embed(images)
+        return add(concat([self.cls, patches], axis=-1), self.pos)

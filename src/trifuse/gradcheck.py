@@ -261,7 +261,10 @@ def _build_primitive_cases() -> None:
 
     def concat_case(rng):
         xs = [Tensor(rng.normal(size=(2, n)), requires_grad=True) for n in (1, 3, 2)]
-        return (lambda: _weighted_sum(T.concat(xs, axis=1), rng)), xs
+        # a [2, 1] piece joins a [3, 2, 4] batch, broadcast over its batch axis
+        ys = [Tensor(rng.normal(size=s), requires_grad=True) for s in ((2, 1), (3, 2, 4))]
+        return (lambda: T.add(_weighted_sum(T.concat(xs, axis=1), rng),
+                              _weighted_sum(T.concat(ys, axis=-1), rng))), xs + ys
 
     register_case("concat", concat_case, tol=1e-6)
 
@@ -287,24 +290,29 @@ def _build_primitive_cases() -> None:
 
     def norm_affine_case(rng):
         x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        xb = Tensor(rng.normal(size=(2, 4, 5)), requires_grad=True)
         gain = Tensor(rng.normal(size=4) + 1.0, requires_grad=True)
         shift = Tensor(rng.normal(size=4), requires_grad=True)
         def fn():
             y0 = T.norm_affine(x, gain, shift, 1e-5, axis=0)
             y1 = T.norm_affine(x, gain, shift, 1e-5, axis=1)
-            return _weighted_sum(T.add(y0, y1), rng)
-        return fn, [x, gain, shift]
+            yb = T.add(T.norm_affine(xb, gain, shift, 1e-5, axis=-2),
+                       T.norm_affine(xb, gain, shift, 1e-5, axis=-1))
+            return T.add(_weighted_sum(T.add(y0, y1), rng), _weighted_sum(yb, rng))
+        return fn, [x, xb, gain, shift]
 
     register_case("norm_affine", norm_affine_case)
 
     def dwconv_case(rng):
         x = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
+        xb = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
         k = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
         def fn():
             same = T.dwconv1d(x, k, causal=False)
             caus = T.dwconv1d(x, k, causal=True)
-            return _weighted_sum(T.add(same, caus), rng)
-        return fn, [x, k]
+            yb = T.add(T.dwconv1d(xb, k, causal=False), T.dwconv1d(xb, k, causal=True))
+            return T.add(_weighted_sum(T.add(same, caus), rng), _weighted_sum(yb, rng))
+        return fn, [x, xb, k]
 
     register_case("dwconv1d", dwconv_case, tol=1e-6)
 
@@ -326,7 +334,7 @@ def _build_module_cases() -> None:
     from .aggregation import AggregationBlock, Aggregator, AggregationHead, ConvGate, LinearGate
     from .backbone import BackboneConfig, VisionBackbone
     from .model import FusionModel, ModelToggles
-    from .prompts import PromptBank, TransferBlock
+    from .prompts import PromptBank, PromptMlp
     from . import tensor as T
 
     def linear_case(rng):
@@ -393,7 +401,7 @@ def _build_module_cases() -> None:
         def fn():
             disc = core.discretize(x)
             return _weighted_sum(
-                T.add(T.tsum(disc.a_bar, axis=1), T.tsum(disc.b_bar_x, axis=1)),
+                T.add(T.tsum(disc.abar, axis=1), T.tsum(disc.bbarx, axis=1)),
                 rng) + _weighted_sum(disc.c, rng)
         return fn, [x] + core.params()
 
@@ -435,7 +443,7 @@ def _build_module_cases() -> None:
     register_case("pfa_combine", pfa_combine_case, tol=1e-6)
 
     def transfer_case(rng):
-        tb = TransferBlock(4, rng)
+        tb = PromptMlp(4, rng)
         p = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
         return (lambda: _weighted_sum(tb(p), rng)), [p] + tb.params()
 

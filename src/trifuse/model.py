@@ -25,7 +25,7 @@ from .backbone import BackboneConfig, VisionBackbone
 from .losses import SupervisionHeads
 from .nn import Module
 from .prompts import MODALITIES, PromptBank
-from .tensor import Tensor, concat, narrow, no_grad
+from .tensor import Tensor, concat, narrow, no_grad, reshape, transpose
 
 
 @dataclass
@@ -74,20 +74,21 @@ class FusionModel(Module):
         self.heads = SupervisionHeads(3 * d, num_ids, rng, with_ma=toggles.ma)
 
         #: per-modality sequence lengths seen at each layer, refreshed on
-        #: every forward_sample; handy for asserting sequence surgery
+        #: every forward_batch; handy for asserting sequence surgery
         self.last_seq: dict[str, list[int]] = {}
 
     # -- forward -------------------------------------------------------
 
-    def _run_stream(self, mod: str, image: np.ndarray) -> Tensor:
-        x = self.backbone.tokens(image)
-        n_star = x.shape[1]
+    def _run_stream(self, mod: str, images: np.ndarray) -> Tensor:
+        """Images ``[..., C, H, W]`` to final tokens ``[..., D, N]``."""
+        x = self.backbone.tokens(images)
+        n_star = x.shape[-1]
         harvested = None
         lengths = []
         for i, layer in enumerate(self.backbone.blocks):
             if self.bank is not None:
                 x = self.bank.assemble_layer_input(i, mod, x, harvested)
-            lengths.append(x.shape[1])
+            lengths.append(x.shape[-1])
             adapter = self.adapters[i] if self.adapters is not None else None
             x = layer(x, adapter=adapter)
             if self.bank is not None:
@@ -96,22 +97,15 @@ class FusionModel(Module):
         self.last_seq[mod] = lengths
         return self.backbone.norm(x)
 
-    def forward_sample(self, sample: dict[str, np.ndarray]):
-        tokens = {m: self._run_stream(m, sample[m]) for m in MODALITIES}
-        f_cls = concat([narrow(tokens[m], 1, 0, 1) for m in MODALITIES], axis=0)
-        f_ma = self.aggregator(tokens) if self.aggregator is not None else None
-        return f_cls, f_ma
-
     def forward_batch(self, samples: list[dict[str, np.ndarray]]):
-        cls_cols, ma_cols = [], []
-        for sample in samples:
-            f_cls, f_ma = self.forward_sample(sample)
-            cls_cols.append(f_cls)
-            if f_ma is not None:
-                ma_cols.append(f_ma)
-        f_cls = concat(cls_cols, axis=1)
-        f_ma = concat(ma_cols, axis=1) if ma_cols else None
-        return f_cls, f_ma
+        """Class-token and fused features, ``[3D, B]`` each (fused is None
+        without ``ma``). Each modality's B images run as one stream."""
+        tokens = {m: self._run_stream(m, np.stack([s[m] for s in samples]))
+                  for m in MODALITIES}
+        f_cls = concat([narrow(tokens[m], -1, 0, 1) for m in MODALITIES],
+                       axis=-2)
+        f_ma = self.aggregator(tokens) if self.aggregator is not None else None
+        return _columns(f_cls), None if f_ma is None else _columns(f_ma)
 
     # -- inference -----------------------------------------------------
 
@@ -126,3 +120,8 @@ class FusionModel(Module):
             if f_ma is None:
                 return f_cls.data.copy()
             return np.concatenate([f_cls.data, f_ma.data], axis=0)
+
+
+def _columns(t: Tensor) -> Tensor:
+    """Per-sample feature columns ``[B, F, 1]`` as one ``[F, B]`` matrix."""
+    return transpose(reshape(t, t.shape[:2]))

@@ -2,6 +2,8 @@
 
 Everything follows the column-token convention: a sequence of N tokens with
 D features is a ``[D, N]`` tensor, linear maps multiply from the left.
+Blocks act on the last two axes ``[..., D, N]`` and treat any leading axes
+as batch, so B equal-length sequences run as one ``[B, D, N]`` tensor.
 Modules hold :class:`~trifuse.tensor.Param` leaves and know how to walk
 themselves for checkpointing and optimizer hookup.
 """
@@ -156,7 +158,7 @@ def _walk_modules(value) -> Iterator[Module]:
 
 
 class Linear(Module):
-    """Affine map [in, N] -> [out, N], weight [out, in]."""
+    """Affine map [..., in, N] -> [..., out, N], weight [out, in]."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
                  bias: bool = True, init_std: float | None = None):
@@ -165,9 +167,9 @@ class Linear(Module):
         self.bias = Param(np.zeros(d_out)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[0] != self.weight.shape[1]:
+        if x.shape[-2] != self.weight.shape[1]:
             raise ValueError(f"linear expected {self.weight.shape[1]} input "
-                             f"features, got {x.shape[0]}")
+                             f"features, got {x.shape[-2]}")
         y = matmul(self.weight, x)
         if self.bias is not None:
             y = add(y, reshape(self.bias, (self.bias.size, 1)))
@@ -183,15 +185,16 @@ class LayerNorm(Module):
         self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return norm_affine(x, self.gain, self.shift, self.eps, axis=0)
+        return norm_affine(x, self.gain, self.shift, self.eps, axis=-2)
 
 
 class BatchNorm(Module):
     """Per-channel normalization over the token axis with running stats.
 
-    Training mode normalizes with the current sequence's statistics (needs
-    at least two tokens) and updates the running estimates; eval mode
-    normalizes with the stored running statistics.
+    Training mode normalizes each sequence with its own statistics (needs
+    at least two tokens) and updates the running estimates once per
+    sequence, in batch order; eval mode normalizes with the stored running
+    statistics.
     """
 
     _buffer_attrs = ("running_mean", "running_var")
@@ -206,18 +209,18 @@ class BatchNorm(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         if self.training:
-            if x.shape[1] < 2:
+            n = x.shape[-1]
+            if n < 2:
                 raise ValueError("batch norm needs N >= 2 tokens in training mode")
-            mu = x.data.mean(axis=1)
+            mus = x.data.mean(axis=-1).reshape(-1, x.shape[-2])
             # the running variance keeps the unbiased estimate, the
             # normalization itself uses the population variance
-            n = x.shape[1]
-            var_pop = x.data.var(axis=1)
-            var_unbiased = var_pop * n / (n - 1)
+            variances = x.data.var(axis=-1).reshape(mus.shape) * n / (n - 1)
             m = self.momentum
-            self.running_mean = (1 - m) * self.running_mean + m * mu
-            self.running_var = (1 - m) * self.running_var + m * var_unbiased
-            return norm_affine(x, self.gain, self.shift, self.eps, axis=1)
+            for mu, var in zip(mus, variances):
+                self.running_mean = (1 - m) * self.running_mean + m * mu
+                self.running_var = (1 - m) * self.running_var + m * var
+            return norm_affine(x, self.gain, self.shift, self.eps, axis=-1)
         scale = 1.0 / np.sqrt(self.running_var + self.eps)
         # eval path: y = gain * (x - mean) * scale + shift, built from
         # broadcast primitives so gradients still reach gain/shift
@@ -260,16 +263,16 @@ class MultiHeadSelfAttention(Module):
         self.wo = Linear(dim, dim, rng)
 
     def __call__(self, x: Tensor, return_weights: bool = False):
-        D, N = x.shape
+        *lead, D, N = x.shape
         H = self.heads
         dh = D // H
-        q = reshape(self.wq(x), (H, dh, N))
-        k = reshape(self.wk(x), (H, dh, N))
-        v = reshape(self.wv(x), (H, dh, N))
-        scores = mul(matmul(swapaxes(q, 1, 2), k), dh ** -0.5)  # [H, N, N]
+        q = reshape(self.wq(x), (*lead, H, dh, N))
+        k = reshape(self.wk(x), (*lead, H, dh, N))
+        v = reshape(self.wv(x), (*lead, H, dh, N))
+        scores = mul(matmul(swapaxes(q, -1, -2), k), dh ** -0.5)  # [..., H, N, N]
         attn = softmax(scores, axis=-1)  # rows (queries) are stochastic
-        ctx = matmul(v, swapaxes(attn, 1, 2))  # [H, dh, N]
-        out = self.wo(reshape(ctx, (D, N)))
+        ctx = matmul(v, swapaxes(attn, -1, -2))  # [..., H, dh, N]
+        out = self.wo(reshape(ctx, (*lead, D, N)))
         if return_weights:
             return out, attn
         return out

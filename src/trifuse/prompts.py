@@ -29,8 +29,9 @@ register_differentiable("assemble_layer_input")
 register_differentiable("harvest")
 
 
-class TransferBlock(Module):
-    """Cross-modal prompt map: linear, gelu, linear."""
+class PromptMlp(Module):
+    """Linear, gelu, linear: both the cross-modal transfer map and the
+    refinement map of harvested groups."""
 
     def __init__(self, dim: int, rng: np.random.Generator):
         self.inner = Linear(dim, dim, rng)
@@ -38,15 +39,6 @@ class TransferBlock(Module):
 
     def __call__(self, p: Tensor) -> Tensor:
         return self.outer(gelu(self.inner(p)))
-
-
-class RefineMlp(Module):
-    def __init__(self, dim: int, rng: np.random.Generator):
-        self.inner = Linear(dim, dim, rng)
-        self.outer = Linear(dim, dim, rng)
-
-    def __call__(self, g: Tensor) -> Tensor:
-        return self.outer(gelu(self.inner(g)))
 
 
 class PromptBank(Module):
@@ -73,13 +65,13 @@ class PromptBank(Module):
             for _ in range(layers)
         ]
         self.transfers = {
-            f"{src}_{dst}": TransferBlock(dim, rng)
+            f"{src}_{dst}": PromptMlp(dim, rng)
             for src in MODALITIES for dst in MODALITIES if src != dst
         }
         if mode == "fusion":
-            self.rp = {m: RefineMlp(dim, rng) for m in MODALITIES}
+            self.rp = {m: PromptMlp(dim, rng) for m in MODALITIES}
         else:
-            self.rp = {f"{m}_{src}": RefineMlp(dim, rng)
+            self.rp = {f"{m}_{src}": PromptMlp(dim, rng)
                        for m in MODALITIES for src in MODALITIES}
 
     # -- refinement ---------------------------------------------------
@@ -102,7 +94,11 @@ class PromptBank(Module):
 
     def assemble_layer_input(self, layer: int, mod: str, f_star: Tensor,
                              harvested_prev: list[Tensor] | None) -> Tensor:
-        """Stack [tokens, slot_n, slot_r, slot_t] for one stream."""
+        """Stack [tokens, slot_n, slot_r, slot_t] for one stream.
+
+        ``f_star`` may carry leading batch axes; bank-only slots are
+        computed once and broadcast over them.
+        """
         slots = []
         for slot in MODALITIES:
             if slot == mod:
@@ -112,17 +108,17 @@ class PromptBank(Module):
                     slots.append(self.residual_fuse(mod, layer, harvested_prev))
             else:
                 slots.append(self.transfers[f"{slot}_{mod}"](self.prompts[layer][slot]))
-        return concat([f_star] + slots, axis=1)
+        return concat([f_star] + slots, axis=-1)
 
     def harvest(self, mod: str, x: Tensor, n_star: int):
         """Split a layer output back into tokens and slot groups."""
         expected = n_star + 3 * self.n_prompts
-        if x.shape[1] != expected:
+        if x.shape[-1] != expected:
             raise ValueError(
-                f"sequence has {x.shape[1]} columns, expected {expected}")
-        f_star = narrow(x, 1, 0, n_star)
+                f"sequence has {x.shape[-1]} columns, expected {expected}")
+        f_star = narrow(x, -1, 0, n_star)
         groups = {}
         for i, slot in enumerate(MODALITIES):
-            groups[slot] = narrow(x, 1, n_star + i * self.n_prompts,
+            groups[slot] = narrow(x, -1, n_star + i * self.n_prompts,
                                   self.n_prompts)
         return f_star, groups

@@ -37,10 +37,11 @@ register_differentiable("ssm_apply")
 
 @dataclass
 class SsmDiscrete:
-    """Discretized scan coefficients for one sequence.
+    """Discretized scan coefficients for one sequence or a batch of them.
 
-    abar and bbarx are [dim, d_state, k], c is [d_state, k]. skip and x are
-    optional; when both are present the scan output gains the skip term.
+    abar and bbarx are [..., dim, d_state, k], c is [..., d_state, k], with
+    the same leading batch axes. skip and x are optional; when both are
+    present the scan output gains the skip term.
     """
 
     abar: Tensor
@@ -49,19 +50,11 @@ class SsmDiscrete:
     skip: Tensor | None = None
     x: Tensor | None = None
 
-    # keep the gradcheck-facing aliases short
-    @property
-    def a_bar(self) -> Tensor:
-        return self.abar
-
-    @property
-    def b_bar_x(self) -> Tensor:
-        return self.bbarx
-
 
 def _contract_state(h: Tensor, c: Tensor) -> Tensor:
-    # h [d, s, k], c [s, k] -> y [d, k]
-    return tsum(mul(h, reshape(c, (1,) + c.shape)), axis=1)
+    # h [..., d, s, k], c [..., s, k] -> y [..., d, k]
+    return tsum(mul(h, reshape(c, c.shape[:-2] + (1,) + c.shape[-2:])),
+                axis=-2)
 
 
 def _add_skip(y: Tensor, disc: SsmDiscrete) -> Tensor:
@@ -72,17 +65,17 @@ def _add_skip(y: Tensor, disc: SsmDiscrete) -> Tensor:
 
 def scan_sequential(disc: SsmDiscrete) -> Tensor:
     """Reference scan: explicit loop over the token axis."""
-    d, s, k = disc.abar.shape
+    *lead, d, s, k = disc.abar.shape
     h = None
     ys = []
     for i in range(k):
-        a_i = reshape(narrow(disc.abar, 2, i, 1), (d, s))
-        b_i = reshape(narrow(disc.bbarx, 2, i, 1), (d, s))
+        a_i = reshape(narrow(disc.abar, -1, i, 1), (*lead, d, s))
+        b_i = reshape(narrow(disc.bbarx, -1, i, 1), (*lead, d, s))
         h = b_i if h is None else add(mul(a_i, h), b_i)
-        c_i = reshape(narrow(disc.c, 1, i, 1), (1, s))
-        y_i = tsum(mul(h, c_i), axis=1, keepdims=True)
+        c_i = reshape(narrow(disc.c, -1, i, 1), (*lead, 1, s))
+        y_i = tsum(mul(h, c_i), axis=-1, keepdims=True)
         ys.append(y_i)
-    return _add_skip(concat(ys, axis=1), disc)
+    return _add_skip(concat(ys, axis=-1), disc)
 
 
 def scan_fast(disc: SsmDiscrete, chunk: int = 128) -> Tensor:
@@ -92,7 +85,7 @@ def scan_fast(disc: SsmDiscrete, chunk: int = 128) -> Tensor:
 
 
 class SelectiveScan(Module):
-    """Input-dependent SSM layer over a [dim, k] column-token sequence.
+    """Input-dependent SSM layer over [..., dim, k] column-token sequences.
 
     Projections follow the selective parameterization: b and c are linear
     in the input, and the step size delta comes from a rank-bottlenecked
@@ -125,15 +118,15 @@ class SelectiveScan(Module):
         self.dt_up.bias.data = dt + np.log(-np.expm1(-dt))
 
     def discretize(self, x: Tensor) -> SsmDiscrete:
-        d, k = x.shape
+        *lead, d, k = x.shape
         s = self.d_state
-        delta = softplus(self.dt_up(self.dt_low(x)))          # [d, k]
-        b = self.b_proj(x)                                    # [s, k]
-        c = self.c_proj(x)                                    # [s, k]
+        delta = softplus(self.dt_up(self.dt_low(x)))          # [..., d, k]
+        b = self.b_proj(x)                                    # [..., s, k]
+        c = self.c_proj(x)                                    # [..., s, k]
         a = mul(exp(self.a_log), -1.0)                        # [d, s]
-        da = mul(reshape(delta, (d, 1, k)), reshape(a, (d, s, 1)))
-        abar = exp(da)
-        xb = mul(reshape(x, (d, 1, k)), reshape(b, (1, s, k)))
+        delta_col = reshape(delta, (*lead, d, 1, k))
+        abar = exp(mul(delta_col, reshape(a, (d, s, 1))))
+        xb = mul(reshape(x, (*lead, d, 1, k)), reshape(b, (*lead, 1, s, k)))
         if self.zoh_input:
             # exact hold of the input over the step: (abar - 1) / a,
             # with 1/a = -exp(-a_log) since a = -exp(a_log)
@@ -141,7 +134,7 @@ class SelectiveScan(Module):
             gain = mul(add(abar, -1.0), reshape(inv_a, (d, s, 1)))
             bbarx = mul(gain, xb)
         else:
-            bbarx = mul(reshape(delta, (d, 1, k)), xb)
+            bbarx = mul(delta_col, xb)
         return SsmDiscrete(abar=abar, bbarx=bbarx, c=c, skip=self.skip, x=x)
 
     def __call__(self, x: Tensor) -> Tensor:

@@ -9,7 +9,9 @@ central finite differences and fast enough for toy models.
 
 Conventions used throughout the package:
 
-* features live on axis 0, tokens on axis 1: a sequence is ``[D, N]``
+* ops act on the last two axes ``[..., D, N]``: features on axis -2,
+  tokens on axis -1, so one sequence is ``[D, N]``; any leading axes are
+  batch, and B sequences of equal length travel as one ``[B, D, N]``
 * arrays are float32 or float64, selected by :func:`set_default_dtype`
 * wrapped arrays are treated as immutable; mutating ``.data`` of a tensor
   that sits inside a recorded graph voids the gradient warranty
@@ -22,17 +24,18 @@ import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from numpy.lib.array_utils import normalize_axis_index
 from scipy import special as _special
 
 __all__ = [
-    "Tensor", "Param", "NonFiniteError", "no_grad", "is_grad_enabled",
+    "Tensor", "Param", "NonFiniteError", "no_grad",
     "set_default_dtype", "default_dtype", "set_finite_checks",
     "register_differentiable", "DIFFERENTIABLE_OPS",
     "add", "sub", "mul", "div", "neg", "matmul", "exp", "log", "sqrt",
     "power", "tanh", "sigmoid", "softplus", "erf", "relu", "gelu", "silu",
     "tsum", "tmean", "tmax", "tmin", "reshape", "swapaxes", "transpose",
     "concat", "narrow", "where_mask", "softmax", "norm_affine", "dwconv1d",
-    "linear_recurrence", "stop_gradient",
+    "linear_recurrence",
 ]
 
 
@@ -77,10 +80,6 @@ def default_dtype():
 def set_finite_checks(enabled: bool) -> None:
     global _FINITE_CHECKS
     _FINITE_CHECKS = bool(enabled)
-
-
-def is_grad_enabled() -> bool:
-    return _GRAD_ENABLED
 
 
 class no_grad:
@@ -140,10 +139,6 @@ class Tensor:
         return out
 
     # ---- introspection ----
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.data.shape
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -316,6 +311,11 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+def _sum_to_features(g: np.ndarray) -> np.ndarray:
+    """Sum ``g`` over every axis but the feature axis -2."""
+    return g.sum(axis=tuple(i for i in range(g.ndim) if i != g.ndim - 2))
+
+
 def _needs(parents: Sequence[Tensor]) -> tuple[bool, ...]:
     return tuple(p.requires_grad for p in parents)
 
@@ -460,14 +460,19 @@ def tanh(a: Tensor) -> Tensor:
     return Tensor._from_op(out, (a,), vjp, "tanh")
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # guarded against overflow for large negative inputs
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
 @_diffop("sigmoid")
 def sigmoid(a: Tensor) -> Tensor:
-    # guarded against overflow for large negative inputs
-    out = np.empty_like(a.data)
-    pos = a.data >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-    e = np.exp(a.data[~pos])
-    out[~pos] = e / (1.0 + e)
+    out = _sigmoid(a.data)
 
     def vjp(g):
         return (g * out * (1.0 - out),)
@@ -481,12 +486,7 @@ def softplus(a: Tensor) -> Tensor:
     ad = a.data
 
     def vjp(g):
-        s = np.empty_like(ad)
-        pos = ad >= 0
-        s[pos] = 1.0 / (1.0 + np.exp(-ad[pos]))
-        e = np.exp(ad[~pos])
-        s[~pos] = e / (1.0 + e)
-        return (g * s,)
+        return (g * _sigmoid(ad),)
 
     return Tensor._from_op(out, (a,), vjp, "softplus")
 
@@ -540,11 +540,7 @@ def gelu(a: Tensor, exact: bool = False) -> Tensor:
 @_diffop("silu")
 def silu(a: Tensor) -> Tensor:
     x = a.data
-    s = np.empty_like(x)
-    pos = x >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    s[~pos] = e / (1.0 + e)
+    s = _sigmoid(x)
     out = x * s
 
     def vjp(g):
@@ -652,19 +648,25 @@ def transpose(a: Tensor) -> Tensor:
 
 @_diffop("concat")
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Join along ``axis``, broadcasting every other axis (numpy rules, so
+    a ``[D, 1]`` token can join ``[B, D, n]`` tokens along axis -1)."""
     tensors = list(tensors)
     if not tensors:
         raise ValueError("concat of an empty list")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    ndim = max(t.data.ndim for t in tensors)
+    axis = normalize_axis_index(axis, ndim)
+    shapes = [(1,) * (ndim - t.data.ndim) + t.data.shape for t in tensors]
+    rest = np.broadcast_shapes(*(s[:axis] + s[axis + 1:] for s in shapes))
+    out = np.concatenate([np.broadcast_to(t.data, rest[:axis] + (s[axis],) + rest[axis:])
+                          for t, s in zip(tensors, shapes)], axis=axis)
+    offsets = np.cumsum([0] + [s[axis] for s in shapes])
 
     def vjp(g):
         pieces = []
-        for i in range(len(sizes)):
+        for i, t in enumerate(tensors):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(offsets[i], offsets[i + 1])
-            pieces.append(g[tuple(sl)])
+            pieces.append(_unbroadcast(g[tuple(sl)], t.data.shape))
         return tuple(pieces)
 
     return Tensor._from_op(out, tuple(tensors), vjp, "concat")
@@ -703,10 +705,6 @@ def where_mask(mask: np.ndarray, a: Tensor, b) -> Tensor:
     return Tensor._from_op(out, (a, b), vjp, "where")
 
 
-def stop_gradient(a: Tensor) -> Tensor:
-    return a.detach()
-
-
 # ---------------------------------------------------------------------------
 # normalization and attention building blocks
 # ---------------------------------------------------------------------------
@@ -727,20 +725,18 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 @_diffop("norm_affine")
 def norm_affine(x: Tensor, gain: Tensor, shift: Tensor, eps: float, axis: int) -> Tensor:
     """Normalize ``x`` to zero mean and unit variance along ``axis``, then
-    apply a per-feature affine (gain and shift indexed by axis 0).
+    apply a per-feature affine (gain and shift indexed by axis -2).
 
-    ``axis=0`` is layer norm over the feature axis (per token/column);
-    ``axis=1`` is batch norm over the token axis (per channel/row).
+    ``axis=-2`` is layer norm over the feature axis (per token/column);
+    ``axis=-1`` is batch norm over the token axis (per channel/row), which
+    keeps each sequence of a ``[B, D, N]`` batch to its own statistics.
     """
-    if x.data.ndim != 2:
-        raise ValueError("norm_affine expects a 2-D [D, N] tensor")
     mu = x.data.mean(axis=axis, keepdims=True)
     var = x.data.var(axis=axis, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
     gcol = gain.data[:, None]
     out = gcol * xhat + shift.data[:, None]
-    m = x.data.shape[axis]
     nx, ng, ns = _needs((x, gain, shift))
 
     def vjp(g):
@@ -749,8 +745,8 @@ def norm_affine(x: Tensor, gain: Tensor, shift: Tensor, eps: float, axis: int) -
             dxhat = g * gcol
             gx = inv * (dxhat - dxhat.mean(axis=axis, keepdims=True)
                         - xhat * (dxhat * xhat).mean(axis=axis, keepdims=True))
-        gg = (g * xhat).sum(axis=1) if ng else None
-        gs = g.sum(axis=1) if ns else None
+        gg = _sum_to_features(g * xhat) if ng else None
+        gs = _sum_to_features(g) if ns else None
         return gx, gg, gs
 
     return Tensor._from_op(out, (x, gain, shift), vjp, "norm_affine")
@@ -761,9 +757,9 @@ def dwconv1d(x: Tensor, kernels: Tensor, causal: bool = False) -> Tensor:
     """Depthwise 1-D convolution along the token axis, one kernel per channel.
 
     Same-padding by default (output length N); ``causal=True`` pads only on
-    the left so position n sees positions <= n.
+    the left so position n sees positions <= n. Leading axes are batch.
     """
-    D, N = x.data.shape
+    D, N = x.data.shape[-2:]
     Dk, k = kernels.data.shape
     if Dk != D:
         raise ValueError("kernel channel count must match input channels")
@@ -771,10 +767,10 @@ def dwconv1d(x: Tensor, kernels: Tensor, causal: bool = False) -> Tensor:
         raise ValueError("dwconv1d requires an odd kernel size")
     left = k - 1 if causal else k // 2
     right = 0 if causal else k // 2
-    xp = np.pad(x.data, ((0, 0), (left, right)))
+    xp = np.pad(x.data, ((0, 0),) * (x.data.ndim - 1) + ((left, right),))
     out = np.zeros_like(x.data)
     for j in range(k):
-        out += kernels.data[:, j:j + 1] * xp[:, j:j + N]
+        out += kernels.data[:, j:j + 1] * xp[..., j:j + N]
     nx, nk = _needs((x, kernels))
     kd = kernels.data
 
@@ -783,13 +779,13 @@ def dwconv1d(x: Tensor, kernels: Tensor, causal: bool = False) -> Tensor:
         if nx:
             gxp = np.zeros_like(xp)
             for j in range(k):
-                gxp[:, j:j + N] += kd[:, j:j + 1] * g
-            gx = gxp[:, left:left + N].copy() if (left or right) else gxp
+                gxp[..., j:j + N] += kd[:, j:j + 1] * g
+            gx = gxp[..., left:left + N].copy() if (left or right) else gxp
         gk = None
         if nk:
             gk = np.empty_like(kd)
             for j in range(k):
-                gk[:, j] = (xp[:, j:j + N] * g).sum(axis=1)
+                gk[:, j] = _sum_to_features(xp[..., j:j + N] * g)
         return gx, gk
 
     return Tensor._from_op(out, (x, kernels), vjp, "dwconv1d")

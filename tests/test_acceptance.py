@@ -157,7 +157,7 @@ def test_sequence_layout_slot_round_trip_and_frozen_params(tmp_path):
     model.eval()
     world = build_world(cfg, seed=3)
     sample = world.train_part(cfg.instances_per_id).samples[0]
-    f_cls, f_ma = model.forward_sample(sample)
+    f_cls, f_ma = model.forward_batch([sample])
     n_patches = (cfg.image_h // cfg.patch) * (cfg.image_w // cfg.patch)
     expected = 1 + n_patches + 3 * cfg.n_prompts
     for m in MODALITIES:
@@ -241,13 +241,13 @@ def test_degenerate_configurations_reduce_exactly(tmp_path):
         _zero_linear(mlp.inner)
         _zero_linear(mlp.outer)
     sample = build_world(cfg, 2).train_part(cfg.instances_per_id).samples[0]
-    before, _ = model.forward_sample(sample)
+    before, _ = model.forward_batch([sample])
     d = cfg.embed_dim
     stream_n = before.data[:d].copy()
     for lay in range(cfg.layers):
         model.bank.prompts[lay]["r"].data += 3.7
         model.bank.prompts[lay]["t"].data -= 1.9
-    after, _ = model.forward_sample(sample)
+    after, _ = model.forward_batch([sample])
     assert np.array_equal(after.data[:d], stream_n)
     assert not np.array_equal(after.data[d:2 * d], before.data[d:2 * d])
 

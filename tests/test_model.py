@@ -26,7 +26,7 @@ def _sample(seed=0):
 
 def test_forward_shapes_and_sequence_lengths():
     model = _model().eval()
-    f_cls, f_ma = model.forward_sample(_sample())
+    f_cls, f_ma = model.forward_batch([_sample()])
     assert f_cls.shape == (24, 1)
     assert f_ma.shape == (24, 1)
     want_len = 1 + _cfg().n_patches + 3 * 2
@@ -36,7 +36,7 @@ def test_forward_shapes_and_sequence_lengths():
 
 def test_sequences_without_prompts():
     model = _model(srp=False).eval()
-    model.forward_sample(_sample())
+    model.forward_batch([_sample()])
     want_len = 1 + _cfg().n_patches
     for m in MODALITIES:
         assert model.last_seq[m] == [want_len] * 2
@@ -61,7 +61,7 @@ def test_prompts_differentiate_streams():
 def test_class_feature_stacks_stream_tokens():
     model = _model().eval()
     sample = _sample()
-    f_cls, _ = model.forward_sample(sample)
+    f_cls, _ = model.forward_batch([sample])
     for i, m in enumerate(MODALITIES):
         stream = model._run_stream(m, sample[m])
         assert np.allclose(f_cls.data[8 * i:8 * (i + 1), 0],
@@ -75,7 +75,7 @@ def test_toggles_control_feature_width_and_heads():
     assert without.heads.ma_head is None
     assert with_ma.heads.ma_head is not None
 
-    _, f_ma = without.forward_sample(_sample())
+    _, f_ma = without.forward_batch([_sample()])
     assert f_ma is None
 
     samples = [_sample(s) for s in range(3)]
@@ -89,15 +89,34 @@ def test_batch_forward_concatenates_sample_columns():
     f_cls, f_ma = model.forward_batch(samples)
     assert f_cls.shape == (24, 2)
     assert f_ma.shape == (24, 2)
-    one_cls, one_ma = model.forward_sample(samples[1])
+    one_cls, one_ma = model.forward_batch([samples[1]])
     assert np.array_equal(f_cls.data[:, 1:], one_cls.data)
     assert np.array_equal(f_ma.data[:, 1:], one_ma.data)
+
+
+def test_train_batch_keeps_per_sequence_batch_norm():
+    # per-sequence statistics: every sample's features and every running
+    # estimate match feeding the samples one at a time, in order; pooled
+    # batch statistics would move both
+    samples = [_sample(s) for s in range(3)]
+    batched, single = _model().train(), _model().train()
+    f_cls, f_ma = batched.forward_batch(samples)
+    for i, sample in enumerate(samples):
+        one_cls, one_ma = single.forward_batch([sample])
+        assert np.array_equal(f_cls.data[:, i:i + 1], one_cls.data)
+        assert np.array_equal(f_ma.data[:, i:i + 1], one_ma.data)
+    one_by_one = dict(single.named_buffers())
+    initial = dict(_model().named_buffers())
+    assert one_by_one
+    for name, buf in batched.named_buffers():
+        assert np.array_equal(buf, one_by_one[name]), name
+        assert not np.array_equal(buf, initial[name]), name
 
 
 def test_frozen_backbone_keeps_zero_gradients():
     model = _model()
     model.train()
-    f_cls, f_ma = model.forward_sample(_sample())
+    f_cls, f_ma = model.forward_batch([_sample()])
     (f_cls.sum() + f_ma.sum()).backward()
     for name, p in model.backbone.named_params():
         assert np.all(p.grad == 0.0), f"backbone.{name} received gradient"
