@@ -24,7 +24,6 @@ import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from numpy.lib.array_utils import normalize_axis_index
 from scipy import special as _special
 
 __all__ = [
@@ -654,7 +653,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ValueError("concat of an empty list")
     ndim = max(t.data.ndim for t in tensors)
-    axis = normalize_axis_index(axis, ndim)
+    axis = range(ndim)[axis]  # IndexError if out of range
     shapes = [(1,) * (ndim - t.data.ndim) + t.data.shape for t in tensors]
     rest = np.broadcast_shapes(*(s[:axis] + s[axis + 1:] for s in shapes))
     out = np.concatenate([np.broadcast_to(t.data, rest[:axis] + (s[axis],) + rest[axis:])

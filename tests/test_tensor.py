@@ -133,6 +133,14 @@ def test_concat_narrow_round_trip():
         assert np.array_equal(p.data, b)
 
 
+def test_concat_axis_counts_from_the_end_and_is_range_checked():
+    a, b = Tensor(np.ones((2, 3, 4))), Tensor(np.zeros((3, 1)))
+    assert T.concat([a, b], axis=-1).shape == (2, 3, 5)
+    for axis in (3, -4):
+        with pytest.raises(IndexError):
+            T.concat([a, b], axis=axis)
+
+
 def test_softmax_rows_sum_to_one():
     x = Tensor(np.random.default_rng(1).normal(size=(4, 6)) * 3)
     s = T.softmax(x, axis=-1).data
