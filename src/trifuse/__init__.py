@@ -25,7 +25,6 @@ _EXPORTS = {
     "load_config": "config",
     "save_config": "config",
     "FusionModel": "model",
-    "ModelToggles": "model",
     "build_model": "train",
     "build_world": "train",
     "evaluate": "retrieval",

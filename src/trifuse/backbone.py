@@ -12,16 +12,16 @@ residual, not its normed copy.
 
 The backbone does not orchestrate prompts; it exposes ``tokens`` for the
 patch embedding front end and a list of layers for the caller to iterate,
-so sequence surgery between layers stays out of this module.
+so sequence surgery between layers stays out of this module. Sizes come
+from the encoder fields of :class:`~trifuse.config.RunConfig`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .adapter import ParallelAdapter, combine_branches
+from .config import RunConfig
 from .nn import (FeedForward, LayerNorm, Linear, Module,
                  MultiHeadSelfAttention)
 from .tensor import Param, Tensor, add, concat
@@ -29,30 +29,8 @@ from .tensor import Param, Tensor, add, concat
 TOKEN_STD = 0.02
 
 
-@dataclass
-class BackboneConfig:
-    embed_dim: int = 64
-    layers: int = 4
-    heads: int = 4
-    patch: int = 8
-    image_h: int = 32
-    image_w: int = 16
-    channels: int = 3
-    n_prompts: int = 4
-    ffn_ratio: int = 4
-    gelu_exact: bool = False
-
-    def __post_init__(self):
-        if self.image_h % self.patch or self.image_w % self.patch:
-            raise ValueError("image sides must be divisible by the patch size")
-
-    @property
-    def n_patches(self) -> int:
-        return (self.image_h // self.patch) * (self.image_w // self.patch)
-
-
 class PatchEmbed(Module):
-    def __init__(self, cfg: BackboneConfig, rng: np.random.Generator):
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator):
         self.patch = cfg.patch
         self.channels = cfg.channels
         self.proj = Linear(cfg.channels * cfg.patch ** 2, cfg.embed_dim, rng)
@@ -88,12 +66,12 @@ class EncoderLayer(Module):
 
 
 class VisionBackbone(Module):
-    def __init__(self, cfg: BackboneConfig, rng: np.random.Generator):
-        self.cfg = cfg
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator):
+        n_patches = (cfg.image_h // cfg.patch) * (cfg.image_w // cfg.patch)
         self.embed = PatchEmbed(cfg, rng)
         self.cls = Param(TOKEN_STD * rng.standard_normal((cfg.embed_dim, 1)))
         self.pos = Param(TOKEN_STD * rng.standard_normal(
-            (cfg.embed_dim, 1 + cfg.n_patches)))
+            (cfg.embed_dim, 1 + n_patches)))
         self.blocks = [
             EncoderLayer(cfg.embed_dim, cfg.heads, rng,
                          ffn_ratio=cfg.ffn_ratio, gelu_exact=cfg.gelu_exact)

@@ -150,7 +150,7 @@ def cmd_eval(args) -> int:
                  "(missing config.cfg or checkpoint/)")
     cfg = load_config(cfg_path)
     model = build_model(cfg, args.seed)
-    _restore(model, Adam(model.named_params()), ckpt)
+    _restore(model, Adam(model.named_params()), ckpt, args.seed)
     world = build_world(cfg, args.seed)
     query, gallery = world.eval_parts(cfg.eval_instances_per_id,
                                       cfg.eval_queries_per_id)

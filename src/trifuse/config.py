@@ -4,15 +4,18 @@ One dataclass holds every knob for the toy experiments. Files are plain
 ``key = value`` lines; ``#`` starts a comment anywhere on a line, blank
 lines are skipped, and unknown keys are rejected rather than ignored so a
 typo cannot silently fall back to a default. Types come from the dataclass
-field declarations.
+field declarations; ``RunConfig.validate`` names the key of a bad value.
+The model, the synthetic world and the loss all read this one object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 _TRUE = {"true", "1", "yes", "on"}
 _FALSE = {"false", "0", "no", "off"}
+
+SRP_MODES = ("fusion", "separation")
 
 
 @dataclass
@@ -76,6 +79,25 @@ class RunConfig:
     bench_reps: int = 5
     bench_warmup: int = 2
 
+    def validate(self) -> None:
+        """Raise ``ValueError`` naming the first key that breaks its rule."""
+        by_patch = f"must be divisible by patch = {self.patch}"
+        for key, ok, rule in (
+            ("image_h", self.image_h % self.patch == 0, by_patch),
+            ("image_w", self.image_w % self.patch == 0, by_patch),
+            ("embed_dim", self.embed_dim % self.heads == 0,
+             f"must be divisible by heads = {self.heads}"),
+            ("conv_kernel", self.conv_kernel % 2 == 1, "must be odd"),
+            ("srp_mode", self.srp_mode in SRP_MODES,
+             f"must be one of {SRP_MODES}"),
+            ("eval_every", self.eval_every >= 1, "must be at least 1"),
+            ("batch_p", self.batch_p >= 2, "must be at least 2"),
+            ("batch_k", self.batch_k >= 2, "must be at least 2"),
+            ("rho", 0.0 < self.rho <= 1.0, "must be in (0, 1]"),
+        ):
+            if not ok:
+                raise ValueError(f"{key} = {getattr(self, key)!r}: {rule}")
+
 
 def _parse_value(raw: str, kind: type, key: str):
     raw = raw.strip()
@@ -94,7 +116,8 @@ def _parse_value(raw: str, kind: type, key: str):
 
 
 def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
-    cfg = base or RunConfig()
+    """Read ``path`` over a copy of ``base`` (or the defaults), validated."""
+    cfg = RunConfig() if base is None else replace(base)
     types = {f.name: f.type for f in fields(RunConfig)}
     # dataclass field types are strings under from __future__ annotations
     kinds = {"int": int, "float": float, "bool": bool, "str": str}
@@ -109,6 +132,7 @@ def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
             if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             setattr(cfg, key, _parse_value(raw, kinds[types[key]], key))
+    cfg.validate()
     return cfg
 
 

@@ -332,8 +332,8 @@ def _build_module_cases() -> None:
     from . import ssm as S
     from .adapter import ParallelAdapter, combine_branches
     from .aggregation import AggregationBlock, Aggregator, AggregationHead, ConvGate, LinearGate
-    from .backbone import BackboneConfig, VisionBackbone
-    from .model import FusionModel, ModelToggles
+    from .config import RunConfig
+    from .model import FusionModel
     from .prompts import PromptBank, PromptMlp
     from . import tensor as T
 
@@ -571,7 +571,7 @@ def _build_module_cases() -> None:
         f_cls = Tensor(rng.normal(size=(6, 6)), requires_grad=True)
         f_ma = Tensor(rng.normal(size=(6, 6)), requires_grad=True)
         labels = np.array([0, 0, 1, 1, 2, 2])
-        cfg = L.LossConfig(lambda_ce=0.25, lambda_tri=1.0, smoothing=0.1, margin=3.0)
+        cfg = RunConfig(lambda_ce=0.25, lambda_tri=1.0, smoothing=0.1, margin=3.0)
         def fn():
             total, _ = L.total_loss(f_cls, f_ma, labels, heads, cfg)
             return total
@@ -580,19 +580,18 @@ def _build_module_cases() -> None:
     register_case("total_loss", total_loss_case)
 
     def composed_case(rng):
-        cfg = BackboneConfig(embed_dim=8, layers=2, heads=2, patch=4,
-                             image_h=8, image_w=8, channels=1, n_prompts=2)
-        toggles = ModelToggles(pfa=True, srp=True, ma=True)
-        model = FusionModel(cfg, toggles, num_ids=2, rng=rng,
-                            d_state=2, dt_rank=2, ma_blocks=1)
+        cfg = RunConfig(embed_dim=8, layers=2, heads=2, patch=4,
+                        image_h=8, image_w=8, channels=1, n_prompts=2,
+                        d_state=2, dt_rank=2, ma_blocks=1, num_ids=2,
+                        lambda_ce=0.25, lambda_tri=1.0, smoothing=0.1,
+                        margin=3.0)
+        model = FusionModel(cfg, rng)
         model.train()
         images = [
             {m: rng.normal(size=(1, 8, 8)) for m in ("n", "r", "t")}
             for _ in range(4)
         ]
         labels = np.array([0, 0, 1, 1])
-        lcfg = L.LossConfig(lambda_ce=0.25, lambda_tri=1.0,
-                            smoothing=0.1, margin=3.0)
         wrt = []
         for name, p in model.named_params():
             if p.frozen:
@@ -600,7 +599,7 @@ def _build_module_cases() -> None:
             wrt.append(p)
         def fn():
             f_cls, f_ma = model.forward_batch(images)
-            total, _ = L.total_loss(f_cls, f_ma, labels, model.heads, lcfg)
+            total, _ = L.total_loss(f_cls, f_ma, labels, model.heads, cfg)
             return total
         return fn, wrt
 

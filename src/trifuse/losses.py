@@ -9,10 +9,9 @@ feature as well, each through its own classifier head:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .config import RunConfig
 from .nn import Linear, Module
 from .tensor import (Tensor, add, exp, log, matmul, mul, neg,
                      register_differentiable, relu, reshape, softplus, sqrt,
@@ -79,15 +78,6 @@ def triplet_batch_hard(emb: Tensor, labels: np.ndarray, margin: float,
     return tmean(relu(add(gap, margin)))
 
 
-@dataclass
-class LossConfig:
-    lambda_ce: float = 0.25
-    lambda_tri: float = 1.0
-    smoothing: float = 0.1
-    margin: float = 0.3
-    soft_margin: bool = False
-
-
 class SupervisionHeads(Module):
     """Identity classifiers for the class-token and fused features."""
 
@@ -98,7 +88,7 @@ class SupervisionHeads(Module):
 
 
 def total_loss(f_cls: Tensor, f_ma: Tensor | None, labels: np.ndarray,
-               heads: SupervisionHeads, cfg: LossConfig):
+               heads: SupervisionHeads, cfg: RunConfig):
     """Return (scalar total, per-term floats for logging)."""
     branches = [("cls", f_cls, heads.cls_head)]
     if f_ma is not None:

@@ -1,77 +1,63 @@
 """Three-stream fusion model over a frozen shared encoder.
 
 Each sample is a dict of per-modality images. Every modality runs through
-the same frozen backbone; the trainable surface is chosen by toggles:
+the same frozen backbone; ``RunConfig`` fields choose the trainable surface:
 
-  pfa  adds one parallel adapter per layer, shared across modalities
-  srp  threads prompt groups through every layer and refines them between
-       layers from the previous layer's harvested groups
-  ma   aggregates final patch tokens across modalities into a fused vector
+  use_pfa  one parallel adapter per layer, shared across modalities
+  use_srp  prompt groups through every layer, refined between layers from
+           the previous layer's harvested groups as ``srp_mode`` says
+  use_ma   final patch tokens of all modalities aggregated into a fused
+           vector by ``ma_blocks`` scan blocks (``ma_intra``, ``ma_inter``)
 
 The class-token feature (three streams stacked) always exists; the fused
-feature exists only with ``ma``. Identity heads for both live here too so
-an optimizer can reach everything trainable through one module.
+feature exists only with ``use_ma``. Identity heads for both live here too
+so an optimizer can reach everything trainable through one module.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .adapter import ParallelAdapter
 from .aggregation import AggregationBlock, AggregationHead, Aggregator
-from .backbone import BackboneConfig, VisionBackbone
+from .backbone import VisionBackbone
+from .config import RunConfig
 from .losses import SupervisionHeads
 from .nn import Module
 from .prompts import MODALITIES, PromptBank
 from .tensor import Tensor, concat, narrow, no_grad, reshape, transpose
 
 
-@dataclass
-class ModelToggles:
-    pfa: bool = True
-    srp: bool = True
-    ma: bool = True
-    srp_mode: str = "fusion"
-    ma_intra: bool = True
-    ma_inter: bool = True
-
-
 class FusionModel(Module):
-    def __init__(self, cfg: BackboneConfig, toggles: ModelToggles,
-                 num_ids: int, rng: np.random.Generator,
-                 d_state: int = 16, dt_rank: int = 32, ma_blocks: int = 2,
-                 pfa_hidden_ratio: float = 2.0, conv_kernel: int = 3,
-                 scan_chunk: int = 128):
-        self.cfg = cfg
-        self.toggles = toggles
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator):
         d = cfg.embed_dim
 
         self.backbone = VisionBackbone(cfg, rng)
         self.backbone.freeze()
 
         self.adapters = None
-        if toggles.pfa:
-            hidden = int(round(pfa_hidden_ratio * d))
+        if cfg.use_pfa:
+            hidden = int(round(cfg.pfa_hidden_ratio * d))
             self.adapters = [ParallelAdapter(d, hidden, rng)
                              for _ in range(cfg.layers)]
 
         self.bank = None
-        if toggles.srp:
+        if cfg.use_srp:
             self.bank = PromptBank(d, cfg.n_prompts, cfg.layers, rng,
-                                   mode=toggles.srp_mode)
+                                   mode=cfg.srp_mode)
 
         self.aggregator = None
-        if toggles.ma:
-            blocks = [AggregationBlock(d, d_state, dt_rank, conv_kernel, rng,
-                                       use_intra=toggles.ma_intra,
-                                       use_inter=toggles.ma_inter,
-                                       chunk=scan_chunk)
-                      for _ in range(ma_blocks)]
+        if cfg.use_ma:
+            blocks = [AggregationBlock(d, cfg.d_state, cfg.dt_rank,
+                                       cfg.conv_kernel, rng,
+                                       use_intra=cfg.ma_intra,
+                                       use_inter=cfg.ma_inter,
+                                       chunk=cfg.scan_chunk)
+                      for _ in range(cfg.ma_blocks)]
             self.aggregator = Aggregator(blocks, AggregationHead(d, rng))
 
-        self.heads = SupervisionHeads(3 * d, num_ids, rng, with_ma=toggles.ma)
+        self.heads = SupervisionHeads(3 * d, cfg.num_ids, rng,
+                                      with_ma=cfg.use_ma)
 
         #: per-modality sequence lengths seen at each layer, refreshed on
         #: every forward_batch; handy for asserting sequence surgery
@@ -99,7 +85,7 @@ class FusionModel(Module):
 
     def forward_batch(self, samples: list[dict[str, np.ndarray]]):
         """Class-token and fused features, ``[3D, B]`` each (fused is None
-        without ``ma``). Each modality's B images run as one stream."""
+        without ``use_ma``). Each modality's B images run as one stream."""
         tokens = {m: self._run_stream(m, np.stack([s[m] for s in samples]))
                   for m in MODALITIES}
         f_cls = concat([narrow(tokens[m], -1, 0, 1) for m in MODALITIES],

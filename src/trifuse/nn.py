@@ -15,8 +15,8 @@ from typing import Iterator
 import numpy as np
 
 from .tensor import (
-    Param, Tensor, add, dwconv1d, gelu, matmul, mul, norm_affine,
-    register_differentiable, reshape, softmax, sub, swapaxes,
+    Param, Tensor, add, default_dtype, dwconv1d, gelu, matmul, mul,
+    norm_affine, register_differentiable, reshape, softmax, sub, swapaxes,
 )
 
 register_differentiable("linear")
@@ -204,8 +204,8 @@ class BatchNorm(Module):
         self.shift = Param(np.zeros(dim))
         self.eps = eps
         self.momentum = momentum
-        self.running_mean = np.zeros(dim)
-        self.running_var = np.ones(dim)
+        self.running_mean = np.zeros(dim, dtype=default_dtype())
+        self.running_var = np.ones(dim, dtype=default_dtype())
 
     def __call__(self, x: Tensor) -> Tensor:
         if self.training:

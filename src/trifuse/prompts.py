@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import SRP_MODES
 from .nn import Linear, Module
 from .tensor import (Param, Tensor, add, concat, gelu, mul, narrow,
                      register_differentiable)
@@ -53,7 +54,7 @@ class PromptBank(Module):
     def __init__(self, dim: int, n_prompts: int, layers: int,
                  rng: np.random.Generator, mode: str = "fusion",
                  init_std: float = 0.02):
-        if mode not in ("fusion", "separation"):
+        if mode not in SRP_MODES:
             raise ValueError(f"unknown refinement mode {mode!r}")
         self.dim = dim
         self.n_prompts = n_prompts

@@ -115,7 +115,7 @@ class SelectiveScan(Module):
         self.dt_up = Linear(dt_rank, dim, rng)
         dt = np.exp(rng.uniform(np.log(dt_min), np.log(dt_max), size=dim))
         # inverse softplus, so softplus(bias) == dt at initialization
-        self.dt_up.bias.data = dt + np.log(-np.expm1(-dt))
+        self.dt_up.bias = Param(dt + np.log(-np.expm1(-dt)))
 
     def discretize(self, x: Tensor) -> SsmDiscrete:
         *lead, d, k = x.shape

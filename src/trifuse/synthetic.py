@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .prompts import MODALITIES
 
 _STRUCTURE = 101
@@ -48,55 +49,45 @@ class ReidData:
 
 
 class SyntheticWorld:
-    """Fixed rendering maps plus identity latents for one seed."""
+    """Fixed rendering maps plus identity latents for one config and seed."""
 
-    def __init__(self, seed: int, num_ids: int, channels: int = 3,
-                 image_h: int = 32, image_w: int = 16, latent_dim: int = 12,
-                 nuisance_dim: int = 8, rho: float = 0.8, sigma: float = 0.3,
-                 nuisance_gain: float = 5.0, num_cams: int = 4):
-        if not 0.0 < rho <= 1.0:
-            raise ValueError("rho must be in (0, 1]")
+    def __init__(self, cfg: RunConfig, seed: int):
+        self.cfg = cfg
         self.seed = seed
-        self.num_ids = num_ids
-        self.shape = (channels, image_h, image_w)
-        self.latent_dim = latent_dim
-        self.nuisance_dim = nuisance_dim
-        self.rho = rho
-        self.sigma = sigma
-        self.nuisance_gain = nuisance_gain
-        self.num_cams = num_cams
+        self.shape = (cfg.channels, cfg.image_h, cfg.image_w)
 
-        pixels = channels * image_h * image_w
+        pixels = cfg.channels * cfg.image_h * cfg.image_w
         structure = np.random.default_rng([seed, _STRUCTURE])
-        self.render = {m: structure.normal(size=(pixels, latent_dim))
-                       / np.sqrt(latent_dim) for m in MODALITIES}
-        self.nuisance = {m: structure.normal(size=(pixels, nuisance_dim))
-                         / np.sqrt(nuisance_dim) for m in MODALITIES}
+        self.render = {m: structure.normal(size=(pixels, cfg.latent_dim))
+                       / np.sqrt(cfg.latent_dim) for m in MODALITIES}
+        self.nuisance = {m: structure.normal(size=(pixels, cfg.nuisance_dim))
+                         / np.sqrt(cfg.nuisance_dim) for m in MODALITIES}
         self.pattern = {m: 0.5 * structure.normal(size=pixels)
                         for m in MODALITIES}
         identity = np.random.default_rng([seed, _IDENTITY])
-        self.id_latents = identity.normal(size=(num_ids, latent_dim))
+        self.id_latents = identity.normal(size=(cfg.num_ids, cfg.latent_dim))
 
     def _image(self, mod: str, ident: int, part: int, instance: int) -> np.ndarray:
+        cfg = self.cfg
         rng = np.random.default_rng(
             [self.seed, _INSTANCE, part, ident, instance, ord(mod)])
-        z = (np.sqrt(self.rho) * self.id_latents[ident]
-             + np.sqrt(1.0 - self.rho) * rng.normal(size=self.latent_dim))
+        z = (np.sqrt(cfg.rho) * self.id_latents[ident]
+             + np.sqrt(1.0 - cfg.rho) * rng.normal(size=cfg.latent_dim))
         flat = self.render[mod] @ z
-        flat = flat + (self.nuisance_gain * self.sigma
-                       * (self.nuisance[mod] @ rng.normal(size=self.nuisance_dim)))
+        flat = flat + (cfg.nuisance_gain * cfg.sigma
+                       * (self.nuisance[mod] @ rng.normal(size=cfg.nuisance_dim)))
         flat = flat + self.pattern[mod]
-        flat = flat + self.sigma * rng.normal(size=flat.size)
+        flat = flat + cfg.sigma * rng.normal(size=flat.size)
         return flat.reshape(self.shape)
 
     def _part(self, part: int, instances_per_id: int) -> ReidData:
         samples, ids, cams = [], [], []
-        for ident in range(self.num_ids):
+        for ident in range(self.cfg.num_ids):
             for inst in range(instances_per_id):
                 samples.append({m: self._image(m, ident, part, inst)
                                 for m in MODALITIES})
                 ids.append(ident)
-                cams.append(inst % self.num_cams)
+                cams.append(inst % self.cfg.num_cams)
         return ReidData(samples=samples, ids=np.array(ids), cams=np.array(cams))
 
     def train_part(self, instances_per_id: int) -> ReidData:

@@ -15,11 +15,10 @@ import os
 
 import numpy as np
 
-from .backbone import BackboneConfig
 from .config import RunConfig, save_config
 from .dump import load_checkpoint, save_checkpoint
-from .losses import LossConfig, total_loss
-from .model import FusionModel, ModelToggles
+from .losses import total_loss
+from .model import FusionModel
 from .retrieval import RetrievalResult, evaluate
 from .synthetic import ReidData, SyntheticWorld
 from .tensor import Param
@@ -92,30 +91,13 @@ def sample_batch(step: int, seed: int, data: ReidData, cfg: RunConfig):
 
 
 def build_model(cfg: RunConfig, seed: int) -> FusionModel:
-    bcfg = BackboneConfig(embed_dim=cfg.embed_dim, layers=cfg.layers,
-                          heads=cfg.heads, patch=cfg.patch,
-                          image_h=cfg.image_h, image_w=cfg.image_w,
-                          channels=cfg.channels, n_prompts=cfg.n_prompts,
-                          ffn_ratio=cfg.ffn_ratio, gelu_exact=cfg.gelu_exact)
-    toggles = ModelToggles(pfa=cfg.use_pfa, srp=cfg.use_srp, ma=cfg.use_ma,
-                           srp_mode=cfg.srp_mode, ma_intra=cfg.ma_intra,
-                           ma_inter=cfg.ma_inter)
-    rng = np.random.default_rng([seed, _MODEL_STREAM])
-    return FusionModel(bcfg, toggles, num_ids=cfg.num_ids, rng=rng,
-                       d_state=cfg.d_state, dt_rank=cfg.dt_rank,
-                       ma_blocks=cfg.ma_blocks,
-                       pfa_hidden_ratio=cfg.pfa_hidden_ratio,
-                       conv_kernel=cfg.conv_kernel,
-                       scan_chunk=cfg.scan_chunk)
+    cfg.validate()
+    return FusionModel(cfg, np.random.default_rng([seed, _MODEL_STREAM]))
 
 
 def build_world(cfg: RunConfig, seed: int) -> SyntheticWorld:
-    return SyntheticWorld(seed=seed, num_ids=cfg.num_ids,
-                          channels=cfg.channels, image_h=cfg.image_h,
-                          image_w=cfg.image_w, latent_dim=cfg.latent_dim,
-                          nuisance_dim=cfg.nuisance_dim, rho=cfg.rho,
-                          sigma=cfg.sigma, nuisance_gain=cfg.nuisance_gain,
-                          num_cams=cfg.num_cams)
+    cfg.validate()
+    return SyntheticWorld(cfg, seed)
 
 
 def evaluate_model(model: FusionModel, query: ReidData,
@@ -139,8 +121,12 @@ def _checkpoint_arrays(model: FusionModel, opt: Adam):
     return arrays
 
 
-def _restore(model: FusionModel, opt: Adam, directory: str) -> int:
+def _restore(model: FusionModel, opt: Adam, directory: str, seed: int) -> int:
+    """Load a checkpoint trained with ``seed``; returns its step."""
     arrays, meta = load_checkpoint(directory)
+    if meta.get("seed") != seed:
+        raise ValueError(f"{directory} was trained with seed "
+                         f"{meta.get('seed')}, not seed {seed}")
     state = {name[len("model."):]: entry for name, entry in arrays.items()
              if name.startswith("model.")}
     model.load_state_dict(state)
@@ -159,9 +145,6 @@ def train(cfg: RunConfig, seed: int, out_dir: str,
     call with the same config. The learning rate schedule always spans
     ``cfg.steps``, so a halted-and-resumed run retraces the unbroken one.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    save_config(os.path.join(out_dir, "config.cfg"), cfg)
-
     model = build_model(cfg, seed)
     model.train()
     opt = Adam(model.named_params())
@@ -169,15 +152,15 @@ def train(cfg: RunConfig, seed: int, out_dir: str,
     train_data = world.train_part(cfg.instances_per_id)
     query, gallery = world.eval_parts(cfg.eval_instances_per_id,
                                       cfg.eval_queries_per_id)
-    loss_cfg = LossConfig(lambda_ce=cfg.lambda_ce, lambda_tri=cfg.lambda_tri,
-                          smoothing=cfg.smoothing, margin=cfg.margin,
-                          soft_margin=cfg.soft_margin)
 
     start_step = 0
     if resume_from is not None:
-        start_step = _restore(model, opt, resume_from)
+        start_step = _restore(model, opt, resume_from, seed)
         if not quiet:
             print(f"resumed from {resume_from} at step {start_step}")
+
+    os.makedirs(out_dir, exist_ok=True)
+    save_config(os.path.join(out_dir, "config.cfg"), cfg)
 
     mode = "a" if start_step else "w"
     metrics_path = os.path.join(out_dir, "metrics.tsv")
@@ -207,7 +190,7 @@ def train(cfg: RunConfig, seed: int, out_dir: str,
             samples, labels = sample_batch(step, seed, train_data, cfg)
             model.zero_grad()
             f_cls, f_ma = model.forward_batch(samples)
-            loss, parts = total_loss(f_cls, f_ma, labels, model.heads, loss_cfg)
+            loss, parts = total_loss(f_cls, f_ma, labels, model.heads, cfg)
             loss.backward()
             lr = lr_at(step, cfg)
             opt.step(lr)
@@ -228,7 +211,7 @@ def train(cfg: RunConfig, seed: int, out_dir: str,
 
     save_checkpoint(os.path.join(out_dir, "checkpoint"),
                     _checkpoint_arrays(model, opt),
-                    {"step": reached, "adam_t": opt.t})
+                    {"step": reached, "adam_t": opt.t, "seed": seed})
     if result is None:
         result = evaluate_model(model, query, gallery)
     return {"map": result.mean_ap, "cmc1": result.cmc_at(1),

@@ -17,7 +17,7 @@ import numpy as np
 from conftest import make_tiny_cfg, run_pinned
 from trifuse.adapter import ParallelAdapter
 from trifuse.aggregation import AggregationBlock, AggregationHead, Aggregator
-from trifuse.backbone import BackboneConfig, VisionBackbone
+from trifuse.backbone import VisionBackbone
 from trifuse.bench import bench_attention, bench_block, fit_linear
 from trifuse.cli import main
 from trifuse.config import RunConfig, save_config
@@ -207,8 +207,8 @@ def test_degenerate_configurations_reduce_exactly(tmp_path):
     rng = np.random.default_rng(11)
 
     # (a) a zeroed adapter leaves the frozen layer output bit identical
-    bcfg = BackboneConfig(embed_dim=8, layers=2, heads=2, patch=4,
-                          image_h=8, image_w=8, channels=1, n_prompts=0)
+    bcfg = RunConfig(embed_dim=8, layers=2, heads=2, patch=4,
+                     image_h=8, image_w=8, channels=1, n_prompts=0)
     layer = VisionBackbone(bcfg, np.random.default_rng(0)).blocks[0]
     adapter = ParallelAdapter(8, 16, np.random.default_rng(1))
     _zero_linear(adapter.up)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from trifuse.backbone import (BackboneConfig, EncoderLayer, PatchEmbed,
-                              VisionBackbone)
+from trifuse.backbone import EncoderLayer, PatchEmbed, VisionBackbone
+from trifuse.config import RunConfig
 from trifuse.tensor import Tensor, add
 
 
@@ -17,8 +17,8 @@ def _identity_embed(cfg, rng):
 
 
 def test_patch_columns_match_hand_loop():
-    cfg = BackboneConfig(embed_dim=8, layers=1, heads=1, patch=2,
-                         image_h=4, image_w=6, channels=2)
+    cfg = RunConfig(embed_dim=8, layers=1, heads=1, patch=2,
+                    image_h=4, image_w=6, channels=2)
     rng = np.random.default_rng(0)
     embed = _identity_embed(cfg, rng)
     image = rng.normal(size=(2, 4, 6))
@@ -31,31 +31,31 @@ def test_patch_columns_match_hand_loop():
             patch = image[:, i * p:(i + 1) * p, j * p:(j + 1) * p]
             assert np.array_equal(cols[:, idx], patch.ravel())
             idx += 1
-    assert idx == cfg.n_patches == cols.shape[1]
+    assert idx == (4 // 2) * (6 // 2) == cols.shape[1]
 
 
 def test_patch_embed_rejects_wrong_channel_count():
-    cfg = BackboneConfig(embed_dim=4, layers=1, heads=1, patch=2,
-                         image_h=4, image_w=4, channels=1)
+    cfg = RunConfig(embed_dim=4, layers=1, heads=1, patch=2,
+                    image_h=4, image_w=4, channels=1)
     embed = PatchEmbed(cfg, np.random.default_rng(0))
     with pytest.raises(ValueError):
         embed(np.zeros((3, 4, 4)))
 
 
 def test_config_rejects_indivisible_images():
-    with pytest.raises(ValueError):
-        BackboneConfig(image_h=30, image_w=16, patch=8)
+    with pytest.raises(ValueError, match="image_h"):
+        RunConfig(image_h=30, image_w=16, patch=8).validate()
 
 
 def test_positions_cover_class_token_and_patches():
-    cfg = BackboneConfig(embed_dim=4, layers=1, heads=1, patch=2,
-                         image_h=4, image_w=4, channels=1)
+    cfg = RunConfig(embed_dim=4, layers=1, heads=1, patch=2,
+                    image_h=4, image_w=4, channels=1)
     rng = np.random.default_rng(1)
     bb = VisionBackbone(cfg, rng)
     image = rng.normal(size=(1, 4, 4))
     toks = bb.tokens(image).data
     patches = bb.embed(image).data
-    assert toks.shape == (4, 1 + cfg.n_patches)
+    assert toks.shape == (4, 1 + (4 // 2) * (4 // 2))
     assert np.allclose(toks[:, 0], bb.cls.data[:, 0] + bb.pos.data[:, 0])
     assert np.allclose(toks[:, 1:], patches + bb.pos.data[:, 1:])
 
@@ -96,8 +96,8 @@ def test_adapter_branch_reads_post_attention_residual():
 
 
 def test_backbone_freeze_zeroes_trainable_count():
-    cfg = BackboneConfig(embed_dim=8, layers=2, heads=2, patch=2,
-                         image_h=4, image_w=4, channels=1)
+    cfg = RunConfig(embed_dim=8, layers=2, heads=2, patch=2,
+                    image_h=4, image_w=4, channels=1)
     bb = VisionBackbone(cfg, np.random.default_rng(4))
     assert bb.num_trainable() > 0
     bb.freeze()
@@ -106,8 +106,8 @@ def test_backbone_freeze_zeroes_trainable_count():
 
 
 def test_shared_weights_give_identical_streams():
-    cfg = BackboneConfig(embed_dim=8, layers=2, heads=2, patch=2,
-                         image_h=4, image_w=4, channels=1)
+    cfg = RunConfig(embed_dim=8, layers=2, heads=2, patch=2,
+                    image_h=4, image_w=4, channels=1)
     rng = np.random.default_rng(5)
     bb = VisionBackbone(cfg, rng)
     image = rng.normal(size=(1, 4, 4))

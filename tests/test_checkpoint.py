@@ -108,6 +108,18 @@ def test_halted_run_resumes_bitwise(tmp_path):
                            shallow=False), f"{name} differs after resume"
 
 
+def test_resume_refuses_a_different_seed(tmp_path):
+    cfg = make_tiny_cfg(steps=4)
+    a = str(tmp_path / "a")
+    train(cfg, seed=3, out_dir=a, quiet=True, halt_after=2)
+    ckpt = os.path.join(a, "checkpoint")
+    assert load_checkpoint(ckpt)[1]["seed"] == 3
+    b = str(tmp_path / "b")
+    with pytest.raises(ValueError, match="seed 3, not seed 4"):
+        train(cfg, seed=4, out_dir=b, quiet=True, resume_from=ckpt)
+    assert not os.path.exists(b)
+
+
 def test_frozen_parameters_survive_training_bitwise(tmp_path):
     cfg = make_tiny_cfg(steps=4)
     out = str(tmp_path / "run")

@@ -79,6 +79,14 @@ def test_eval_subcommand_reports_on_checkpoint(tiny_cfg_path, tmp_path, capsys):
     assert float(rows["mAP"]) == float(last[1])
 
 
+def test_eval_refuses_a_different_seed(tiny_cfg_path, tmp_path):
+    out = str(tmp_path / "run")
+    main(_train_args(tiny_cfg_path, out))
+    with pytest.raises(ValueError, match="seed 5, not seed 6"):
+        main(["--seed", "6", "--out", out, "eval"])
+    assert not os.path.exists(os.path.join(out, "eval_report.csv"))
+
+
 def test_eval_rejects_non_run_directory(tmp_path):
     empty = str(tmp_path / "empty")
     os.makedirs(empty)

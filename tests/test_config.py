@@ -1,10 +1,13 @@
 """Flat key=value configuration files."""
 
 import dataclasses
+import os
 
 import pytest
 
+from conftest import make_tiny_cfg
 from trifuse.config import RunConfig, load_config, save_config
+from trifuse.train import train
 
 
 def test_save_load_round_trip(tmp_path):
@@ -78,6 +81,32 @@ def test_base_config_overlay(tmp_path):
     base = RunConfig(steps=50, lr=9e-4)
     path = tmp_path / "run.cfg"
     path.write_text("steps = 60\n")
-    merged = load_config(str(path), base=dataclasses.replace(base))
+    merged = load_config(str(path), base=base)
     assert merged.steps == 60
     assert merged.lr == 9e-4
+    assert merged is not base
+    assert base == RunConfig(steps=50, lr=9e-4)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("image_h", 6), ("image_w", 10), ("embed_dim", 7), ("conv_kernel", 4),
+    ("srp_mode", "fused"), ("eval_every", 0), ("batch_p", 1),
+    ("batch_k", 1), ("rho", 0.0), ("rho", 1.5),
+])
+def test_bad_values_fail_at_load_naming_the_key(tmp_path, key, value):
+    # the tiny config has patch 4 and heads 2
+    good = make_tiny_cfg()
+    good.validate()
+    bad = dataclasses.replace(good, **{key: value})
+    with pytest.raises(ValueError, match=f"^{key} = "):
+        bad.validate()
+
+    path = str(tmp_path / "run.cfg")
+    save_config(path, bad)
+    with pytest.raises(ValueError, match=f"^{key} = "):
+        load_config(path)
+
+    out = str(tmp_path / "run")
+    with pytest.raises(ValueError, match=f"^{key} = "):
+        train(bad, seed=0, out_dir=out, quiet=True)
+    assert not os.path.exists(out)

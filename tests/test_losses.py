@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from trifuse.losses import (LossConfig, SupervisionHeads, ce_smooth,
+from trifuse.config import RunConfig
+from trifuse.losses import (SupervisionHeads, ce_smooth,
                             pairwise_sqdist, total_loss, triplet_batch_hard)
 from trifuse.tensor import Tensor
 
@@ -161,7 +162,7 @@ def test_total_loss_composition_and_parts():
     f_cls = Tensor(rng.normal(size=(6, 4)))
     f_ma = Tensor(rng.normal(size=(6, 4)))
     heads = SupervisionHeads(6, 3, rng, with_ma=True)
-    cfg = LossConfig(lambda_ce=0.25, lambda_tri=1.0, smoothing=0.1, margin=0.3)
+    cfg = RunConfig(lambda_ce=0.25, lambda_tri=1.0, smoothing=0.1, margin=0.3)
 
     total, parts = total_loss(f_cls, f_ma, labels, heads, cfg)
     want = (0.25 * parts["ce_cls"] + parts["tri_cls"]
@@ -180,4 +181,4 @@ def test_total_loss_requires_matching_head():
     heads = SupervisionHeads(4, 2, rng, with_ma=False)
     f = Tensor(rng.normal(size=(4, 4)))
     with pytest.raises(ValueError):
-        total_loss(f, f, np.array([0, 0, 1, 1]), heads, LossConfig())
+        total_loss(f, f, np.array([0, 0, 1, 1]), heads, RunConfig())

@@ -2,21 +2,19 @@
 
 import numpy as np
 
-from trifuse.backbone import BackboneConfig
-from trifuse.model import FusionModel, ModelToggles
+from trifuse.config import RunConfig
+from trifuse.model import FusionModel
 from trifuse.prompts import MODALITIES
 
-
-def _cfg():
-    return BackboneConfig(embed_dim=8, layers=2, heads=2, patch=4,
-                          image_h=8, image_w=8, channels=1, n_prompts=2)
+N_PATCHES = (8 // 4) * (8 // 4)
 
 
 def _model(seed=0, **toggle_kw):
-    toggles = ModelToggles(**toggle_kw) if toggle_kw else ModelToggles()
-    return FusionModel(_cfg(), toggles, num_ids=4,
-                       rng=np.random.default_rng(seed),
-                       d_state=2, dt_rank=2, ma_blocks=1)
+    cfg = RunConfig(embed_dim=8, layers=2, heads=2, patch=4,
+                    image_h=8, image_w=8, channels=1, n_prompts=2,
+                    num_ids=4, d_state=2, dt_rank=2, ma_blocks=1,
+                    **toggle_kw)
+    return FusionModel(cfg, np.random.default_rng(seed))
 
 
 def _sample(seed=0):
@@ -29,21 +27,21 @@ def test_forward_shapes_and_sequence_lengths():
     f_cls, f_ma = model.forward_batch([_sample()])
     assert f_cls.shape == (24, 1)
     assert f_ma.shape == (24, 1)
-    want_len = 1 + _cfg().n_patches + 3 * 2
+    want_len = 1 + N_PATCHES + 3 * 2
     for m in MODALITIES:
         assert model.last_seq[m] == [want_len, want_len]
 
 
 def test_sequences_without_prompts():
-    model = _model(srp=False).eval()
+    model = _model(use_srp=False).eval()
     model.forward_batch([_sample()])
-    want_len = 1 + _cfg().n_patches
+    want_len = 1 + N_PATCHES
     for m in MODALITIES:
         assert model.last_seq[m] == [want_len] * 2
 
 
 def test_streams_share_backbone_and_adapters():
-    model = _model(srp=False).eval()
+    model = _model(use_srp=False).eval()
     image = _sample()["n"]
     outs = [model._run_stream(m, image).data for m in MODALITIES]
     assert np.array_equal(outs[0], outs[1])
@@ -51,7 +49,7 @@ def test_streams_share_backbone_and_adapters():
 
 
 def test_prompts_differentiate_streams():
-    model = _model(srp=True).eval()
+    model = _model(use_srp=True).eval()
     image = _sample()["n"]
     outs = [model._run_stream(m, image).data for m in MODALITIES]
     assert not np.allclose(outs[0], outs[1])
@@ -70,7 +68,7 @@ def test_class_feature_stacks_stream_tokens():
 
 def test_toggles_control_feature_width_and_heads():
     with_ma = _model().eval()
-    without = _model(ma=False).eval()
+    without = _model(use_ma=False).eval()
     assert without.aggregator is None
     assert without.heads.ma_head is None
     assert with_ma.heads.ma_head is not None

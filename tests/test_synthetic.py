@@ -3,22 +3,28 @@
 import numpy as np
 import pytest
 
+from trifuse.config import RunConfig
 from trifuse.prompts import MODALITIES
 from trifuse.synthetic import SyntheticWorld
+from trifuse.train import build_world
+
+
+def _cfg(**kw):
+    defaults = dict(num_ids=4, channels=1, image_h=8, image_w=8,
+                    latent_dim=4, nuisance_dim=2, num_cams=2)
+    defaults.update(kw)
+    return RunConfig(**defaults)
 
 
 def _world(**kw):
-    defaults = dict(seed=5, num_ids=4, channels=1, image_h=8, image_w=8,
-                    latent_dim=4, nuisance_dim=2, num_cams=2)
-    defaults.update(kw)
-    return SyntheticWorld(**defaults)
+    return SyntheticWorld(_cfg(**kw), seed=5)
 
 
 def test_rho_validation():
-    with pytest.raises(ValueError):
-        _world(rho=0.0)
-    with pytest.raises(ValueError):
-        _world(rho=1.5)
+    with pytest.raises(ValueError, match="rho"):
+        build_world(_cfg(rho=0.0), seed=5)
+    with pytest.raises(ValueError, match="rho"):
+        build_world(_cfg(rho=1.5), seed=5)
 
 
 def test_samples_reproducible_across_worlds_and_call_order():

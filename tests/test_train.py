@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import make_tiny_cfg
-from trifuse.tensor import Param
+from trifuse.losses import total_loss
+from trifuse.tensor import Param, Tensor, set_default_dtype
 from trifuse.train import (Adam, build_model, build_world, evaluate_model,
                            lr_at, sample_batch)
 
@@ -175,3 +176,43 @@ def test_evaluate_model_restores_training_mode():
     model.eval()
     evaluate_model(model, query, gallery)
     assert not model.training
+
+
+# -- precision --------------------------------------------------------------
+
+def test_f32_step_stays_float32_end_to_end(monkeypatch):
+    f32 = np.dtype(np.float32)
+    seen = {}
+    from_op = Tensor._from_op.__func__
+
+    def recording(cls, data, parents, vjp, op):
+        seen.setdefault(op, set()).add(data.dtype)
+        return from_op(cls, data, parents, vjp, op)
+
+    monkeypatch.setattr(Tensor, "_from_op", classmethod(recording))
+    cfg = make_tiny_cfg()
+    set_default_dtype(np.float32)
+    try:
+        model = build_model(cfg, seed=0).train()
+        opt = Adam(model.named_params())
+        world = build_world(cfg, seed=0)
+        data = world.train_part(cfg.instances_per_id)
+        samples, labels = sample_batch(0, 0, data, cfg)
+        f_cls, f_ma = model.forward_batch(samples)
+        loss, _ = total_loss(f_cls, f_ma, labels, model.heads, cfg)
+        loss.backward()
+        opt.step(lr_at(0, cfg))
+        model.eval().features(samples[:2])
+    finally:
+        set_default_dtype(np.float64)
+
+    assert seen
+    wide = {op: dtypes for op, dtypes in seen.items() if dtypes != {f32}}
+    assert not wide, f"ops emitting non-float32 output: {wide}"
+    for name, p in model.named_params():
+        assert p.data.dtype == f32 and p.grad.dtype == f32, name
+    for name, buf in model.named_buffers():
+        assert buf.dtype == f32, name
+    for name, arr in opt.state_arrays().items():
+        assert arr.dtype == f32, name
+    assert Tensor(1.0).data.dtype == np.float64
