@@ -1,9 +1,10 @@
 """The selective scan, slow way and fast way.
 
 The reference implementation walks the sequence token by token. The fast
-path runs the same recurrence as a chunked associative scan. They are the
-same function, and this script measures just how same: to around 1e-14 on
-a random layer, independent of the chunk size.
+path cuts the tokens into chunks and sweeps all chunks at once, one
+position at a time, then links them with a carry. They are the same
+function, and this script measures just how same: to around 1e-15 on a
+random layer, whatever the chunk size.
 
 It also shows the discretization choice. The Euler input path multiplies
 by delta; the exact hold path integrates the input over the step. The two

@@ -43,7 +43,8 @@ def _shared_flags(parser: argparse.ArgumentParser,
 
     parser.add_argument("--config", default=default(None),
                         help="key=value config file")
-    parser.add_argument("--seed", type=int, default=default(0))
+    parser.add_argument("--seed", type=int, default=default(None),
+                        help="run seed (default 0; eval: the checkpoint's)")
     parser.add_argument("--out", default=default(None),
                         help="output directory")
     parser.add_argument("--precision", choices=("f32", "f64"),
@@ -140,6 +141,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     from .config import load_config
+    from .dump import read_meta
     from .retrieval import format_table, write_csv
     from .train import build_model, build_world, evaluate_model, Adam, _restore
     out = _require_out(args)
@@ -148,10 +150,15 @@ def cmd_eval(args) -> int:
     if not os.path.exists(cfg_path) or not os.path.isdir(ckpt):
         sys.exit(f"error: {out} does not look like a train-toy output "
                  "(missing config.cfg or checkpoint/)")
+    seed = args.seed
+    if seed is None:
+        seed = read_meta(ckpt).get("seed")
+        if seed is None:
+            sys.exit(f"error: {ckpt} records no seed; pass --seed")
     cfg = load_config(cfg_path)
-    model = build_model(cfg, args.seed)
-    _restore(model, Adam(model.named_params()), ckpt, args.seed)
-    world = build_world(cfg, args.seed)
+    model = build_model(cfg, seed)
+    _restore(model, Adam(model.named_params()), ckpt, seed)
+    world = build_world(cfg, seed)
     query, gallery = world.eval_parts(cfg.eval_instances_per_id,
                                       cfg.eval_queries_per_id)
     result = evaluate_model(model, query, gallery)
@@ -196,6 +203,8 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.seed is None and args.command != "eval":
+        args.seed = 0
     if args.threads is not None:
         if "numpy" in sys.modules:
             print("warning: numpy already imported, --threads may not take "

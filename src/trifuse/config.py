@@ -82,20 +82,25 @@ class RunConfig:
     def validate(self) -> None:
         """Raise ``ValueError`` naming the first key that breaks its rule."""
         by_patch = f"must be divisible by patch = {self.patch}"
+        # rules run in order and lazily, so a divisor is known to be
+        # positive before anything is taken modulo it
         for key, ok, rule in (
-            ("image_h", self.image_h % self.patch == 0, by_patch),
-            ("image_w", self.image_w % self.patch == 0, by_patch),
-            ("embed_dim", self.embed_dim % self.heads == 0,
+            ("patch", lambda: self.patch >= 1, "must be at least 1"),
+            ("heads", lambda: self.heads >= 1, "must be at least 1"),
+            ("image_h", lambda: self.image_h % self.patch == 0, by_patch),
+            ("image_w", lambda: self.image_w % self.patch == 0, by_patch),
+            ("embed_dim", lambda: self.embed_dim % self.heads == 0,
              f"must be divisible by heads = {self.heads}"),
-            ("conv_kernel", self.conv_kernel % 2 == 1, "must be odd"),
-            ("srp_mode", self.srp_mode in SRP_MODES,
+            ("conv_kernel", lambda: self.conv_kernel % 2 == 1, "must be odd"),
+            ("scan_chunk", lambda: self.scan_chunk >= 1, "must be at least 1"),
+            ("srp_mode", lambda: self.srp_mode in SRP_MODES,
              f"must be one of {SRP_MODES}"),
-            ("eval_every", self.eval_every >= 1, "must be at least 1"),
-            ("batch_p", self.batch_p >= 2, "must be at least 2"),
-            ("batch_k", self.batch_k >= 2, "must be at least 2"),
-            ("rho", 0.0 < self.rho <= 1.0, "must be in (0, 1]"),
+            ("eval_every", lambda: self.eval_every >= 1, "must be at least 1"),
+            ("batch_p", lambda: self.batch_p >= 2, "must be at least 2"),
+            ("batch_k", lambda: self.batch_k >= 2, "must be at least 2"),
+            ("rho", lambda: 0.0 < self.rho <= 1.0, "must be in (0, 1]"),
         ):
-            if not ok:
+            if not ok():
                 raise ValueError(f"{key} = {getattr(self, key)!r}: {rule}")
 
 

@@ -91,9 +91,14 @@ def load_checkpoint(directory: str):
             if got != dims:
                 raise ValueError(f"{name}: manifest dims {dims} != file {got}")
             arrays[name] = (arr, bool(int(frozen)))
+    return arrays, read_meta(directory)
+
+
+def read_meta(directory: str) -> dict[str, int | float]:
+    """The scalar state of a checkpoint (``meta.tsv``), without its arrays."""
     meta: dict[str, int | float] = {}
     with open(os.path.join(directory, "meta.tsv")) as fh:
         for line in fh:
             key, kind, raw = line.rstrip("\n").split("\t")
             meta[key] = float(raw) if kind == "f" else int(raw)
-    return arrays, meta
+    return meta

@@ -203,6 +203,18 @@ def _build_primitive_cases() -> None:
     register_case("silu", simple(T.silu), tol=1e-6)
     register_case("pow", simple(lambda x: T.power(x, 3.0)))
 
+    def linear_case(rng):
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+        xb = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
+        b = Tensor(rng.normal(size=4), requires_grad=True)
+        def fn():
+            return T.add(_weighted_sum(T.linear(w, x, b), rng),
+                         _weighted_sum(T.linear(w, xb), rng))
+        return fn, [w, x, xb, b]
+
+    register_case("linear", linear_case, tol=1e-6)
+
     def binary(op, safe_b=False):
         def build(rng):
             a, b = _pair(rng)
@@ -336,13 +348,6 @@ def _build_module_cases() -> None:
     from .model import FusionModel
     from .prompts import PromptBank, PromptMlp
     from . import tensor as T
-
-    def linear_case(rng):
-        lin = nn.Linear(3, 4, rng)
-        x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-        return (lambda: _weighted_sum(lin(x), rng)), [x, lin.weight, lin.bias]
-
-    register_case("linear", linear_case, tol=1e-6)
 
     def ln_case(rng):
         ln = nn.LayerNorm(4)

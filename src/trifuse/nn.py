@@ -15,11 +15,10 @@ from typing import Iterator
 import numpy as np
 
 from .tensor import (
-    Param, Tensor, add, default_dtype, dwconv1d, gelu, matmul, mul,
+    Param, Tensor, add, default_dtype, dwconv1d, gelu, linear, matmul, mul,
     norm_affine, register_differentiable, reshape, softmax, sub, swapaxes,
 )
 
-register_differentiable("linear")
 register_differentiable("layer_norm")
 register_differentiable("batch_norm")
 register_differentiable("mhsa")
@@ -158,7 +157,8 @@ def _walk_modules(value) -> Iterator[Module]:
 
 
 class Linear(Module):
-    """Affine map [..., in, N] -> [..., out, N], weight [out, in]."""
+    """Affine map [..., in, N] -> [..., out, N], weight [out, in], recorded
+    as one ``linear`` tape node."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
                  bias: bool = True, init_std: float | None = None):
@@ -170,10 +170,7 @@ class Linear(Module):
         if x.shape[-2] != self.weight.shape[1]:
             raise ValueError(f"linear expected {self.weight.shape[1]} input "
                              f"features, got {x.shape[-2]}")
-        y = matmul(self.weight, x)
-        if self.bias is not None:
-            y = add(y, reshape(self.bias, (self.bias.size, 1)))
-        return y
+        return linear(self.weight, x, self.bias)
 
 
 class LayerNorm(Module):

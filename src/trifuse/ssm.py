@@ -14,9 +14,11 @@ form bbarx = delta * b * x by default; the exact hold form is available
 behind ``zoh_input``.
 
 ``scan_sequential`` is the reference implementation, a plain loop over
-tokens. ``scan_fast`` evaluates the same recurrence through the chunked
-associative scan in the tensor core. Both are differentiable end to end and
-must agree to near machine precision; the test suite holds them to 1e-10.
+tokens. ``scan_fast`` evaluates the same recurrence with the tensor core's
+``linear_recurrence``: a sweep over the positions of a chunk that advances
+every chunk at once, then a carry that links the chunks in order. Both are
+differentiable end to end and must agree to near machine precision; the
+test suite holds them to 1e-10.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ def scan_sequential(disc: SsmDiscrete) -> Tensor:
 
 
 def scan_fast(disc: SsmDiscrete, chunk: int = 128) -> Tensor:
-    """Chunked associative scan over the token axis."""
+    """Chunked sweep over the token axis, one recurrence node."""
     h = linear_recurrence(disc.abar, disc.bbarx, chunk=chunk)
     return _add_skip(_contract_state(h, disc.c), disc)
 

@@ -30,8 +30,9 @@ __all__ = [
     "Tensor", "Param", "NonFiniteError", "no_grad",
     "set_default_dtype", "default_dtype", "set_finite_checks",
     "register_differentiable", "DIFFERENTIABLE_OPS",
-    "add", "sub", "mul", "div", "neg", "matmul", "exp", "log", "sqrt",
-    "power", "tanh", "sigmoid", "softplus", "erf", "relu", "gelu", "silu",
+    "add", "sub", "mul", "div", "neg", "matmul", "linear", "exp", "log",
+    "sqrt", "power", "tanh", "sigmoid", "softplus", "erf", "relu", "gelu",
+    "silu",
     "tsum", "tmean", "tmax", "tmin", "reshape", "swapaxes", "transpose",
     "concat", "narrow", "where_mask", "softmax", "norm_affine", "dwconv1d",
     "linear_recurrence",
@@ -402,6 +403,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(out, (a, b), vjp, "matmul")
 
 
+@_diffop("linear")
+def linear(w: Tensor, x: Tensor, b: Tensor | None = None) -> Tensor:
+    """Affine map ``w @ x + b[:, None]`` as one tape node: weight
+    ``[out, in]``, input ``[..., in, N]``, optional bias ``[out]``."""
+    out = w.data @ x.data
+    if b is not None:
+        out += b.data[:, None]
+    parents = (w, x) if b is None else (w, x, b)
+    nw, nx = _needs((w, x))
+    nb = b is not None and b.requires_grad
+    wd, xd = w.data, x.data
+
+    def vjp(g):
+        gw = _unbroadcast(g @ np.swapaxes(xd, -1, -2), wd.shape) if nw else None
+        gx = _unbroadcast(np.swapaxes(wd, -1, -2) @ g, xd.shape) if nx else None
+        gb = _unbroadcast(g, (wd.shape[0], 1)).reshape(-1) if nb else None
+        return gw, gx, gb
+
+    return Tensor._from_op(out, parents, vjp, "linear")
+
+
 # ---------------------------------------------------------------------------
 # elementwise nonlinearities
 # ---------------------------------------------------------------------------
@@ -460,13 +482,9 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # guarded against overflow for large negative inputs
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # e = exp(-|x|) never overflows: 1 / (1 + e) for x >= 0, e / (1 + e) below
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 @_diffop("sigmoid")
@@ -524,9 +542,17 @@ def gelu(a: Tensor, exact: bool = False) -> Tensor:
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
         return mul(mul(a, add(erf(mul(a, inv_sqrt2)), 1.0)), 0.5)
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x ** 3)
-    t = np.tanh(inner)
-    out = 0.5 * x * (1.0 + t)
+    # t = tanh(c * (x + 0.044715 * x**3)), built in one buffer; x ** 3 goes
+    # through pow(), about 50x slower than two multiplies on float64
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = t + 1.0
+    out *= x
+    out *= 0.5
 
     def vjp(g):
         dinner = _GELU_C * (1.0 + 3.0 * 0.044715 * x * x)
@@ -710,13 +736,14 @@ def where_mask(mask: np.ndarray, a: Tensor, b) -> Tensor:
 
 @_diffop("softmax")
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
 
     def vjp(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
+        gx = g - (g * out).sum(axis=axis, keepdims=True)
+        gx *= out
+        return (gx,)
 
     return Tensor._from_op(out, (a,), vjp, "softmax")
 
@@ -730,12 +757,13 @@ def norm_affine(x: Tensor, gain: Tensor, shift: Tensor, eps: float, axis: int) -
     ``axis=-1`` is batch norm over the token axis (per channel/row), which
     keeps each sequence of a ``[B, D, N]`` batch to its own statistics.
     """
-    mu = x.data.mean(axis=axis, keepdims=True)
-    var = x.data.var(axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = x.data - x.data.mean(axis=axis, keepdims=True)
+    # the mean of squared deviations, as np.var takes it, from the same centring
+    inv = 1.0 / np.sqrt(np.mean(xhat * xhat, axis=axis, keepdims=True) + eps)
+    xhat *= inv
     gcol = gain.data[:, None]
-    out = gcol * xhat + shift.data[:, None]
+    out = xhat * gcol
+    out += shift.data[:, None]
     nx, ng, ns = _needs((x, gain, shift))
 
     def vjp(g):
@@ -794,37 +822,48 @@ def dwconv1d(x: Tensor, kernels: Tensor, causal: bool = False) -> Tensor:
 # linear recurrence scan
 # ---------------------------------------------------------------------------
 
-def _assoc_scan(a: np.ndarray, b: np.ndarray, chunk: int) -> np.ndarray:
+def _token_major(x: np.ndarray, chunk: int, count: int, fill: float) -> np.ndarray:
+    """Copy ``x [..., K]`` to ``[chunk, ..., count]``, where token
+    ``c * chunk + j`` sits at ``[j, ..., c]``; positions past K hold ``fill``."""
+    out = np.empty((chunk,) + x.shape[:-1] + (count,), dtype=x.dtype)
+    view = np.moveaxis(out, 0, -1)  # [..., count, chunk], writes land in out
+    K = x.shape[-1]
+    full, rest = divmod(K, chunk)
+    view[..., :full, :] = x[..., :full * chunk].reshape(x.shape[:-1] + (full, chunk))
+    if rest:
+        view[..., full, :rest] = x[..., full * chunk:]
+        view[..., full, rest:] = fill
+    return out
+
+
+def _chunked_scan(a: np.ndarray, b: np.ndarray, chunk: int) -> np.ndarray:
     """Evaluate h_k = a_k * h_{k-1} + b_k (h_0 = 0) along the last axis.
 
-    Blocked algorithm: a Hillis-Steele doubling pass composes the affine maps
-    within each fixed-size chunk (the pair (a, b) composes associatively),
-    and a scalar carry links chunks sequentially. Work per chunk is
-    O(chunk * log chunk) vectorized elementwise ops, so total work is linear
-    in K with a constant chosen by ``chunk``.
+    The K tokens split into the fewest chunks C of at most ``chunk`` tokens,
+    all of one length L (the last padded with a = 1, b = 0), laid out
+    token-major as ``[L, ..., C]``. One sweep over the L positions advances
+    every (lane, chunk) pair at once, giving each chunk's zero-initial-state
+    prefix and the running product of its a. Then C - 1 carry steps link
+    the chunks in order: chunk c adds its running product times the last
+    state of chunk c - 1. With a single chunk (K <= ``chunk``) this is the
+    plain sequential recurrence, bitwise.
     """
     K = a.shape[-1]
-    h = np.empty_like(b)
-    carry = np.zeros(a.shape[:-1], dtype=a.dtype)
-    for start in range(0, K, chunk):
-        end = min(start + chunk, K)
-        # plain copies: the doubling pass below writes into these buffers,
-        # and a no-copy view of the caller's array must never be mutated
-        ac = a[..., start:end].copy()
-        bc = b[..., start:end].copy()
-        n = end - start
-        s = 1
-        while s < n:
-            prod = ac[..., s:] * ac[..., :-s]
-            comb = ac[..., s:] * bc[..., :-s] + bc[..., s:]
-            ac[..., s:] = prod
-            bc[..., s:] = comb
-            s *= 2
-        # bc now holds the zero-initial-state prefix, ac the cumulative decay
-        hc = bc + ac * carry[..., None]
-        h[..., start:end] = hc
-        carry = hc[..., -1].copy()
-    return h
+    count = -(-K // chunk)
+    chunk = -(-K // count)  # equal lengths pad fewer than C tokens
+    # both are fresh copies, so the sweep may overwrite them: bt becomes the
+    # within-chunk prefix and at the running product of a
+    at = _token_major(a, chunk, count, 1.0)
+    bt = _token_major(b, chunk, count, 0.0)
+    for j in range(1, chunk):
+        bt[j] += at[j] * bt[j - 1]
+        if count > 1:
+            at[j] *= at[j - 1]
+    for c in range(1, count):
+        bt[..., c] += at[..., c] * bt[-1, ..., c - 1]
+    h = np.empty(a.shape[:-1] + (count * chunk,), dtype=bt.dtype)
+    h.reshape(a.shape[:-1] + (count, chunk))[...] = np.moveaxis(bt, 0, -1)
+    return h[..., :K]
 
 
 @_diffop("linear_recurrence")
@@ -833,25 +872,26 @@ def linear_recurrence(a: Tensor, b: Tensor, chunk: int = 128) -> Tensor:
 
     Returns the full state sequence h with h_k = a_k * h_{k-1} + b_k and
     zero initial state. The backward pass is the same recurrence run in
-    reverse time on the incoming gradient, so it reuses the blocked scan.
+    reverse time on the incoming gradient, so it reuses the chunked sweep.
     """
     if a.data.shape != b.data.shape:
         raise ValueError("linear_recurrence operands must share a shape")
-    h = _assoc_scan(a.data, b.data, chunk)
+    h = _chunked_scan(a.data, b.data, chunk)
     na, nb = _needs((a, b))
     ad = a.data
 
     def vjp(g):
         # adjoint recurrence: ghat_k = g_k + a_{k+1} * ghat_{k+1}
-        ones = np.ones_like(ad[..., :1])
-        ar = np.concatenate([ones, ad[..., :0:-1]], axis=-1)
-        gr = np.ascontiguousarray(g[..., ::-1])
-        ghat = _assoc_scan(ar, gr, chunk)[..., ::-1]
+        ar = np.empty_like(ad)
+        ar[..., 0] = 1.0
+        ar[..., 1:] = ad[..., :0:-1]
+        ghat = _chunked_scan(ar, g[..., ::-1], chunk)[..., ::-1]
         gb = ghat if nb else None
         ga = None
         if na:
-            h_prev = np.concatenate([np.zeros_like(h[..., :1]), h[..., :-1]], axis=-1)
-            ga = ghat * h_prev
+            ga = np.empty_like(ghat)
+            ga[..., 0] = 0.0
+            np.multiply(ghat[..., 1:], h[..., :-1], out=ga[..., 1:])
         return ga, gb
 
     return Tensor._from_op(h, (a, b), vjp, "linear_recurrence")

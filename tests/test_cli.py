@@ -87,6 +87,18 @@ def test_eval_refuses_a_different_seed(tiny_cfg_path, tmp_path):
     assert not os.path.exists(os.path.join(out, "eval_report.csv"))
 
 
+def test_eval_defaults_to_the_checkpoint_seed(tiny_cfg_path, tmp_path, capsys):
+    out = str(tmp_path / "run")
+    main(_train_args(tiny_cfg_path, out))
+    capsys.readouterr()
+    assert main(["--out", out, "eval"]) == 0
+    with open(os.path.join(out, "eval_report.csv"), newline="") as fh:
+        rows = {r[0]: r[1] for r in csv.reader(fh)}
+    with open(os.path.join(out, "eval.tsv")) as fh:
+        last = fh.read().rstrip().split("\n")[-1].split("\t")
+    assert float(rows["mAP"]) == float(last[1])
+
+
 def test_eval_rejects_non_run_directory(tmp_path):
     empty = str(tmp_path / "empty")
     os.makedirs(empty)

@@ -148,6 +148,17 @@ def test_softmax_rows_sum_to_one():
     assert s.min() > 0
 
 
+def test_sigmoid_and_softmax_stay_finite_at_extremes():
+    s = T.sigmoid(Tensor(np.array([-800.0, -40.0, 0.0, 40.0, 800.0]))).data
+    assert np.isfinite(s).all()
+    assert (s[0], s[2], s[4]) == (0.0, 0.5, 1.0)
+    spread = np.array([[1.0], [10.0], [100.0]])
+    scores = 1e3 + spread * np.random.default_rng(2).normal(size=(3, 6))
+    p = T.softmax(Tensor(scores), axis=-1).data
+    assert np.isfinite(p).all()
+    assert np.allclose(p.sum(axis=-1), 1.0, atol=1e-12)
+
+
 def test_finite_checks_raise_and_can_be_disabled():
     big = Tensor(np.array([1e308]))
     with pytest.raises(NonFiniteError), np.errstate(over="ignore"):
@@ -199,6 +210,17 @@ def test_linear_recurrence_matches_loop(shape, chunk):
     b = rng.normal(size=shape)
     h = T.linear_recurrence(Tensor(a), Tensor(b), chunk=chunk)
     assert np.max(np.abs(h.data - _reference_recurrence(a, b))) < 1e-12
+
+
+@pytest.mark.parametrize("shape,chunk", [
+    ((2, 3, 17), 17), ((2, 2, 5), 128), ((1, 1, 1), 8), ((3, 4), 64),
+])
+def test_linear_recurrence_in_one_chunk_is_the_loop_bitwise(shape, chunk):
+    rng = np.random.default_rng(7)
+    a = rng.uniform(0.1, 0.99, size=shape)
+    b = rng.normal(size=shape)
+    h = T.linear_recurrence(Tensor(a), Tensor(b), chunk=chunk)
+    assert np.array_equal(h.data, _reference_recurrence(a, b))
 
 
 def test_linear_recurrence_does_not_mutate_inputs():

@@ -1,11 +1,14 @@
 """Training harness pieces: schedule, sampler, optimizer, builders."""
 
 import dataclasses
+import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import make_tiny_cfg
+from trifuse.config import load_config
 from trifuse.losses import total_loss
 from trifuse.tensor import Param, Tensor, set_default_dtype
 from trifuse.train import (Adam, build_model, build_world, evaluate_model,
@@ -216,3 +219,29 @@ def test_f32_step_stays_float32_end_to_end(monkeypatch):
     for name, arr in opt.state_arrays().items():
         assert arr.dtype == f32, name
     assert Tensor(1.0).data.dtype == np.float64
+
+
+#: tape nodes one forward-plus-loss step of demos/toy.cfg records
+TOY_STEP_OPS = 513
+
+
+def test_toy_step_op_count_does_not_grow(monkeypatch):
+    counts = Counter()
+    from_op = Tensor._from_op.__func__
+
+    def counting(cls, data, parents, vjp, op):
+        counts[op] += 1
+        return from_op(cls, data, parents, vjp, op)
+
+    toy = os.path.join(os.path.dirname(__file__), "..", "demos", "toy.cfg")
+    cfg = load_config(toy)
+    model = build_model(cfg, seed=3).train()
+    data = build_world(cfg, seed=3).train_part(cfg.instances_per_id)
+    samples, labels = sample_batch(0, 3, data, cfg)
+    monkeypatch.setattr(Tensor, "_from_op", classmethod(counting))
+    f_cls, f_ma = model.forward_batch(samples)
+    total_loss(f_cls, f_ma, labels, model.heads, cfg)
+    ops = sum(counts.values())
+    assert ops <= TOY_STEP_OPS, (
+        f"one toy step records {ops} ops, more than {TOY_STEP_OPS}: "
+        f"{dict(counts.most_common(8))}")
