@@ -300,6 +300,13 @@ def _build_primitive_cases() -> None:
 
     register_case("softmax", softmax_case, tol=1e-6)
 
+    def attention_case(rng):
+        q, k, v = (Tensor(rng.normal(size=(2, 2, 3, 5)), requires_grad=True)
+                   for _ in range(3))
+        return (lambda: _weighted_sum(T.attention(q, k, v, 3 ** -0.5), rng)), [q, k, v]
+
+    register_case("attention", attention_case)
+
     def norm_affine_case(rng):
         x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
         xb = Tensor(rng.normal(size=(2, 4, 5)), requires_grad=True)

@@ -15,8 +15,8 @@ from typing import Iterator
 import numpy as np
 
 from .tensor import (
-    Param, Tensor, add, default_dtype, dwconv1d, gelu, linear, matmul, mul,
-    norm_affine, register_differentiable, reshape, softmax, sub, swapaxes,
+    Param, Tensor, add, attention, attention_weights, default_dtype, dwconv1d,
+    gelu, linear, mul, norm_affine, register_differentiable, reshape, sub,
 )
 
 register_differentiable("layer_norm")
@@ -266,12 +266,11 @@ class MultiHeadSelfAttention(Module):
         q = reshape(self.wq(x), (*lead, H, dh, N))
         k = reshape(self.wk(x), (*lead, H, dh, N))
         v = reshape(self.wv(x), (*lead, H, dh, N))
-        scores = mul(matmul(swapaxes(q, -1, -2), k), dh ** -0.5)  # [..., H, N, N]
-        attn = softmax(scores, axis=-1)  # rows (queries) are stochastic
-        ctx = matmul(v, swapaxes(attn, -1, -2))  # [..., H, dh, N]
+        ctx = attention(q, k, v, dh ** -0.5)  # [..., H, dh, N]
         out = self.wo(reshape(ctx, (*lead, D, N)))
         if return_weights:
-            return out, attn
+            # [..., H, N, N]; rows (queries) are stochastic
+            return out, attention_weights(q, k, dh ** -0.5)
         return out
 
 

@@ -3,9 +3,14 @@
 The design is a dynamically recorded tape: every differentiable operation
 returns a tensor holding references to its parent tensors and a closure that
 maps the upstream gradient to parent gradients. ``backward`` walks the
-recorded graph once in reverse topological order. There is no compilation,
-no fusion, no GPU path; the point is a core small enough to verify against
-central finite differences and fast enough for toy models.
+recorded graph once in reverse topological order and releases it as it
+goes: each node drops its closure, parents and gradient once its VJP has
+run, so after ``backward`` only leaves hold a ``.grad`` (each its own
+array) and a second ``backward`` through the same graph raises
+``RuntimeError``. There is no compilation and no GPU path; a few hot
+chains (``linear``, ``attention``) are fused into single hand-written
+nodes. The point is a core small enough to verify against central finite
+differences and fast enough for toy models.
 
 Conventions used throughout the package:
 
@@ -34,8 +39,8 @@ __all__ = [
     "sqrt", "power", "tanh", "sigmoid", "softplus", "erf", "relu", "gelu",
     "silu",
     "tsum", "tmean", "tmax", "tmin", "reshape", "swapaxes", "transpose",
-    "concat", "narrow", "where_mask", "softmax", "norm_affine", "dwconv1d",
-    "linear_recurrence",
+    "concat", "narrow", "where_mask", "softmax", "attention",
+    "attention_weights", "norm_affine", "dwconv1d", "linear_recurrence",
 ]
 
 
@@ -100,6 +105,11 @@ class no_grad:
 def _check_finite(arr: np.ndarray, op: str) -> None:
     if _FINITE_CHECKS and not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"op '{op}' produced non-finite values")
+
+
+def _released(g):
+    raise RuntimeError("backward() reached a node whose graph was released by "
+                       "an earlier backward(); run the forward pass again")
 
 
 class Tensor:
@@ -174,10 +184,20 @@ class Tensor:
     # ---- autodiff ----
 
     def backward(self, grad=None) -> None:
-        """Accumulate dSelf/dLeaf into every reachable tensor's ``.grad``.
+        """Accumulate dSelf/dLeaf into every reachable leaf's ``.grad``.
 
         Without an explicit ``grad`` seed, self must be a one-element tensor
         (the usual scalar loss).
+
+        The walk releases the graph behind it: once a node's VJP has run,
+        the node drops its closure, its parents and its ``.grad``, so the
+        tape's memory is freed as it goes. Afterwards:
+
+        * only leaves (tensors no op recorded) hold a ``.grad``; an
+          intermediate tensor's ``.grad`` is None;
+        * every leaf owns its ``.grad`` array, shared with no other tensor;
+        * a second ``backward`` that reaches a released node raises
+          ``RuntimeError`` instead of returning zero gradients.
         """
         if grad is None:
             if self.data.size != 1:
@@ -206,16 +226,23 @@ class Tensor:
 
         self.grad = grad.copy() if self.grad is None else self.grad + grad
         for node in reversed(topo):
-            if node._vjp is None or node.grad is None:
+            vjp, parents, g = node._vjp, node._parents, node.grad
+            if vjp is None:
+                continue  # a leaf keeps its gradient
+            node._vjp, node._parents, node.grad = _released, (), None
+            if g is None:
                 continue
-            parent_grads = node._vjp(node.grad)
-            for parent, pg in zip(node._parents, parent_grads):
+            for parent, pg in zip(parents, vjp(g)):
                 if pg is None or not parent.requires_grad:
                     continue
                 if parent.grad is None:
-                    parent.grad = pg.copy()
+                    # an intermediate grad is read once and never written
+                    # in place, so it may alias the VJP's array (add hands
+                    # one g to both parents); a leaf gets its own copy
+                    parent.grad = (pg.copy() if parent._vjp is None
+                                   else np.ascontiguousarray(pg))
                 else:
-                    parent.grad += pg
+                    parent.grad = parent.grad + pg
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -592,7 +619,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     shape = a.data.shape
 
     def vjp(g):
-        return (_expand_reduced(g, shape, axis, keepdims).copy(),)
+        return (_expand_reduced(g, shape, axis, keepdims),)
 
     return Tensor._from_op(np.asarray(out), (a,), vjp, "sum")
 
@@ -746,6 +773,54 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         return (gx,)
 
     return Tensor._from_op(out, (a,), vjp, "softmax")
+
+
+def _attention_probs(qd: np.ndarray, kd: np.ndarray, scale: float) -> np.ndarray:
+    """p = softmax(qᵀk · scale) over the key axis, built in one
+    ``[..., N, N]`` buffer whose rows (queries) are stochastic."""
+    p = np.swapaxes(qd, -1, -2) @ kd
+    p *= scale
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
+@_diffop("attention")
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
+    """Softmax attention as one tape node: ``v pᵀ`` with
+    p = softmax(qᵀk · scale) over the keys.
+
+    ``q``, ``k`` and ``v`` share one shape ``[..., d, N]`` (leading axes
+    are batch and heads); the output is ``[..., d, N]`` too. Besides the
+    operands the node keeps only p, not the scores or a transposed copy.
+    """
+    if not q.data.shape == k.data.shape == v.data.shape:
+        raise ValueError("attention operands must share a shape")
+    qd, kd, vd = q.data, k.data, v.data
+    p = _attention_probs(qd, kd, scale)
+    out = vd @ np.swapaxes(p, -1, -2)
+    nq, nk, nv = _needs((q, k, v))
+
+    def vjp(g):
+        gv = g @ p if nv else None
+        gq = gk = None
+        if nq or nk:
+            gs = np.swapaxes(g, -1, -2) @ vd  # d/dp
+            gs -= (gs * p).sum(axis=-1, keepdims=True)
+            gs *= p
+            gs *= scale  # d/d(qᵀk)
+            gq = kd @ np.swapaxes(gs, -1, -2) if nq else None
+            gk = qd @ gs if nk else None
+        return gq, gk, gv
+
+    return Tensor._from_op(out, (q, k, v), vjp, "attention")
+
+
+def attention_weights(q: Tensor, k: Tensor, scale: float) -> Tensor:
+    """The probabilities p that :func:`attention` mixes values with, as a
+    constant tensor ``[..., N, N]`` recorded on no tape."""
+    return Tensor(_attention_probs(q.data, k.data, scale))
 
 
 @_diffop("norm_affine")

@@ -135,6 +135,26 @@ def _restore(model: FusionModel, opt: Adam, directory: str, seed: int) -> int:
     return int(meta["step"])
 
 
+def _open_log(path: str, header: str, keep_through: int):
+    """Open a step-keyed TSV log for writing from step ``keep_through`` on.
+
+    The file restarts with ``header`` and keeps the complete rows of steps
+    up to ``keep_through`` (none for a fresh run), so rows a crashed run
+    wrote past its checkpoint are dropped and a resume into a new
+    directory still starts with the header.
+    """
+    rows = []
+    if keep_through and os.path.exists(path):
+        with open(path) as fh:
+            rows = [line for line in fh.readlines()[1:]
+                    if line.endswith("\n")
+                    and int(line.split("\t", 1)[0]) <= keep_through]
+    fh = open(path, "w")
+    fh.write(header)
+    fh.writelines(rows)
+    return fh
+
+
 def train(cfg: RunConfig, seed: int, out_dir: str,
           resume_from: str | None = None, quiet: bool = False,
           halt_after: int | None = None) -> dict:
@@ -144,6 +164,9 @@ def train(cfg: RunConfig, seed: int, out_dir: str,
     checkpoint there, leaving the rest of the schedule to a later resumed
     call with the same config. The learning rate schedule always spans
     ``cfg.steps``, so a halted-and-resumed run retraces the unbroken one.
+    On resume, ``metrics.tsv`` and ``eval.tsv`` in ``out_dir`` keep their
+    header and the rows up to the checkpoint step, and gain a header if
+    they are new.
     """
     model = build_model(cfg, seed)
     model.train()
@@ -162,14 +185,11 @@ def train(cfg: RunConfig, seed: int, out_dir: str,
     os.makedirs(out_dir, exist_ok=True)
     save_config(os.path.join(out_dir, "config.cfg"), cfg)
 
-    mode = "a" if start_step else "w"
-    metrics_path = os.path.join(out_dir, "metrics.tsv")
-    eval_path = os.path.join(out_dir, "eval.tsv")
-    metrics = open(metrics_path, mode)
-    evals = open(eval_path, mode)
-    if not start_step:
-        metrics.write("step\tlr\ttotal\tce_cls\ttri_cls\tce_ma\ttri_ma\n")
-        evals.write("step\tmap\tcmc1\tcmc5\tqueries\n")
+    metrics = _open_log(os.path.join(out_dir, "metrics.tsv"),
+                        "step\tlr\ttotal\tce_cls\ttri_cls\tce_ma\ttri_ma\n",
+                        start_step)
+    evals = _open_log(os.path.join(out_dir, "eval.tsv"),
+                      "step\tmap\tcmc1\tcmc5\tqueries\n", start_step)
 
     def log_eval(step: int) -> RetrievalResult:
         res = evaluate_model(model, query, gallery)

@@ -10,6 +10,7 @@ import pytest
 from conftest import make_tiny_cfg
 from trifuse.dump import (MAGIC, load_checkpoint, read_array,
                           save_checkpoint, write_array)
+from trifuse import train as train_mod
 from trifuse.train import build_model, train
 
 
@@ -106,6 +107,48 @@ def test_halted_run_resumes_bitwise(tmp_path):
     for name in ("metrics.tsv", "eval.tsv"):
         assert filecmp.cmp(os.path.join(a, name), os.path.join(b, name),
                            shallow=False), f"{name} differs after resume"
+
+
+def test_resume_after_a_crash_logs_each_step_once(tmp_path, monkeypatch):
+    cfg = make_tiny_cfg(steps=6, eval_every=2)
+    a = str(tmp_path / "unbroken")
+    b = str(tmp_path / "crashed")
+    train(cfg, seed=3, out_dir=a, quiet=True)
+    train(cfg, seed=3, out_dir=b, quiet=True, halt_after=2)
+    ckpt = os.path.join(b, "checkpoint")
+
+    real = train_mod.sample_batch
+
+    def crash_at_3(step, *args):
+        if step == 3:
+            raise RuntimeError("simulated crash")
+        return real(step, *args)
+
+    monkeypatch.setattr(train_mod, "sample_batch", crash_at_3)
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        train(cfg, seed=3, out_dir=b, quiet=True, resume_from=ckpt)
+    monkeypatch.setattr(train_mod, "sample_batch", real)
+    train(cfg, seed=3, out_dir=b, quiet=True, resume_from=ckpt)
+    for name in ("metrics.tsv", "eval.tsv"):
+        assert filecmp.cmp(os.path.join(a, name), os.path.join(b, name),
+                           shallow=False), f"{name} differs after crash-resume"
+
+
+def test_resume_into_a_new_directory_writes_headers(tmp_path):
+    cfg = make_tiny_cfg(steps=6, eval_every=2)
+    a = str(tmp_path / "unbroken")
+    b = str(tmp_path / "halted")
+    c = str(tmp_path / "resumed")
+    train(cfg, seed=3, out_dir=a, quiet=True)
+    train(cfg, seed=3, out_dir=b, quiet=True, halt_after=2)
+    train(cfg, seed=3, out_dir=c, quiet=True,
+          resume_from=os.path.join(b, "checkpoint"))
+    for name in ("metrics.tsv", "eval.tsv"):
+        with open(os.path.join(a, name)) as fh:
+            header, *rows = fh.readlines()
+        want = [header] + [r for r in rows if int(r.split("\t")[0]) > 2]
+        with open(os.path.join(c, name)) as fh:
+            assert fh.readlines() == want, name
 
 
 def test_resume_refuses_a_different_seed(tmp_path):

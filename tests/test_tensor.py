@@ -60,6 +60,39 @@ def test_no_grad_suppresses_tape():
     assert not y.requires_grad
 
 
+def test_second_backward_through_a_released_graph_raises():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    y = T.mul(x, 3.0)
+    out = T.tsum(y)
+    out.backward()
+    with pytest.raises(RuntimeError, match="released"):
+        out.backward()
+    with pytest.raises(RuntimeError, match="released"):
+        T.tsum(T.mul(y, 2.0)).backward()  # new node on a released one
+    assert np.array_equal(x.grad, [3.0, 3.0])  # untouched by the failures
+
+
+def test_backward_leaves_gradients_on_leaves_only():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    w = Param(np.array([0.5, -1.0]))
+    y = T.mul(x, w)
+    out = T.tsum(T.exp(y))
+    out.backward()
+    assert y.grad is None and out.grad is None
+    assert not y._parents and not out._parents
+    assert np.allclose(x.grad, w.data * np.exp(y.data))
+    assert np.allclose(w.grad, x.data * np.exp(y.data))
+
+
+def test_leaves_fed_by_one_add_own_their_gradients():
+    a = Tensor(np.ones(3), requires_grad=True)
+    b = Tensor(np.ones(3), requires_grad=True)
+    T.tsum(T.add(a, b)).backward()  # add hands one array to both parents
+    assert not np.shares_memory(a.grad, b.grad)
+    a.grad[0] = 5.0
+    assert np.array_equal(b.grad, [1.0, 1.0, 1.0])
+
+
 def test_broadcasting_unbroadcast():
     a = Tensor(np.ones((3, 4)), requires_grad=True)
     b = Tensor(np.ones((3, 1)), requires_grad=True)
@@ -157,6 +190,20 @@ def test_sigmoid_and_softmax_stay_finite_at_extremes():
     p = T.softmax(Tensor(scores), axis=-1).data
     assert np.isfinite(p).all()
     assert np.allclose(p.sum(axis=-1), 1.0, atol=1e-12)
+
+
+def test_attention_matches_the_unfused_chain():
+    rng = np.random.default_rng(4)
+    q, k, v = (Tensor(rng.normal(size=(2, 3, 4, 6))) for _ in range(3))
+    scale = 0.5
+    p = T.softmax(T.mul(T.matmul(T.swapaxes(q, -1, -2), k), scale), axis=-1)
+    ctx = T.matmul(v, T.swapaxes(p, -1, -2))
+    assert np.abs(T.attention(q, k, v, scale).data - ctx.data).max() < 1e-12
+    w = T.attention_weights(q, k, scale)
+    assert not w.requires_grad
+    assert np.abs(w.data - p.data).max() < 1e-12
+    with pytest.raises(ValueError):
+        T.attention(q, k, Tensor(np.ones((2, 3, 4, 5))), scale)
 
 
 def test_finite_checks_raise_and_can_be_disabled():

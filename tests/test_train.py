@@ -222,7 +222,7 @@ def test_f32_step_stays_float32_end_to_end(monkeypatch):
 
 
 #: tape nodes one forward-plus-loss step of demos/toy.cfg records
-TOY_STEP_OPS = 513
+TOY_STEP_OPS = 483
 
 
 def test_toy_step_op_count_does_not_grow(monkeypatch):
