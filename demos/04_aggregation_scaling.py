@@ -3,12 +3,24 @@
 The aggregation stage exists to mix long concatenated token sequences, and
 the scan is what keeps that affordable. Two views of the same fact here.
 The operation-count models say the scan grows linearly with tokens while
-attention grows quadratically. The wall clock agrees.
+attention grows quadratically. The wall clock agrees, timed on a
+one-thread BLAS pool (as ``trifuse bench --threads 1`` times it): a larger
+pool can switch kernels partway through the length range and bend the
+curves.
 """
+
+import os
+
+from trifuse.cli import _THREAD_VARS
+
+# the pool size is read when numpy loads, so set it before importing numpy
+for var in _THREAD_VARS:
+    os.environ[var] = "1"
 
 import numpy as np
 
-from trifuse.bench import bench_attention, bench_block, bench_scan, fit_linear
+from trifuse.bench import (bench_attention, bench_block, bench_scan,
+                           fit_linear)
 from trifuse.ssm import attention_flops, ssm_flops
 
 print("operation counts, doubling the token count each row")

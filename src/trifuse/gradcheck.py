@@ -294,12 +294,6 @@ def _build_primitive_cases() -> None:
 
     register_case("where", where_case, tol=1e-6)
 
-    def softmax_case(rng):
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        return (lambda: _weighted_sum(T.softmax(x, axis=-1), rng)), [x]
-
-    register_case("softmax", softmax_case, tol=1e-6)
-
     def attention_case(rng):
         q, k, v = (Tensor(rng.normal(size=(2, 2, 3, 5)), requires_grad=True)
                    for _ in range(3))

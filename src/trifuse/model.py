@@ -23,9 +23,10 @@ from .aggregation import AggregationBlock, AggregationHead, Aggregator
 from .backbone import VisionBackbone
 from .config import RunConfig
 from .losses import SupervisionHeads
-from .nn import Module
+from .nn import Module, locate_non_finite
 from .prompts import MODALITIES, PromptBank
-from .tensor import Tensor, concat, narrow, no_grad, reshape, transpose
+from .tensor import (Tensor, concat, finite_checks, narrow, no_grad, reshape,
+                     transpose)
 
 
 class FusionModel(Module):
@@ -99,13 +100,20 @@ class FusionModel(Module):
         """Retrieval embedding, one column per sample.
 
         The class-token feature, with the fused feature stacked below it
-        when aggregation is enabled.
+        when aggregation is enabled. The pass runs without per-op finite
+        checks and checks the returned matrix once; if that fails, the
+        pass runs again with them to name the op and module at fault.
         """
-        with no_grad():
+        with no_grad(), finite_checks(False):
             f_cls, f_ma = self.forward_batch(samples)
-            if f_ma is None:
-                return f_cls.data.copy()
-            return np.concatenate([f_cls.data, f_ma.data], axis=0)
+        if f_ma is None:
+            out = f_cls.data.copy()
+        else:
+            out = np.concatenate([f_cls.data, f_ma.data], axis=0)
+        if not np.isfinite(out).all():
+            locate_non_finite(self, lambda: self.forward_batch(samples),
+                              "eval pass", "non-finite features")
+        return out
 
 
 def _columns(t: Tensor) -> Tensor:

@@ -10,13 +10,15 @@ themselves for checkpointing and optimizer hookup.
 
 from __future__ import annotations
 
-from typing import Iterator
+import functools
+from typing import Callable, Iterator, NoReturn
 
 import numpy as np
 
 from .tensor import (
-    Param, Tensor, add, attention, attention_weights, default_dtype, dwconv1d,
-    gelu, linear, mul, norm_affine, register_differentiable, reshape, sub,
+    NonFiniteError, Param, Tensor, add, attention, attention_weights,
+    _sum_to_features, default_dtype, dwconv1d, finite_checks, gelu, linear,
+    no_grad, norm_affine, register_differentiable, reshape,
 )
 
 register_differentiable("layer_norm")
@@ -31,6 +33,10 @@ class Module:
     Subclasses assign Params, Modules, or containers of them to attributes;
     traversal order follows attribute insertion order, so names are stable
     for a fixed construction path.
+
+    A subclass's own ``__call__`` is wrapped once, at class creation, so
+    that a :class:`~trifuse.tensor.NonFiniteError` raised inside it
+    records the innermost module it left (see :func:`locate_non_finite`).
     """
 
     #: attribute names of plain numpy arrays that belong in checkpoints
@@ -39,6 +45,11 @@ class Module:
     #: class-level default so subclasses need not chain __init__;
     #: train()/eval() shadow it with an instance attribute
     training = True
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "__call__" in vars(cls):
+            cls.__call__ = _recording_module(vars(cls)["__call__"])
 
     def named_params(self, prefix: str = "") -> Iterator[tuple[str, Param]]:
         for attr, value in vars(self).items():
@@ -63,10 +74,16 @@ class Module:
                 continue
             yield from _walk_buffers(value, f"{prefix}{attr}")
 
+    def named_modules(self, name: str = "") -> Iterator[tuple[str, "Module"]]:
+        """This module under ``name``, then every submodule under its
+        dotted attribute path, e.g. ``aggregator.blocks.0.inter_ssm``."""
+        yield name, self
+        for attr, value in vars(self).items():
+            yield from _walk_modules(value, f"{name}.{attr}" if name else attr)
+
     def modules(self) -> Iterator["Module"]:
-        yield self
-        for value in vars(self).values():
-            yield from _walk_modules(value)
+        for _, m in self.named_modules():
+            yield m
 
     def train(self, flag: bool = True) -> "Module":
         for m in self.modules():
@@ -75,10 +92,6 @@ class Module:
 
     def eval(self) -> "Module":
         return self.train(False)
-
-    def zero_grad(self) -> None:
-        for p in self.params():
-            p.zero_grad()
 
     def freeze(self) -> "Module":
         for p in self.params():
@@ -145,15 +158,49 @@ def _walk_buffers(value, name: str) -> Iterator[tuple[str, np.ndarray]]:
             yield from _walk_buffers(item, f"{name}.{key}")
 
 
-def _walk_modules(value) -> Iterator[Module]:
+def _walk_modules(value, name: str) -> Iterator[tuple[str, Module]]:
     if isinstance(value, Module):
-        yield from value.modules()
+        yield from value.named_modules(name)
     elif isinstance(value, (list, tuple)):
-        for item in value:
-            yield from _walk_modules(item)
+        for i, item in enumerate(value):
+            yield from _walk_modules(item, f"{name}.{i}")
     elif isinstance(value, dict):
-        for item in value.values():
-            yield from _walk_modules(item)
+        for key, item in value.items():
+            yield from _walk_modules(item, f"{name}.{key}")
+
+
+def _recording_module(call):
+    @functools.wraps(call)
+    def __call__(self, *args, **kwargs):
+        try:
+            return call(self, *args, **kwargs)
+        except NonFiniteError as err:
+            if err.module is None:
+                err.module = self
+            raise
+    return __call__
+
+
+def locate_non_finite(root: Module, run: Callable[[], object], where: str,
+                      found: str) -> NoReturn:
+    """Raise a NonFiniteError for a non-finite value that a check made
+    after ``run`` had ``found``, saying where it came from.
+
+    ``run`` goes again with per-op finite checks on and no tape. If an op
+    produces NaN or Inf, the error names the op, the dotted path under
+    ``root`` of the innermost module whose call it ran in, and ``where``
+    (e.g. ``"step 12"``); if ``run`` stays finite, it is ``found`` at
+    ``where``.
+    """
+    try:
+        with no_grad(), finite_checks(True):
+            run()
+    except NonFiniteError as err:
+        paths = {id(m): name for name, m in root.named_modules()}
+        path = paths.get(id(err.module)) if err.module is not None else None
+        place = f"in {path}" if path else "outside any module call"
+        raise NonFiniteError(f"{err} {place} at {where}") from err
+    raise NonFiniteError(f"{found} at {where}")
 
 
 class Linear(Module):
@@ -218,14 +265,23 @@ class BatchNorm(Module):
                 self.running_mean = (1 - m) * self.running_mean + m * mu
                 self.running_var = (1 - m) * self.running_var + m * var
             return norm_affine(x, self.gain, self.shift, self.eps, axis=-1)
-        scale = 1.0 / np.sqrt(self.running_var + self.eps)
-        # eval path: y = gain * (x - mean) * scale + shift, built from
-        # broadcast primitives so gradients still reach gain/shift
-        xc = sub(x, Tensor(self.running_mean[:, None]))
-        xn = mul(xc, Tensor(scale[:, None]))
-        y = add(mul(xn, reshape(self.gain, (self.gain.size, 1))),
-                reshape(self.shift, (self.shift.size, 1)))
-        return y
+        # eval: y = (x - mean) * scale * gain + shift with the running
+        # statistics, one node whose gradients reach x, gain and shift
+        scol = (1.0 / np.sqrt(self.running_var + self.eps))[:, None]
+        gcol = self.gain.data[:, None]
+        xn = x.data - self.running_mean[:, None]
+        xn *= scol
+        out = xn * gcol
+        out += self.shift.data[:, None]
+        nx, ng, ns = (t.requires_grad for t in (x, self.gain, self.shift))
+
+        def vjp(g):
+            return ((g * gcol) * scol if nx else None,
+                    _sum_to_features(g * xn) if ng else None,
+                    _sum_to_features(g) if ns else None)
+
+        return Tensor._from_op(out, (x, self.gain, self.shift), vjp,
+                               "batch_norm")
 
 
 class DepthwiseConv1d(Module):

@@ -20,7 +20,10 @@ Conventions used throughout the package:
 * arrays are float32 or float64, selected by :func:`set_default_dtype`
 * wrapped arrays are treated as immutable; mutating ``.data`` of a tensor
   that sits inside a recorded graph voids the gradient warranty
-* every op checks its output for NaN/Inf unless finite checks are disabled
+* every op checks its output for NaN/Inf while finite checks are on, the
+  default; ``finite_checks(False)`` turns them off for a block of code,
+  as the training loop and ``FusionModel.features`` do, checking their
+  results once instead
 """
 
 from __future__ import annotations
@@ -33,19 +36,25 @@ from scipy import special as _special
 
 __all__ = [
     "Tensor", "Param", "NonFiniteError", "no_grad",
-    "set_default_dtype", "default_dtype", "set_finite_checks",
+    "set_default_dtype", "default_dtype", "set_finite_checks", "finite_checks",
     "register_differentiable", "DIFFERENTIABLE_OPS",
     "add", "sub", "mul", "div", "neg", "matmul", "linear", "exp", "log",
     "sqrt", "power", "tanh", "sigmoid", "softplus", "erf", "relu", "gelu",
     "silu",
     "tsum", "tmean", "tmax", "tmin", "reshape", "swapaxes", "transpose",
-    "concat", "narrow", "where_mask", "softmax", "attention",
+    "concat", "narrow", "where_mask", "attention",
     "attention_weights", "norm_affine", "dwconv1d", "linear_recurrence",
 ]
 
 
 class NonFiniteError(ArithmeticError):
-    """An op produced NaN or Inf, which the numeric contract forbids."""
+    """An op produced NaN or Inf, which the numeric contract forbids.
+
+    ``module`` is the innermost :class:`~trifuse.nn.Module` whose call the
+    error passed through on its way out, or None.
+    """
+
+    module = None
 
 
 _DEFAULT_DTYPE = np.float64
@@ -87,6 +96,25 @@ def set_finite_checks(enabled: bool) -> None:
     _FINITE_CHECKS = bool(enabled)
 
 
+class finite_checks:
+    """Context manager that turns per-op finite checks on or off inside
+    its block and restores the previous setting after it."""
+
+    def __init__(self, enabled: bool):
+        self._enabled = bool(enabled)
+
+    def __enter__(self):
+        global _FINITE_CHECKS
+        self._prev = _FINITE_CHECKS
+        _FINITE_CHECKS = self._enabled
+        return self
+
+    def __exit__(self, *exc):
+        global _FINITE_CHECKS
+        _FINITE_CHECKS = self._prev
+        return False
+
+
 class no_grad:
     """Context manager that pauses tape recording (forward-only evaluation)."""
 
@@ -103,7 +131,8 @@ class no_grad:
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if _FINITE_CHECKS and not np.all(np.isfinite(arr)):
+    # callers test _FINITE_CHECKS first, so an unchecked op costs no call
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"op '{op}' produced non-finite values")
 
 
@@ -126,7 +155,8 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype or _DEFAULT_DTYPE)
         self.data = np.ascontiguousarray(arr)
-        _check_finite(self.data, "tensor")
+        if _FINITE_CHECKS:
+            _check_finite(self.data, "tensor")
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
         self._parents: tuple[Tensor, ...] = ()
@@ -134,7 +164,8 @@ class Tensor:
 
     @classmethod
     def _from_op(cls, data: np.ndarray, parents: tuple, vjp, op: str) -> "Tensor":
-        _check_finite(data, op)
+        if _FINITE_CHECKS:
+            _check_finite(data, op)
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
@@ -760,20 +791,6 @@ def where_mask(mask: np.ndarray, a: Tensor, b) -> Tensor:
 # ---------------------------------------------------------------------------
 # normalization and attention building blocks
 # ---------------------------------------------------------------------------
-
-@_diffop("softmax")
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    out = a.data - a.data.max(axis=axis, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        gx = g - (g * out).sum(axis=axis, keepdims=True)
-        gx *= out
-        return (gx,)
-
-    return Tensor._from_op(out, (a,), vjp, "softmax")
-
 
 def _attention_probs(qd: np.ndarray, kd: np.ndarray, scale: float) -> np.ndarray:
     """p = softmax(qᵀk · scale) over the key axis, built in one

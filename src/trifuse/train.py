@@ -11,6 +11,7 @@ on (seed, t) and the optimizer state rides along in the checkpoint.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -19,33 +20,70 @@ from .config import RunConfig, save_config
 from .dump import load_checkpoint, save_checkpoint
 from .losses import total_loss
 from .model import FusionModel
+from .nn import locate_non_finite
 from .retrieval import RetrievalResult, evaluate
 from .synthetic import ReidData, SyntheticWorld
-from .tensor import Param
+from .tensor import NonFiniteError, Param, finite_checks
 
 _MODEL_STREAM = 11
 _BATCH_STREAM = 17
 
 
 class Adam:
+    """Adam over the trainable params among ``named_params``.
+
+    All trainable params are updated as one flat vector: the moments are
+    one flat buffer each, updated in place, and ``m`` and ``v`` map each
+    param name to its view into them. A step gathers every gradient into
+    one flat vector and refuses a non-finite one, leaving params and
+    moments untouched.
+    """
+
     def __init__(self, named_params: list[tuple[str, Param]], beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.named = [(n, p) for n, p in named_params if p.requires_grad]
+        if not self.named:
+            raise ValueError("Adam needs at least one trainable param")
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {n: np.zeros_like(p.data) for n, p in self.named}
-        self.v = {n: np.zeros_like(p.data) for n, p in self.named}
+        ends = np.cumsum([p.size for _, p in self.named]).tolist()
+        #: (param, start, end) of each param's slice of the flat vectors
+        self._slices = [(p, a, b) for (_, p), a, b
+                        in zip(self.named, [0] + ends, ends)]
+        self._m, self._v, self._g = (
+            np.zeros(ends[-1], dtype=self.named[0][1].dtype) for _ in range(3))
+        self.m = {n: self._m[a:b].reshape(p.shape)
+                  for (n, _), (p, a, b) in zip(self.named, self._slices)}
+        self.v = {n: self._v[a:b].reshape(p.shape)
+                  for (n, _), (p, a, b) in zip(self.named, self._slices)}
+
+    def zero_grad(self) -> None:
+        """Zero the gradients of the params this optimizer updates; frozen
+        params keep theirs at zero, since backward never reaches them."""
+        for _, p in self.named:
+            p.zero_grad()
 
     def step(self, lr: float) -> None:
+        g = np.concatenate([p.grad for _, p in self.named], axis=None,
+                           out=self._g)
+        if not np.isfinite(g).all():
+            bad = [n for n, p in self.named if not np.isfinite(p.grad).all()]
+            raise NonFiniteError(f"non-finite gradient in {', '.join(bad)}")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
-        for name, p in self.named:
-            g = p.grad
-            m = self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            v = self.v[name] = b2 * self.v[name] + (1.0 - b2) * (g * g)
-            p.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        # in place, and bitwise equal to m = b1 * m + (1 - b1) * g
+        m, v = self._m, self._v
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        # the update keeps the dtype numpy gives it, as lr may be a float64
+        # scalar, and is rounded to the param's dtype only by the subtraction
+        update = lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        for p, a, b in self._slices:
+            p.data -= update[a:b].reshape(p.shape)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         out = {}
@@ -57,8 +95,8 @@ class Adam:
     def load_state_arrays(self, arrays: dict[str, np.ndarray], t: int) -> None:
         self.t = t
         for name in self.m:
-            self.m[name] = arrays[f"adam.m.{name}"].copy()
-            self.v[name] = arrays[f"adam.v.{name}"].copy()
+            self.m[name][...] = arrays[f"adam.m.{name}"]
+            self.v[name][...] = arrays[f"adam.v.{name}"]
 
 
 def lr_at(step: int, cfg: RunConfig) -> float:
@@ -167,6 +205,13 @@ def train(cfg: RunConfig, seed: int, out_dir: str,
     On resume, ``metrics.tsv`` and ``eval.tsv`` in ``out_dir`` keep their
     header and the rows up to the checkpoint step, and gain a header if
     they are new.
+
+    A step runs forward, loss and backward without per-op finite checks,
+    then checks the loss and the gradients once before the update. A
+    failed check raises NonFiniteError naming the step (numbered like the
+    ``step`` column of ``metrics.tsv``) and the op and module path, or the
+    params whose gradients are non-finite; that step updates no param,
+    logs no row and writes no checkpoint.
     """
     model = build_model(cfg, seed)
     model.train()
@@ -208,12 +253,21 @@ def train(cfg: RunConfig, seed: int, out_dir: str,
     try:
         for step in range(start_step, cfg.steps):
             samples, labels = sample_batch(step, seed, train_data, cfg)
-            model.zero_grad()
-            f_cls, f_ma = model.forward_batch(samples)
-            loss, parts = total_loss(f_cls, f_ma, labels, model.heads, cfg)
-            loss.backward()
+            opt.zero_grad()
+            with finite_checks(False):
+                f_cls, f_ma = model.forward_batch(samples)
+                loss, parts = total_loss(f_cls, f_ma, labels, model.heads, cfg)
+                loss.backward()
             lr = lr_at(step, cfg)
-            opt.step(lr)
+            try:
+                if not math.isfinite(parts["total"]):
+                    raise NonFiniteError("non-finite loss")
+                opt.step(lr)
+            except NonFiniteError as err:
+                # nothing is restored: the step's forward and loss replay
+                locate_non_finite(model, lambda: total_loss(
+                    *model.forward_batch(samples), labels, model.heads, cfg),
+                    f"step {step + 1}", str(err))
             metrics.write(
                 f"{step + 1}\t{lr:.17g}\t{parts['total']:.17g}"
                 f"\t{parts['ce_cls']:.17g}\t{parts['tri_cls']:.17g}"

@@ -1,10 +1,12 @@
 """Fusion model: stream plumbing, toggles, feature assembly."""
 
 import numpy as np
+import pytest
 
 from trifuse.config import RunConfig
 from trifuse.model import FusionModel
 from trifuse.prompts import MODALITIES
+from trifuse.tensor import NonFiniteError
 
 N_PATCHES = (8 // 4) * (8 // 4)
 
@@ -120,3 +122,13 @@ def test_frozen_backbone_keeps_zero_gradients():
         assert np.all(p.grad == 0.0), f"backbone.{name} received gradient"
     moved = sum(np.abs(p.grad).sum() > 0 for p in model.trainable_params())
     assert moved > 0
+
+
+def test_nan_before_features_names_the_module_path():
+    model = _model().eval()
+    dict(model.named_params())["adapters.1.up.weight"].data[0, 0] = np.nan
+    with pytest.raises(NonFiniteError,
+                       match=r"^op 'linear' produced non-finite values in "
+                             r"adapters\.1\.up at eval pass$"), \
+            np.errstate(invalid="ignore"):
+        model.features([_sample(), _sample(1)])

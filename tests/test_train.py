@@ -8,11 +8,15 @@ import numpy as np
 import pytest
 
 from conftest import make_tiny_cfg
+from trifuse import tensor as T
+from trifuse import train as training
 from trifuse.config import load_config
 from trifuse.losses import total_loss
-from trifuse.tensor import Param, Tensor, set_default_dtype
+from trifuse.tensor import NonFiniteError, Param, Tensor, set_default_dtype
 from trifuse.train import (Adam, build_model, build_world, evaluate_model,
                            lr_at, sample_batch)
+
+TOY_CFG = os.path.join(os.path.dirname(__file__), "..", "demos", "toy.cfg")
 
 
 # -- learning rate schedule ----------------------------------------------
@@ -137,6 +141,21 @@ def test_adam_state_round_trip_continues_exactly():
     assert np.array_equal(p3.data, unbroken)
 
 
+def test_adam_refuses_a_non_finite_gradient_and_changes_nothing():
+    p, q = Param(np.ones(3)), Param(np.ones((2, 2)))
+    opt = Adam([("p", p), ("q", q)])
+    p.grad[...] = 1.0
+    q.grad[...] = 2.0
+    opt.step(0.1)
+    before = [p.data.copy(), q.data.copy(), opt.t] + [
+        a.copy() for a in opt.state_arrays().values()]
+    q.grad[1, 0] = np.inf
+    with pytest.raises(NonFiniteError, match=r"^non-finite gradient in q$"):
+        opt.step(0.1)
+    after = [p.data, q.data, opt.t] + list(opt.state_arrays().values())
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
 # -- builders and evaluation ----------------------------------------------
 
 def test_trainable_surface_grows_with_toggles():
@@ -233,8 +252,7 @@ def test_toy_step_op_count_does_not_grow(monkeypatch):
         counts[op] += 1
         return from_op(cls, data, parents, vjp, op)
 
-    toy = os.path.join(os.path.dirname(__file__), "..", "demos", "toy.cfg")
-    cfg = load_config(toy)
+    cfg = load_config(TOY_CFG)
     model = build_model(cfg, seed=3).train()
     data = build_world(cfg, seed=3).train_part(cfg.instances_per_id)
     samples, labels = sample_batch(0, 3, data, cfg)
@@ -245,3 +263,81 @@ def test_toy_step_op_count_does_not_grow(monkeypatch):
     assert ops <= TOY_STEP_OPS, (
         f"one toy step records {ops} ops, more than {TOY_STEP_OPS}: "
         f"{dict(counts.most_common(8))}")
+
+
+# -- finite checks ------------------------------------------------------------
+
+def test_clean_toy_step_makes_no_per_op_finite_checks(monkeypatch, tmp_path):
+    checked = Counter()
+    check, sample = T._check_finite, training.sample_batch
+
+    def counting(arr, op):
+        checked[op] += 1
+        check(arr, op)
+
+    def sampling(*args):
+        checked.clear()  # building the model checks each new param
+        return sample(*args)
+
+    monkeypatch.setattr(T, "_check_finite", counting)
+    monkeypatch.setattr(training, "sample_batch", sampling)
+    cfg = dataclasses.replace(load_config(TOY_CFG), steps=1, eval_every=1)
+    training.train(cfg, 3, str(tmp_path), quiet=True)
+    # the step, its eval pass and the checkpoint
+    assert not checked, dict(checked)
+    # direct tensor use keeps its per-op checks
+    T.add(Tensor(1.0), 1.0)
+    assert checked == {"tensor": 2, "add": 1}
+
+
+def test_nan_planted_mid_run_names_op_module_and_step(monkeypatch, tmp_path):
+    seen = {}
+    build, sample = training.build_model, training.sample_batch
+
+    class Recorded(Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            seen["opt"] = self
+
+    def planting(step, *args):
+        if step == 3:  # logged as step 4 in metrics.tsv
+            params = dict(seen["model"].named_params())
+            params["aggregator.blocks.0.inter_ssm.a_log"].data[0, 0] = np.nan
+            seen["params"] = {n: p.data.copy() for n, p in params.items()}
+            seen["moments"] = {n: a.copy() for n, a
+                               in seen["opt"].state_arrays().items()}
+        return sample(step, *args)
+
+    monkeypatch.setattr(training, "build_model",
+                        lambda *a: seen.setdefault("model", build(*a)))
+    monkeypatch.setattr(training, "Adam", Recorded)
+    monkeypatch.setattr(training, "sample_batch", planting)
+    cfg = make_tiny_cfg(steps=6, eval_every=2)
+    with pytest.raises(NonFiniteError,
+                       match=r"^op 'exp' produced non-finite values in "
+                             r"aggregator\.blocks\.0\.inter_ssm at step 4$"):
+        training.train(cfg, 0, str(tmp_path), quiet=True)
+
+    for name, p in seen["model"].named_params():
+        assert np.array_equal(p.data, seen["params"][name], equal_nan=True), name
+    for name, arr in seen["opt"].state_arrays().items():
+        assert np.array_equal(arr, seen["moments"][name]), name
+    assert seen["opt"].t == 3
+    rows = (tmp_path / "metrics.tsv").read_text().splitlines()[1:]
+    assert [row.split("\t")[0] for row in rows] == ["1", "2", "3"]
+    assert not (tmp_path / "checkpoint").exists()
+
+
+def test_finite_forward_with_overflowing_gradient_names_the_param(
+        monkeypatch, tmp_path):
+    def loss_with_steep_term(f_cls, f_ma, labels, heads, cfg):
+        loss, parts = total_loss(f_cls, f_ma, labels, heads, cfg)
+        # zero while the bias is (it starts at zero), with slope 1e600
+        steep = T.tsum(T.mul(T.mul(heads.cls_head.bias, 1e300), 1e300))
+        return T.add(loss, steep), parts
+
+    monkeypatch.setattr(training, "total_loss", loss_with_steep_term)
+    with pytest.raises(NonFiniteError,
+                       match=r"^non-finite gradient in heads\.cls_head\.bias "
+                             r"at step 1$"), np.errstate(over="ignore"):
+        training.train(make_tiny_cfg(), 0, str(tmp_path), quiet=True)
