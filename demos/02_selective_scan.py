@@ -5,11 +5,6 @@ path cuts the tokens into chunks and sweeps all chunks at once, one
 position at a time, then links them with a carry. They are the same
 function, and this script measures just how same: to around 1e-15 on a
 random layer, whatever the chunk size.
-
-It also shows the discretization choice. The Euler input path multiplies
-by delta; the exact hold path integrates the input over the step. The two
-agree as delta shrinks, which is easy to see by pinning the initial step
-size of a fresh layer.
 """
 
 import numpy as np
@@ -37,13 +32,3 @@ loss = tsum(scan_fast(layer.discretize(x)))
 loss.backward()
 print("grad reaches the step-size projection:",
       float(np.abs(layer.dt_up.weight.grad).max()) > 0)
-
-# Euler vs exact hold, converging as the step size shrinks
-print("\ninput discretization gap by step size")
-for dt in (1e-1, 1e-2, 1e-3):
-    euler = SelectiveScan(4, 8, 4, rng=np.random.default_rng(1),
-                          dt_min=dt, dt_max=dt)
-    hold = SelectiveScan(4, 8, 4, rng=np.random.default_rng(1),
-                         zoh_input=True, dt_min=dt, dt_max=dt)
-    gap = np.abs(euler(x).data - hold(x).data).max()
-    print(f"  dt {dt:g}: max gap {gap:.3e}")

@@ -4,9 +4,8 @@ The aggregation stage exists to mix long concatenated token sequences, and
 the scan is what keeps that affordable. Two views of the same fact here.
 The operation-count models say the scan grows linearly with tokens while
 attention grows quadratically. The wall clock agrees, timed on a
-one-thread BLAS pool (as ``trifuse bench --threads 1`` times it): a larger
-pool can switch kernels partway through the length range and bend the
-curves.
+one-thread BLAS pool: a larger pool can switch kernels partway through the
+length range and bend the curves.
 """
 
 import os

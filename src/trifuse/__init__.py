@@ -20,7 +20,6 @@ _EXPORTS = {
     "NonFiniteError": "tensor",
     "set_default_dtype": "tensor",
     "default_dtype": "tensor",
-    "set_finite_checks": "tensor",
     "RunConfig": "config",
     "load_config": "config",
     "save_config": "config",

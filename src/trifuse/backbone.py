@@ -50,11 +50,11 @@ class PatchEmbed(Module):
 
 class EncoderLayer(Module):
     def __init__(self, dim: int, heads: int, rng: np.random.Generator,
-                 ffn_ratio: int = 4, gelu_exact: bool = False):
+                 ffn_ratio: int = 4):
         self.norm1 = LayerNorm(dim)
         self.attn = MultiHeadSelfAttention(dim, heads, rng)
         self.norm2 = LayerNorm(dim)
-        self.ffn = FeedForward(dim, rng, ratio=ffn_ratio, gelu_exact=gelu_exact)
+        self.ffn = FeedForward(dim, rng, ratio=ffn_ratio)
 
     def __call__(self, x: Tensor,
                  adapter: ParallelAdapter | None = None) -> Tensor:
@@ -74,7 +74,7 @@ class VisionBackbone(Module):
             (cfg.embed_dim, 1 + n_patches)))
         self.blocks = [
             EncoderLayer(cfg.embed_dim, cfg.heads, rng,
-                         ffn_ratio=cfg.ffn_ratio, gelu_exact=cfg.gelu_exact)
+                         ffn_ratio=cfg.ffn_ratio)
             for _ in range(cfg.layers)
         ]
         self.norm = LayerNorm(cfg.embed_dim)

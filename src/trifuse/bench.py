@@ -7,10 +7,11 @@ straight line; the scan should fit with R^2 above 0.98 while attention
 falls off it.
 
 The linear fit is promised for a fixed BLAS pool, such as the one thread
-``trifuse bench --threads 1`` sets. A multi-threaded pool can switch the
-matmuls to its threaded kernel above a size threshold partway through the
-length range; when the extra thread has no free core to run on, the points
-past the switch slow down and bend the curve, whatever the scan itself does.
+that ``demos/04_aggregation_scaling.py`` and the scaling tests set. A
+multi-threaded pool can switch the matmuls to its threaded kernel above a
+size threshold partway through the length range; when the extra thread has
+no free core to run on, the points past the switch slow down and bend the
+curve, whatever the scan itself does.
 
 Timings use medians over repetitions after warmup. They are inherently
 machine-dependent and are excluded from byte-determinism guarantees; the
@@ -19,7 +20,6 @@ flops columns come from closed forms and are reproducible.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass
 
@@ -108,11 +108,3 @@ def bench_block(lengths: list[int], dim: int = 16, d_state: int = 8,
             + ssm_flops(dim, d_state, dt_rank, 3 * n)
         rows.append(BenchRow("block", n, t, flops))
     return rows
-
-
-def write_rows(path: str, rows: list[BenchRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "n", "seconds", "flops"])
-        for r in rows:
-            writer.writerow([r.kind, r.n, f"{r.seconds:.6e}", r.flops])

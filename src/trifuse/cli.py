@@ -3,7 +3,6 @@
 Subcommands:
 
     gradcheck   finite-difference check of every differentiable op
-    bench       wall-clock scaling of scan, attention, and block forwards
     train-toy   train on synthetic identity data, logging metrics
     eval        evaluate a train-toy output directory's checkpoint
     ablate      train the toggle grid and tabulate mAP vs trainable params
@@ -27,6 +26,15 @@ import sys
 _THREAD_VARS = (
     "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS",
+)
+
+#: the variants ``ablate`` trains, in order: name and toggles
+ABLATE_GRID = (
+    ("frozen", dict(use_pfa=False, use_srp=False, use_ma=False)),
+    ("pfa", dict(use_pfa=True, use_srp=False, use_ma=False)),
+    ("srp", dict(use_pfa=False, use_srp=True, use_ma=False)),
+    ("pfa_srp", dict(use_pfa=True, use_srp=True, use_ma=False)),
+    ("full", dict(use_pfa=True, use_srp=True, use_ma=True)),
 )
 
 
@@ -61,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     specs = (
         ("gradcheck", "finite-difference gradient suite"),
-        ("bench", "runtime scaling measurements"),
         ("train-toy", "train on synthetic data"),
         ("eval", "evaluate a finished train-toy directory"),
         ("ablate", "toggle-grid comparison"),
@@ -101,31 +108,6 @@ def cmd_gradcheck(args) -> int:
         with open(os.path.join(args.out, "gradcheck.tsv"), "w") as fh:
             fh.write(report)
     return 0 if all(r.ok for r in results) else 1
-
-
-def cmd_bench(args) -> int:
-    from .bench import (bench_attention, bench_block, bench_scan, fit_linear,
-                        write_rows)
-    cfg = _load_config(args)
-    lengths = [int(s) for s in cfg.bench_lengths.split(",")]
-    rows = []
-    rows += bench_scan(lengths, reps=cfg.bench_reps, warmup=cfg.bench_warmup,
-                       seed=args.seed)
-    rows += bench_attention(lengths, reps=cfg.bench_reps,
-                            warmup=cfg.bench_warmup, seed=args.seed)
-    rows += bench_block(lengths, reps=cfg.bench_reps, warmup=cfg.bench_warmup,
-                        seed=args.seed)
-    for kind in ("scan", "attention", "block"):
-        pts = [(r.n, r.seconds) for r in rows if r.kind == kind]
-        ns = [p[0] for p in pts]
-        ts = [p[1] for p in pts]
-        _, _, r2 = fit_linear(ns, ts)
-        print(f"{kind}: linear fit r2 {r2:.4f}; "
-              + " ".join(f"t({n})={t:.2e}s" for n, t in pts))
-    if args.out:
-        _require_out(args)
-        write_rows(os.path.join(args.out, "bench.csv"), rows)
-    return 0
 
 
 def cmd_train(args) -> int:
@@ -172,15 +154,8 @@ def cmd_ablate(args) -> int:
     from .train import train
     out = _require_out(args)
     cfg = _load_config(args)
-    grid = [
-        ("frozen", dict(use_pfa=False, use_srp=False, use_ma=False)),
-        ("pfa", dict(use_pfa=True, use_srp=False, use_ma=False)),
-        ("srp", dict(use_pfa=False, use_srp=True, use_ma=False)),
-        ("pfa_srp", dict(use_pfa=True, use_srp=True, use_ma=False)),
-        ("full", dict(use_pfa=True, use_srp=True, use_ma=True)),
-    ]
     lines = ["variant\tmap\tcmc1\ttrainable"]
-    for name, toggles in grid:
+    for name, toggles in ABLATE_GRID:
         row_cfg = replace(cfg, **toggles)
         summary = train(row_cfg, seed=args.seed,
                         out_dir=os.path.join(out, name), quiet=True)
@@ -194,7 +169,6 @@ def cmd_ablate(args) -> int:
 
 _COMMANDS = {
     "gradcheck": cmd_gradcheck,
-    "bench": cmd_bench,
     "train-toy": cmd_train,
     "eval": cmd_eval,
     "ablate": cmd_ablate,

@@ -29,7 +29,6 @@ class RunConfig:
     image_w: int = 16
     channels: int = 3
     ffn_ratio: int = 4
-    gelu_exact: bool = False
 
     # trainable surface
     use_pfa: bool = True
@@ -51,7 +50,6 @@ class RunConfig:
     lambda_tri: float = 1.0
     smoothing: float = 0.1
     margin: float = 0.3
-    soft_margin: bool = False
 
     # optimization
     lr: float = 3.5e-4
@@ -73,11 +71,6 @@ class RunConfig:
     latent_dim: int = 12
     nuisance_dim: int = 8
     num_cams: int = 4
-
-    # benchmarking
-    bench_lengths: str = "256,512,1024,2048"
-    bench_reps: int = 5
-    bench_warmup: int = 2
 
     def validate(self) -> None:
         """Raise ``ValueError`` naming the first key that breaks its rule."""

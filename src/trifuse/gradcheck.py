@@ -194,14 +194,10 @@ def _build_primitive_cases() -> None:
     register_case("exp", simple(T.exp))
     register_case("log", simple(T.log, positive=True), tol=1e-6)
     register_case("sqrt", simple(T.sqrt, positive=True), tol=1e-6)
-    register_case("tanh", simple(T.tanh), tol=1e-6)
-    register_case("sigmoid", simple(T.sigmoid), tol=1e-6)
     register_case("softplus", simple(T.softplus), tol=1e-6)
-    register_case("erf", simple(T.erf), tol=1e-6)
     register_case("relu", simple(T.relu, avoid_zero=True), tol=1e-6)
     register_case("gelu", simple(T.gelu), tol=1e-6)
     register_case("silu", simple(T.silu), tol=1e-6)
-    register_case("pow", simple(lambda x: T.power(x, 3.0)))
 
     def linear_case(rng):
         w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
@@ -215,19 +211,15 @@ def _build_primitive_cases() -> None:
 
     register_case("linear", linear_case, tol=1e-6)
 
-    def binary(op, safe_b=False):
+    def binary(op):
         def build(rng):
             a, b = _pair(rng)
-            if safe_b:
-                b = Tensor(np.sign(b.data) * (np.abs(b.data) + 0.5),
-                           requires_grad=True)
             return (lambda: _weighted_sum(op(a, b), rng)), [a, b]
         return build
 
     register_case("add", binary(T.add), tol=1e-6)
     register_case("sub", binary(T.sub), tol=1e-6)
     register_case("mul", binary(T.mul), tol=1e-6)
-    register_case("div", binary(T.div, safe_b=True), tol=1e-6)
 
     def matmul_case(rng):
         a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)

@@ -14,7 +14,7 @@ import numpy as np
 from .config import RunConfig
 from .nn import Linear, Module
 from .tensor import (Tensor, add, exp, log, matmul, mul, neg,
-                     register_differentiable, relu, reshape, softplus, sqrt,
+                     register_differentiable, relu, reshape, sqrt,
                      sub, tmax, tmean, tmin, transpose, tsum, where_mask)
 
 register_differentiable("ce_smooth")
@@ -48,8 +48,8 @@ def pairwise_sqdist(emb: Tensor) -> Tensor:
     return relu(d2)  # clamp tiny negatives from cancellation
 
 
-def triplet_batch_hard(emb: Tensor, labels: np.ndarray, margin: float,
-                       soft: bool = False) -> Tensor:
+def triplet_batch_hard(emb: Tensor, labels: np.ndarray,
+                       margin: float) -> Tensor:
     """Batch-hard triplet loss on Euclidean distances.
 
     For each anchor the hardest positive is the farthest same-id column
@@ -72,10 +72,7 @@ def triplet_batch_hard(emb: Tensor, labels: np.ndarray, margin: float,
     far = np.full((b, b), _FAR)
     d_pos = tmax(where_mask(pos_mask, d, Tensor(-far)), axis=1)
     d_neg = tmin(where_mask(neg_mask, d, Tensor(far)), axis=1)
-    gap = sub(d_pos, d_neg)
-    if soft:
-        return tmean(softplus(add(gap, margin)))
-    return tmean(relu(add(gap, margin)))
+    return tmean(relu(add(sub(d_pos, d_neg), margin)))
 
 
 class SupervisionHeads(Module):
@@ -100,7 +97,7 @@ def total_loss(f_cls: Tensor, f_ma: Tensor | None, labels: np.ndarray,
     parts: dict[str, float] = {}
     for name, feat, head in branches:
         ce = ce_smooth(head(feat), labels, cfg.smoothing)
-        tri = triplet_batch_hard(feat, labels, cfg.margin, soft=cfg.soft_margin)
+        tri = triplet_batch_hard(feat, labels, cfg.margin)
         term = add(mul(ce, cfg.lambda_ce), mul(tri, cfg.lambda_tri))
         total = term if total is None else add(total, term)
         parts[f"ce_{name}"] = ce.item()

@@ -333,11 +333,9 @@ class MultiHeadSelfAttention(Module):
 class FeedForward(Module):
     """Token-wise MLP: expand by ``ratio``, GELU, project back."""
 
-    def __init__(self, dim: int, rng: np.random.Generator, ratio: int = 4,
-                 gelu_exact: bool = False):
+    def __init__(self, dim: int, rng: np.random.Generator, ratio: int = 4):
         self.lin1 = Linear(dim, ratio * dim, rng)
         self.lin2 = Linear(ratio * dim, dim, rng)
-        self.gelu_exact = gelu_exact
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.lin2(gelu(self.lin1(x), exact=self.gelu_exact))
+        return self.lin2(gelu(self.lin1(x)))

@@ -32,15 +32,13 @@ import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import special as _special
 
 __all__ = [
     "Tensor", "Param", "NonFiniteError", "no_grad",
-    "set_default_dtype", "default_dtype", "set_finite_checks", "finite_checks",
+    "set_default_dtype", "default_dtype", "finite_checks",
     "register_differentiable", "DIFFERENTIABLE_OPS",
-    "add", "sub", "mul", "div", "neg", "matmul", "linear", "exp", "log",
-    "sqrt", "power", "tanh", "sigmoid", "softplus", "erf", "relu", "gelu",
-    "silu",
+    "add", "sub", "mul", "neg", "matmul", "linear", "exp", "log",
+    "sqrt", "softplus", "relu", "gelu", "silu",
     "tsum", "tmean", "tmax", "tmin", "reshape", "swapaxes", "transpose",
     "concat", "narrow", "where_mask", "attention",
     "attention_weights", "norm_affine", "dwconv1d", "linear_recurrence",
@@ -89,11 +87,6 @@ def set_default_dtype(dtype) -> None:
 
 def default_dtype():
     return _DEFAULT_DTYPE
-
-
-def set_finite_checks(enabled: bool) -> None:
-    global _FINITE_CHECKS
-    _FINITE_CHECKS = bool(enabled)
 
 
 class finite_checks:
@@ -203,15 +196,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def detach(self) -> "Tensor":
-        t = Tensor.__new__(Tensor)
-        t.data = self.data
-        t.grad = None
-        t.requires_grad = False
-        t._parents = ()
-        t._vjp = None
-        return t
-
     # ---- autodiff ----
 
     def backward(self, grad=None) -> None:
@@ -296,20 +280,11 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other, self), self)
-
     def __neg__(self):
         return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __pow__(self, p):
-        return power(self, p)
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
@@ -422,21 +397,6 @@ def mul(a: Tensor, b) -> Tensor:
     return Tensor._from_op(out, (a, b), vjp, "mul")
 
 
-@_diffop("div")
-def div(a: Tensor, b) -> Tensor:
-    a, b = a, _coerce(b, a)
-    out = a.data / b.data
-    na, nb = _needs((a, b))
-    ad, bd = a.data, b.data
-
-    def vjp(g):
-        ga = _unbroadcast(g / bd, ad.shape) if na else None
-        gb = _unbroadcast(-g * ad / (bd * bd), bd.shape) if nb else None
-        return ga, gb
-
-    return Tensor._from_op(out, (a, b), vjp, "div")
-
-
 @_diffop("neg")
 def neg(a: Tensor) -> Tensor:
     def vjp(g):
@@ -517,42 +477,10 @@ def sqrt(a: Tensor) -> Tensor:
     return Tensor._from_op(out, (a,), vjp, "sqrt")
 
 
-@_diffop("pow")
-def power(a: Tensor, p: float) -> Tensor:
-    p = float(p)
-    out = a.data ** p
-    ad = a.data
-
-    def vjp(g):
-        return (g * p * ad ** (p - 1.0),)
-
-    return Tensor._from_op(out, (a,), vjp, "pow")
-
-
-@_diffop("tanh")
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-
-    def vjp(g):
-        return (g * (1.0 - out * out),)
-
-    return Tensor._from_op(out, (a,), vjp, "tanh")
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # e = exp(-|x|) never overflows: 1 / (1 + e) for x >= 0, e / (1 + e) below
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-@_diffop("sigmoid")
-def sigmoid(a: Tensor) -> Tensor:
-    out = _sigmoid(a.data)
-
-    def vjp(g):
-        return (g * out * (1.0 - out),)
-
-    return Tensor._from_op(out, (a,), vjp, "sigmoid")
 
 
 @_diffop("softplus")
@@ -564,18 +492,6 @@ def softplus(a: Tensor) -> Tensor:
         return (g * _sigmoid(ad),)
 
     return Tensor._from_op(out, (a,), vjp, "softplus")
-
-
-@_diffop("erf")
-def erf(a: Tensor) -> Tensor:
-    out = _special.erf(a.data)
-    ad = a.data
-    two_over_sqrt_pi = 2.0 / math.sqrt(math.pi)
-
-    def vjp(g):
-        return (g * two_over_sqrt_pi * np.exp(-ad * ad),)
-
-    return Tensor._from_op(out, (a,), vjp, "erf")
 
 
 @_diffop("relu")
@@ -593,12 +509,8 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 @_diffop("gelu")
-def gelu(a: Tensor, exact: bool = False) -> Tensor:
-    """GELU activation. Default is the tanh approximation; ``exact=True``
-    evaluates the erf form (slower, rarely needed)."""
-    if exact:
-        inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        return mul(mul(a, add(erf(mul(a, inv_sqrt2)), 1.0)), 0.5)
+def gelu(a: Tensor) -> Tensor:
+    """GELU activation in its tanh approximation."""
     x = a.data
     # t = tanh(c * (x + 0.044715 * x**3)), built in one buffer; x ** 3 goes
     # through pow(), about 50x slower than two multiplies on float64

@@ -211,7 +211,8 @@ def train(cfg: RunConfig, seed: int, out_dir: str,
     failed check raises NonFiniteError naming the step (numbered like the
     ``step`` column of ``metrics.tsv``) and the op and module path, or the
     params whose gradients are non-finite; that step updates no param,
-    logs no row and writes no checkpoint.
+    logs no row and writes no checkpoint, and the batch norm running
+    statistics keep their values from before it.
     """
     model = build_model(cfg, seed)
     model.train()
@@ -248,12 +249,14 @@ def train(cfg: RunConfig, seed: int, out_dir: str,
     if not start_step:
         log_eval(0)
 
+    buffers = [(m, attr) for m in model.modules() for attr in m._buffer_attrs]
     result = None
     reached = cfg.steps
     try:
         for step in range(start_step, cfg.steps):
             samples, labels = sample_batch(step, seed, train_data, cfg)
             opt.zero_grad()
+            saved = [getattr(m, attr).copy() for m, attr in buffers]
             with finite_checks(False):
                 f_cls, f_ma = model.forward_batch(samples)
                 loss, parts = total_loss(f_cls, f_ma, labels, model.heads, cfg)
@@ -264,10 +267,15 @@ def train(cfg: RunConfig, seed: int, out_dir: str,
                     raise NonFiniteError("non-finite loss")
                 opt.step(lr)
             except NonFiniteError as err:
-                # nothing is restored: the step's forward and loss replay
-                locate_non_finite(model, lambda: total_loss(
-                    *model.forward_batch(samples), labels, model.heads, cfg),
-                    f"step {step + 1}", str(err))
+                # the step's forward and loss replay, folding the batch into
+                # the running statistics a second time; both folds are undone
+                try:
+                    locate_non_finite(model, lambda: total_loss(
+                        *model.forward_batch(samples), labels, model.heads,
+                        cfg), f"step {step + 1}", str(err))
+                finally:
+                    for (m, attr), arr in zip(buffers, saved):
+                        setattr(m, attr, arr)
             metrics.write(
                 f"{step + 1}\t{lr:.17g}\t{parts['total']:.17g}"
                 f"\t{parts['ce_cls']:.17g}\t{parts['tri_cls']:.17g}"

@@ -130,21 +130,6 @@ def test_halt_and_resume_flags(tiny_cfg_path, tmp_path):
                        os.path.join(ref, "metrics.tsv"), shallow=False)
 
 
-def test_bench_subcommand_smoke(tmp_path, capsys):
-    cfg_path = str(tmp_path / "bench.cfg")
-    save_config(cfg_path, make_tiny_cfg(bench_lengths="16,32",
-                                        bench_reps=1, bench_warmup=0))
-    out = str(tmp_path / "bench")
-    assert main(["--config", cfg_path, "--out", out, "bench"]) == 0
-    text = capsys.readouterr().out
-    for kind in ("scan", "attention", "block"):
-        assert f"{kind}: linear fit" in text
-    with open(os.path.join(out, "bench.csv"), newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["kind", "n", "seconds", "flops"]
-    assert len(rows) == 1 + 3 * 2
-
-
 def test_precision_flag_switches_dtype(tiny_cfg_path, tmp_path):
     out = str(tmp_path / "f32")
     try:

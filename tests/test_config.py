@@ -12,7 +12,7 @@ from trifuse.train import train
 
 def test_save_load_round_trip(tmp_path):
     cfg = RunConfig(lr=1.25e-4, steps=37, use_srp=False, srp_mode="separation",
-                    rho=0.8125, bench_lengths="16,32")
+                    rho=0.8125)
     path = str(tmp_path / "run.cfg")
     save_config(path, cfg)
     assert load_config(path) == cfg
@@ -63,8 +63,8 @@ def test_malformed_line_rejected(tmp_path):
 ])
 def test_boolean_spellings(tmp_path, raw, value):
     path = tmp_path / "run.cfg"
-    path.write_text(f"gelu_exact = {raw}\n")
-    assert load_config(str(path)).gelu_exact is value
+    path.write_text(f"use_pfa = {raw}\n")
+    assert load_config(str(path)).use_pfa is value
 
 
 def test_bad_boolean_and_int_rejected(tmp_path):

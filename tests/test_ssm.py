@@ -52,6 +52,11 @@ def test_discretize_shapes_and_decay_range():
     assert disc.c.shape == (3, 6)
     assert disc.abar.data.min() > 0.0
     assert disc.abar.data.max() < 1.0
+    # Euler input path: bbarx = delta * b * x
+    delta = softplus(core.dt_up(core.dt_low(x))).data
+    b = core.b_proj(x).data
+    want = delta[:, None, :] * b[None, :, :] * x.data[:, None, :]
+    assert np.allclose(disc.bbarx.data, want, atol=1e-12)
 
 
 def test_step_size_initialization_window():
@@ -68,23 +73,6 @@ def test_zero_input_gives_zero_output():
                          rng=np.random.default_rng(7))
     y = core(Tensor(np.zeros((3, 10))))
     assert np.all(y.data == 0.0)
-
-
-def test_zoh_input_path_differs_and_is_exact_hold():
-    rng = np.random.default_rng(3)
-    x = Tensor(rng.normal(size=(2, 5)))
-    euler = SelectiveScan(2, 3, 2, rng=np.random.default_rng(3))
-    zoh = SelectiveScan(2, 3, 2, rng=np.random.default_rng(3), zoh_input=True)
-    de = euler.discretize(x)
-    dz = zoh.discretize(x)
-    assert not np.allclose(de.bbarx.data, dz.bbarx.data)
-    # same parameters, so the exact-hold factor is (abar - 1)/a elementwise
-    a = -np.exp(euler.a_log.data)
-    delta = softplus(euler.dt_up(euler.dt_low(x))).data
-    gain = (de.abar.data - 1.0) / a[:, :, None]
-    want = dz.bbarx.data
-    got = gain * (de.bbarx.data / delta[:, None, :])
-    assert np.allclose(got, want, atol=1e-12)
 
 
 def test_long_sequence_stays_finite():

@@ -1,5 +1,7 @@
 """Autodiff core: op semantics, backward correctness, tape mechanics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ def test_tensor_basics():
     assert t.shape == (2, 2)
     assert t.dtype == np.float64
     assert not t.requires_grad
-    assert t.detach().requires_grad is False
     with pytest.raises(NonFiniteError):
         Tensor([[1.0, np.nan]])
 
@@ -106,12 +107,14 @@ def test_broadcasting_unbroadcast():
 
 def test_operator_sugar():
     x = Tensor(np.array([2.0]), requires_grad=True)
-    y = (-x + 3.0) * 2.0 / 4.0 - 1.0  # (3 - x)/2 - 1
+    y = (-x + 3.0) * 0.5 - 1.0  # (3 - x)/2 - 1
     y.sum().backward()
     assert np.allclose(y.data, [-0.5])
     assert np.allclose(x.grad, [-0.5])
-    z = Tensor(np.array([2.0])) ** 3
-    assert np.allclose(z.data, [8.0])
+    w = Tensor(np.array([[1.0, 2.0]]))
+    v = Tensor(np.array([[3.0], [4.0]]))
+    z = 1.0 - 2.0 * (w @ v)  # reflected -, reflected *
+    assert np.allclose(z.data, [[-21.0]])
 
 
 def test_matmul_batched_shapes():
@@ -122,23 +125,16 @@ def test_matmul_batched_shapes():
         T.matmul(Tensor(np.ones(3)), Tensor(np.ones(3)))
 
 
-def test_gelu_exact_vs_tanh_close_but_distinct():
-    x = Tensor(np.linspace(-3, 3, 13))
-    approx = T.gelu(x).data
-    exact = T.gelu(x, exact=True).data
-    assert np.max(np.abs(approx - exact)) < 5e-3
-    assert np.max(np.abs(approx - exact)) > 0.0
-
-
 def test_activation_values_match_references():
     x = np.array([-2.0, -0.5, 0.5, 2.0])
     t = Tensor(x)
-    assert np.allclose(T.sigmoid(t).data, 1 / (1 + np.exp(-x)))
     assert np.allclose(T.softplus(t).data, np.log1p(np.exp(x)))
     assert np.allclose(T.silu(t).data, x / (1 + np.exp(-x)))
     assert np.allclose(T.relu(t).data, np.maximum(x, 0))
-    from scipy.special import erf as ref_erf
-    assert np.allclose(T.erf(t).data, ref_erf(x))
+    # the tanh form stays within 5e-3 of x * Phi(x) on [-3, 3]
+    xs = np.linspace(-3, 3, 13)
+    phi = 0.5 * (1.0 + np.array([math.erf(v / math.sqrt(2.0)) for v in xs]))
+    assert np.max(np.abs(T.gelu(Tensor(xs)).data - xs * phi)) < 5e-3
 
 
 def test_reductions_and_argextremes():
@@ -189,9 +185,14 @@ def test_softmax_rows_sum_to_one():
 
 
 def test_sigmoid_and_softmax_stay_finite_at_extremes():
-    s = T.sigmoid(Tensor(np.array([-800.0, -40.0, 0.0, 40.0, 800.0]))).data
+    x = Tensor(np.array([-800.0, -40.0, 0.0, 40.0, 800.0]), requires_grad=True)
+    T.tsum(T.softplus(x)).backward()  # softplus' = sigmoid
+    s = x.grad
     assert np.isfinite(s).all()
     assert (s[0], s[2], s[4]) == (0.0, 0.5, 1.0)
+    y = T.silu(x).data  # x * sigmoid(x)
+    assert np.isfinite(y).all()
+    assert (y[0], y[2], y[4]) == (0.0, 0.0, 800.0)
     spread = np.array([[1.0], [10.0], [100.0]])
     scores = 1e3 + spread * np.random.default_rng(2).normal(size=(3, 6))
     p = _softmax_rows(scores)
@@ -219,13 +220,9 @@ def test_finite_checks_raise_and_can_be_disabled():
     big = Tensor(np.array([1e308]))
     with pytest.raises(NonFiniteError), np.errstate(over="ignore"):
         T.mul(big, 10.0)
-    T.set_finite_checks(False)
-    try:
-        with np.errstate(over="ignore"):
-            out = T.mul(big, 10.0)
-        assert np.isinf(out.data).any()
-    finally:
-        T.set_finite_checks(True)
+    with T.finite_checks(False), np.errstate(over="ignore"):
+        out = T.mul(big, 10.0)
+    assert np.isinf(out.data).any()
 
 
 def test_default_dtype_switch():

@@ -1,5 +1,6 @@
 """Training harness pieces: schedule, sampler, optimizer, builders."""
 
+import ast
 import dataclasses
 import os
 from collections import Counter
@@ -10,6 +11,7 @@ import pytest
 from conftest import make_tiny_cfg
 from trifuse import tensor as T
 from trifuse import train as training
+from trifuse.cli import ABLATE_GRID
 from trifuse.config import load_config
 from trifuse.losses import total_loss
 from trifuse.tensor import NonFiniteError, Param, Tensor, set_default_dtype
@@ -244,7 +246,8 @@ def test_f32_step_stays_float32_end_to_end(monkeypatch):
 TOY_STEP_OPS = 483
 
 
-def test_toy_step_op_count_does_not_grow(monkeypatch):
+def _count_ops(monkeypatch) -> Counter:
+    """Count, by op name, every ``Tensor._from_op`` call from here on."""
     counts = Counter()
     from_op = Tensor._from_op.__func__
 
@@ -252,17 +255,54 @@ def test_toy_step_op_count_does_not_grow(monkeypatch):
         counts[op] += 1
         return from_op(cls, data, parents, vjp, op)
 
+    monkeypatch.setattr(Tensor, "_from_op", classmethod(counting))
+    return counts
+
+
+def test_toy_step_op_count_does_not_grow(monkeypatch):
     cfg = load_config(TOY_CFG)
     model = build_model(cfg, seed=3).train()
     data = build_world(cfg, seed=3).train_part(cfg.instances_per_id)
     samples, labels = sample_batch(0, 3, data, cfg)
-    monkeypatch.setattr(Tensor, "_from_op", classmethod(counting))
+    counts = _count_ops(monkeypatch)
     f_cls, f_ma = model.forward_batch(samples)
     total_loss(f_cls, f_ma, labels, model.heads, cfg)
     ops = sum(counts.values())
     assert ops <= TOY_STEP_OPS, (
         f"one toy step records {ops} ops, more than {TOY_STEP_OPS}: "
         f"{dict(counts.most_common(8))}")
+
+
+def _ops_registered_in_tensor_py() -> set[str]:
+    """The names ``tensor.py`` registers with ``@_diffop(...)``."""
+    with open(T.__file__) as fh:
+        tree = ast.parse(fh.read())
+    return {dec.args[0].value for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            for dec in node.decorator_list
+            if isinstance(dec, ast.Call)
+            and getattr(dec.func, "id", None) == "_diffop"}
+
+
+def test_every_registered_op_runs_in_some_model_variant(monkeypatch):
+    # no registered op is dead code: each one is recorded by a train step
+    # (forward, loss, backward) or an eval features pass of some variant
+    variants = [toggles for _, toggles in ABLATE_GRID] + [
+        dict(srp_mode="separation"), dict(ma_intra=False),
+        dict(ma_inter=False)]
+    counts = _count_ops(monkeypatch)
+    for toggles in variants:
+        cfg = make_tiny_cfg(**toggles)
+        model = build_model(cfg, seed=0).train()
+        data = build_world(cfg, seed=0).train_part(cfg.instances_per_id)
+        samples, labels = sample_batch(0, 0, data, cfg)
+        loss, _ = total_loss(*model.forward_batch(samples), labels,
+                             model.heads, cfg)
+        loss.backward()
+        model.eval().features(samples)
+    expected = _ops_registered_in_tensor_py() | {"batch_norm"}
+    assert len(expected) == 27
+    assert expected <= set(counts), sorted(expected - set(counts))
 
 
 # -- finite checks ------------------------------------------------------------
@@ -326,6 +366,32 @@ def test_nan_planted_mid_run_names_op_module_and_step(monkeypatch, tmp_path):
     rows = (tmp_path / "metrics.tsv").read_text().splitlines()[1:]
     assert [row.split("\t")[0] for row in rows] == ["1", "2", "3"]
     assert not (tmp_path / "checkpoint").exists()
+
+
+def test_failed_step_restores_batch_norm_statistics(monkeypatch, tmp_path):
+    seen = {}
+    build, sample = training.build_model, training.sample_batch
+
+    def planting(step, *args):
+        if step == 2:  # logged as step 3 in metrics.tsv
+            model = seen["model"]
+            seen["buffers"] = {n: b.copy() for n, b in model.named_buffers()}
+            params = dict(model.named_params())
+            params["adapters.0.up.weight"].data[0, 0] = np.nan
+        return sample(step, *args)
+
+    monkeypatch.setattr(training, "build_model",
+                        lambda *a: seen.setdefault("model", build(*a)))
+    monkeypatch.setattr(training, "sample_batch", planting)
+    with pytest.raises(NonFiniteError,
+                       match=r"in adapters\.0\.up at step 3$"), \
+            np.errstate(invalid="ignore"):
+        training.train(make_tiny_cfg(steps=4), 0, str(tmp_path), quiet=True)
+
+    buffers = dict(seen["model"].named_buffers())
+    assert buffers.keys() == seen["buffers"].keys() and buffers
+    for name, buf in buffers.items():
+        assert np.array_equal(buf, seen["buffers"][name]), name
 
 
 def test_finite_forward_with_overflowing_gradient_names_the_param(
