@@ -139,7 +139,7 @@ def cmd_eval(args) -> int:
             sys.exit(f"error: {ckpt} records no seed; pass --seed")
     cfg = load_config(cfg_path)
     model = build_model(cfg, seed)
-    _restore(model, Adam(model.named_params()), ckpt, seed)
+    _restore(model, Adam(model.named_params()), ckpt, seed, cfg)
     world = build_world(cfg, seed)
     query, gallery = world.eval_parts(cfg.eval_instances_per_id,
                                       cfg.eval_queries_per_id)

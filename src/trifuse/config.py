@@ -10,6 +10,7 @@ The model, the synthetic world and the loss all read this one object.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, fields, replace
 
 _TRUE = {"true", "1", "yes", "on"}
@@ -134,7 +135,9 @@ def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
     return cfg
 
 
-def save_config(path: str, cfg: RunConfig) -> None:
+def _config_text(cfg: RunConfig) -> str:
+    """The ``key = value`` text of every field, as ``save_config`` writes it;
+    ``load_config`` reads it back to an equal config and the same text."""
     lines = []
     for f in fields(RunConfig):
         value = getattr(cfg, f.name)
@@ -143,5 +146,14 @@ def save_config(path: str, cfg: RunConfig) -> None:
         elif isinstance(value, float):
             value = f"{value:.17g}"
         lines.append(f"{f.name} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+def config_digest(cfg: RunConfig) -> str:
+    """sha256 hex digest of the ``config.cfg`` that ``save_config`` writes."""
+    return hashlib.sha256(_config_text(cfg).encode()).hexdigest()
+
+
+def save_config(path: str, cfg: RunConfig) -> None:
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_config_text(cfg))

@@ -12,7 +12,8 @@ Single-array format (extension .mptd):
 A checkpoint is a directory of these files plus two TSV indexes:
 ``manifest.tsv`` with columns name, file, dims, frozen mapping logical
 array names to files, and ``meta.tsv`` holding scalar state like the step
-counter. Floats in meta round-trip through repr-precision formatting.
+counter. Floats in meta round-trip through repr-precision formatting;
+strings are stored as they are and must hold no tab or newline.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def read_array(path: str) -> np.ndarray:
 
 def save_checkpoint(directory: str,
                     arrays: dict[str, tuple[np.ndarray, bool]],
-                    meta: dict[str, int | float]) -> None:
+                    meta: dict[str, int | float | str]) -> None:
     os.makedirs(directory, exist_ok=True)
     rows = []
     for i, (name, (arr, frozen)) in enumerate(sorted(arrays.items())):
@@ -77,6 +78,8 @@ def save_checkpoint(directory: str,
         for key, value in sorted(meta.items()):
             if isinstance(value, float):
                 fh.write(f"{key}\tf\t{value:.17g}\n")
+            elif isinstance(value, str):
+                fh.write(f"{key}\ts\t{value}\n")
             else:
                 fh.write(f"{key}\ti\t{value}\n")
 
@@ -94,11 +97,12 @@ def load_checkpoint(directory: str):
     return arrays, read_meta(directory)
 
 
-def read_meta(directory: str) -> dict[str, int | float]:
+def read_meta(directory: str) -> dict[str, int | float | str]:
     """The scalar state of a checkpoint (``meta.tsv``), without its arrays."""
-    meta: dict[str, int | float] = {}
+    parse = {"f": float, "i": int, "s": str}
+    meta: dict[str, int | float | str] = {}
     with open(os.path.join(directory, "meta.tsv")) as fh:
         for line in fh:
             key, kind, raw = line.rstrip("\n").split("\t")
-            meta[key] = float(raw) if kind == "f" else int(raw)
+            meta[key] = parse[kind](raw)
     return meta

@@ -101,10 +101,11 @@ class FusionModel(Module):
 
         The class-token feature, with the fused feature stacked below it
         when aggregation is enabled. The pass runs without per-op finite
-        checks and checks the returned matrix once; if that fails, the
-        pass runs again with them to name the op and module at fault.
+        checks or numpy floating-point warnings and checks the returned
+        matrix once; if that fails, the pass runs again with per-op checks
+        to name the op and module at fault.
         """
-        with no_grad(), finite_checks(False):
+        with no_grad(), finite_checks(False), np.errstate(all="ignore"):
             f_cls, f_ma = self.forward_batch(samples)
         if f_ma is None:
             out = f_cls.data.copy()

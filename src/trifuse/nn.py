@@ -186,14 +186,14 @@ def locate_non_finite(root: Module, run: Callable[[], object], where: str,
     """Raise a NonFiniteError for a non-finite value that a check made
     after ``run`` had ``found``, saying where it came from.
 
-    ``run`` goes again with per-op finite checks on and no tape. If an op
-    produces NaN or Inf, the error names the op, the dotted path under
-    ``root`` of the innermost module whose call it ran in, and ``where``
-    (e.g. ``"step 12"``); if ``run`` stays finite, it is ``found`` at
-    ``where``.
+    ``run`` goes again with per-op finite checks on, no tape and no numpy
+    floating-point warnings. If an op produces NaN or Inf, the error names
+    the op, the dotted path under ``root`` of the innermost module whose
+    call it ran in, and ``where`` (e.g. ``"step 12"``); if ``run`` stays
+    finite, it is ``found`` at ``where``.
     """
     try:
-        with no_grad(), finite_checks(True):
+        with no_grad(), finite_checks(True), np.errstate(all="ignore"):
             run()
     except NonFiniteError as err:
         paths = {id(m): name for name, m in root.named_modules()}

@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-from .config import RunConfig, save_config
+from .config import RunConfig, config_digest, save_config
 from .dump import load_checkpoint, save_checkpoint
 from .losses import total_loss
 from .model import FusionModel
@@ -159,12 +159,20 @@ def _checkpoint_arrays(model: FusionModel, opt: Adam):
     return arrays
 
 
-def _restore(model: FusionModel, opt: Adam, directory: str, seed: int) -> int:
-    """Load a checkpoint trained with ``seed``; returns its step."""
+def _restore(model: FusionModel, opt: Adam, directory: str, seed: int,
+             cfg: RunConfig) -> int:
+    """Load a checkpoint trained with ``seed`` and the config ``cfg``
+    (compared by the sha256 of its ``config.cfg`` text); returns its
+    step."""
     arrays, meta = load_checkpoint(directory)
     if meta.get("seed") != seed:
         raise ValueError(f"{directory} was trained with seed "
                          f"{meta.get('seed')}, not seed {seed}")
+    digest = config_digest(cfg)
+    if meta.get("config_sha256") != digest:
+        raise ValueError(f"{directory} was trained with config sha256 "
+                         f"{meta.get('config_sha256', '(none recorded)')}, "
+                         f"not {digest}")
     state = {name[len("model."):]: entry for name, entry in arrays.items()
              if name.startswith("model.")}
     model.load_state_dict(state)
@@ -213,6 +221,9 @@ def train(cfg: RunConfig, seed: int, out_dir: str,
     params whose gradients are non-finite; that step updates no param,
     logs no row and writes no checkpoint, and the batch norm running
     statistics keep their values from before it.
+
+    The checkpoint records the seed and the sha256 of ``config.cfg``;
+    ``resume_from`` refuses a checkpoint whose seed or config differs.
     """
     model = build_model(cfg, seed)
     model.train()
@@ -224,7 +235,7 @@ def train(cfg: RunConfig, seed: int, out_dir: str,
 
     start_step = 0
     if resume_from is not None:
-        start_step = _restore(model, opt, resume_from, seed)
+        start_step = _restore(model, opt, resume_from, seed, cfg)
         if not quiet:
             print(f"resumed from {resume_from} at step {start_step}")
 
@@ -257,7 +268,9 @@ def train(cfg: RunConfig, seed: int, out_dir: str,
             samples, labels = sample_batch(step, seed, train_data, cfg)
             opt.zero_grad()
             saved = [getattr(m, attr).copy() for m, attr in buffers]
-            with finite_checks(False):
+            # a non-finite value is reported by the checks below, not by
+            # numpy warnings on its way through the unchecked pass
+            with finite_checks(False), np.errstate(all="ignore"):
                 f_cls, f_ma = model.forward_batch(samples)
                 loss, parts = total_loss(f_cls, f_ma, labels, model.heads, cfg)
                 loss.backward()
@@ -293,7 +306,8 @@ def train(cfg: RunConfig, seed: int, out_dir: str,
 
     save_checkpoint(os.path.join(out_dir, "checkpoint"),
                     _checkpoint_arrays(model, opt),
-                    {"step": reached, "adam_t": opt.t, "seed": seed})
+                    {"step": reached, "adam_t": opt.t, "seed": seed,
+                     "config_sha256": config_digest(cfg)})
     if result is None:
         result = evaluate_model(model, query, gallery)
     return {"map": result.mean_ap, "cmc1": result.cmc_at(1),

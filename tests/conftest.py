@@ -32,25 +32,35 @@ json.dump([dataclasses.asdict(r) for r in rows], sys.stdout)
 """
 
 
-def run_pinned(bench_fn, *args, **kwargs) -> list[BenchRow]:
-    """Run a ``trifuse.bench`` function in a child on a one-thread BLAS pool.
+def run_pinned_script(source: str, *argv: str):
+    """Run ``source`` in a child on a one-thread BLAS pool; returns the JSON
+    it prints on stdout.
 
     The pool size has to be set before numpy loads, and numpy is already
-    loaded in this process with the library's default pool. A multi-thread
-    pool can switch the matmuls to another kernel partway through a length
-    range, which bends a scaling curve that is linear on a fixed pool. The
-    child sets the same variables as ``trifuse --threads 1`` and returns
-    the rows as JSON on stdout.
+    loaded in this process with the library's default pool. The child sets
+    the same variables as ``trifuse --threads 1`` and sees ``argv`` as
+    ``sys.argv[1:]``.
     """
     env = dict(os.environ)
     env.update({var: "1" for var in _THREAD_VARS})
     src = os.path.dirname(os.path.dirname(os.path.abspath(trifuse.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    spec = json.dumps([bench_fn.__module__, bench_fn.__name__, args, kwargs])
-    proc = subprocess.run([sys.executable, "-c", _PINNED_CHILD, spec],
+    proc = subprocess.run([sys.executable, "-c", source, *argv],
                           env=env, capture_output=True, text=True)
     if proc.returncode != 0:
-        pytest.fail(f"{bench_fn.__name__} child exited {proc.returncode}:\n"
-                    f"{proc.stderr}", pytrace=False)
-    return [BenchRow(**row) for row in json.loads(proc.stdout)]
+        pytest.fail(f"child exited {proc.returncode}:\n{proc.stderr}",
+                    pytrace=False)
+    return json.loads(proc.stdout)
+
+
+def run_pinned(bench_fn, *args, **kwargs) -> list[BenchRow]:
+    """Run a ``trifuse.bench`` function in a child on a one-thread BLAS pool.
+
+    A multi-thread pool can switch the matmuls to another kernel partway
+    through a length range, which bends a scaling curve that is linear on
+    a fixed pool. The child returns the rows as JSON on stdout.
+    """
+    spec = json.dumps([bench_fn.__module__, bench_fn.__name__, args, kwargs])
+    return [BenchRow(**row)
+            for row in run_pinned_script(_PINNED_CHILD, spec)]

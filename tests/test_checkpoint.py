@@ -1,6 +1,8 @@
 """Array dump format, checkpoint directories, and exact resumption."""
 
+import dataclasses
 import filecmp
+import hashlib
 import os
 import struct
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import make_tiny_cfg
+from trifuse.config import save_config
 from trifuse.dump import (MAGIC, load_checkpoint, read_array,
                           save_checkpoint, write_array)
 from trifuse import train as train_mod
@@ -73,7 +76,8 @@ def test_checkpoint_round_trip(tmp_path):
         "frozen.bias": (rng.normal(size=4), True),
         "adam.m.w.weight": (rng.normal(size=(4, 3)), False),
     }
-    meta = {"step": 12, "adam_t": 12, "lr": 3.5e-4}
+    meta = {"step": 12, "adam_t": 12, "lr": 3.5e-4,
+            "config_sha256": "ab" * 32}
     save_checkpoint(str(tmp_path / "ckpt"), arrays, meta)
     back, back_meta = load_checkpoint(str(tmp_path / "ckpt"))
     assert set(back) == set(arrays)
@@ -161,6 +165,29 @@ def test_resume_refuses_a_different_seed(tmp_path):
     with pytest.raises(ValueError, match="seed 3, not seed 4"):
         train(cfg, seed=4, out_dir=b, quiet=True, resume_from=ckpt)
     assert not os.path.exists(b)
+
+
+def test_resume_refuses_another_config(tmp_path):
+    cfg = make_tiny_cfg(steps=4)
+    a = str(tmp_path / "a")
+    train(cfg, seed=3, out_dir=a, quiet=True, halt_after=2)
+    ckpt = os.path.join(a, "checkpoint")
+    digest = _sha256(os.path.join(a, "config.cfg"))
+    assert load_checkpoint(ckpt)[1]["config_sha256"] == digest
+    # same shapes, so only the digest tells the two configs apart
+    other = dataclasses.replace(cfg, lr=cfg.lr * 2)
+    save_config(str(tmp_path / "other.cfg"), other)
+    other_digest = _sha256(str(tmp_path / "other.cfg"))
+    b = str(tmp_path / "b")
+    with pytest.raises(ValueError, match=f"config sha256 {digest}, "
+                                         f"not {other_digest}$"):
+        train(other, seed=3, out_dir=b, quiet=True, resume_from=ckpt)
+    assert not os.path.exists(b)
+
+
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def test_frozen_parameters_survive_training_bitwise(tmp_path):
