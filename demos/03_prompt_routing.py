@@ -38,13 +38,14 @@ for tb in bank.transfers.values():
 for value, m in enumerate(MODALITIES, start=1):
     bank.prompts[0][m].data[:] = float(value)
 
-tokens = Tensor(np.zeros((4, 3)))
-seq = bank.assemble_layer_input(0, "r", tokens, None)
-print("assembled width:", seq.shape[1], "(3 tokens + 3 slots x 2 prompts)")
-print("slot fill values per column:", seq.data[0, 3:].tolist())
-_, groups = bank.harvest("r", seq, 3)
+# the three streams run stacked on axis 0, in MODALITIES order; r is row 1
+tokens = Tensor(np.zeros((3, 4, 3)))
+seq = bank.assemble_layer_input(0, tokens, None)
+print("assembled width:", seq.shape[-1], "(3 tokens + 3 slots x 2 prompts)")
+print("slot fill values per column of stream r:", seq.data[1, 0, 3:].tolist())
+_, groups = bank.harvest(seq, 3)
 print("own slot comes back intact:",
-      bool((groups["r"].data == 2.0).all()))
+      bool((groups[1].data[1] == 2.0).all()))
 
 # -- sequence layout inside the full model -----------------------------------
 
@@ -53,7 +54,7 @@ model.eval()
 world = build_world(SMALL, seed=0)
 sample = world.train_part(SMALL.instances_per_id).samples[0]
 model.forward_batch([sample])
-print("\nper-layer sequence lengths:", model.last_seq)
+print("\nper-layer sequence lengths (all three streams):", model.last_seq)
 
 # -- independence given the bank ---------------------------------------------
 

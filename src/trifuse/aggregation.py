@@ -1,19 +1,21 @@
 """Cross-modal token aggregation with state space scans.
 
-Patch tokens from the three modality streams pass through a short stack of
-blocks. Each block can apply two stages:
+Tokens arrive as the model's stacked streams ``[3, ..., D, N]``, modality
+on axis 0 in ``MODALITIES`` order, and stay stacked; a per-modality module
+takes its own ``[1, ..., D, N]`` row. Patch tokens pass through a short
+stack of blocks. Each block can apply two stages:
 
   intra: every modality is scanned by its own SSM after a convolutional
          path, gated by a linear path, then a shared linear merges the
-         concatenated result back into per-modality residuals.
+         result back into per-modality residuals.
   inter: per-modality conv and gate paths feed a single shared SSM that
          scans the concatenation of all three modalities as one sequence,
          so state crosses modality boundaries.
 
 Class tokens bypass the blocks. The head, for each modality, stacks
 [class token, mean of final patch tokens], applies one shared layer norm
-over the doubled width, and a per-modality linear back to the model width.
-The three results concatenate into one fused vector.
+over the doubled width, and a per-modality linear back to the model width,
+giving one ``[3, ..., D, 1]`` fused vector per sample.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .nn import BatchNorm, DepthwiseConv1d, LayerNorm, Linear, Module
 from .prompts import MODALITIES
 from .ssm import SelectiveScan
 from .tensor import (Tensor, add, concat, mul, narrow, register_differentiable,
-                     reshape, silu, tmean)
+                     reshape, silu, swapaxes, tmean)
 
 register_differentiable("theta")
 register_differentiable("psi")
@@ -55,51 +57,46 @@ class LinearGate(Module):
         return silu(self.proj(x))
 
 
+def _rows(x: Tensor) -> list[Tensor]:
+    """The ``[1, ..., D, N]`` row of each stream, in ``MODALITIES`` order."""
+    return [narrow(x, 0, i, 1) for i in range(len(MODALITIES))]
+
+
 class AggregationBlock(Module):
     def __init__(self, dim: int, d_state: int, dt_rank: int, kernel: int,
                  rng: np.random.Generator, use_intra: bool = True,
-                 use_inter: bool = True, chunk: int = 128):
+                 use_inter: bool = True):
         self.dim = dim
         self.use_intra = use_intra
         self.use_inter = use_inter
 
         self.intra_conv = {m: ConvGate(dim, kernel, rng) for m in MODALITIES}
         self.intra_gate = {m: LinearGate(dim, rng) for m in MODALITIES}
-        self.intra_ssm = {m: SelectiveScan(dim, d_state, dt_rank, rng,
-                                           chunk=chunk)
+        self.intra_ssm = {m: SelectiveScan(dim, d_state, dt_rank, rng)
                           for m in MODALITIES}
         self.intra_merge = Linear(dim, dim, rng)
 
         self.inter_conv = {m: ConvGate(dim, kernel, rng) for m in MODALITIES}
         self.inter_gate = {m: LinearGate(dim, rng) for m in MODALITIES}
-        self.inter_ssm = SelectiveScan(dim, d_state, dt_rank, rng, chunk=chunk)
+        self.inter_ssm = SelectiveScan(dim, d_state, dt_rank, rng)
         self.inter_merge = Linear(dim, dim, rng)
 
-    def intra(self, fs: dict[str, Tensor]) -> dict[str, Tensor]:
-        gated = []
-        for m in MODALITIES:
-            scanned = self.intra_ssm[m](self.intra_conv[m](fs[m]))
-            gated.append(mul(scanned, self.intra_gate[m](fs[m])))
-        merged = self.intra_merge(concat(gated, axis=-1))
-        return self._residual_split(merged, fs)
+    def intra(self, fs: Tensor) -> Tensor:
+        gated = [mul(self.intra_ssm[m](self.intra_conv[m](f)),
+                     self.intra_gate[m](f))
+                 for m, f in zip(MODALITIES, _rows(fs))]
+        return add(self.intra_merge(concat(gated, axis=0)), fs)
 
-    def inter(self, fs: dict[str, Tensor]) -> dict[str, Tensor]:
-        conv = concat([self.inter_conv[m](fs[m]) for m in MODALITIES], axis=-1)
-        gate = concat([self.inter_gate[m](fs[m]) for m in MODALITIES], axis=-1)
+    def inter(self, fs: Tensor) -> Tensor:
+        rows = list(zip(MODALITIES, _rows(fs)))
+        conv = concat([self.inter_conv[m](f) for m, f in rows], axis=-1)
+        gate = concat([self.inter_gate[m](f) for m, f in rows], axis=-1)
         merged = self.inter_merge(mul(self.inter_ssm(conv), gate))
-        return self._residual_split(merged, fs)
+        # [1, ..., D, 3k] back to one row per modality, [3, ..., D, k]
+        split = reshape(merged, merged.shape[:-1] + (3, fs.shape[-1]))
+        return add(reshape(swapaxes(split, 0, -2), fs.shape), fs)
 
-    def _residual_split(self, merged: Tensor,
-                        fs: dict[str, Tensor]) -> dict[str, Tensor]:
-        out = {}
-        offset = 0
-        for m in MODALITIES:
-            n = fs[m].shape[-1]
-            out[m] = add(narrow(merged, -1, offset, n), fs[m])
-            offset += n
-        return out
-
-    def __call__(self, fs: dict[str, Tensor]) -> dict[str, Tensor]:
+    def __call__(self, fs: Tensor) -> Tensor:
         if self.use_intra:
             fs = self.intra(fs)
         if self.use_inter:
@@ -115,16 +112,13 @@ class AggregationHead(Module):
         self.norm = LayerNorm(2 * dim)
         self.out = {m: Linear(2 * dim, dim, rng) for m in MODALITIES}
 
-    def __call__(self, tokens: dict[str, Tensor]) -> Tensor:
-        pieces = []
-        for m in MODALITIES:
-            t = tokens[m]
-            cls = narrow(t, -1, 0, 1)
-            patches = narrow(t, -1, 1, t.shape[-1] - 1)
-            pooled = tmean(patches, axis=-1, keepdims=True)
-            v = self.norm(concat([cls, pooled], axis=-2))
-            pieces.append(self.out[m](v))
-        return concat(pieces, axis=-2)
+    def __call__(self, tokens: Tensor) -> Tensor:
+        cls = narrow(tokens, -1, 0, 1)
+        patches = narrow(tokens, -1, 1, tokens.shape[-1] - 1)
+        pooled = tmean(patches, axis=-1, keepdims=True)
+        v = self.norm(concat([cls, pooled], axis=-2))
+        rows = zip(MODALITIES, _rows(v))
+        return concat([self.out[m](row) for m, row in rows], axis=0)
 
 
 class Aggregator(Module):
@@ -134,11 +128,8 @@ class Aggregator(Module):
         self.blocks = blocks
         self.head = head
 
-    def __call__(self, tokens: dict[str, Tensor]) -> Tensor:
-        cls = {m: narrow(tokens[m], -1, 0, 1) for m in MODALITIES}
-        fs = {m: narrow(tokens[m], -1, 1, tokens[m].shape[-1] - 1)
-              for m in MODALITIES}
+    def __call__(self, tokens: Tensor) -> Tensor:
+        fs = narrow(tokens, -1, 1, tokens.shape[-1] - 1)
         for block in self.blocks:
             fs = block(fs)
-        return self.head({m: concat([cls[m], fs[m]], axis=-1)
-                          for m in MODALITIES})
+        return self.head(concat([narrow(tokens, -1, 0, 1), fs], axis=-1))

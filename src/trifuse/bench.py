@@ -101,7 +101,7 @@ def bench_block(lengths: list[int], dim: int = 16, d_state: int = 8,
     block.train()
     rows = []
     for n in lengths:
-        fs = {m: Tensor(rng.normal(size=(dim, n))) for m in MODALITIES}
+        fs = Tensor(np.stack([rng.normal(size=(dim, n)) for _ in MODALITIES]))
         with no_grad():
             t = median_time(lambda: block(fs), reps, warmup)
         flops = 3 * ssm_flops(dim, d_state, dt_rank, n) \

@@ -139,7 +139,10 @@ def cmd_eval(args) -> int:
             sys.exit(f"error: {ckpt} records no seed; pass --seed")
     cfg = load_config(cfg_path)
     model = build_model(cfg, seed)
-    _restore(model, Adam(model.named_params()), ckpt, seed, cfg)
+    try:
+        _restore(model, Adam(model.named_params()), ckpt, seed, cfg)
+    except ValueError as err:  # another seed or config than the run's
+        sys.exit(f"error: {err}")
     world = build_world(cfg, seed)
     query, gallery = world.eval_parts(cfg.eval_instances_per_id,
                                       cfg.eval_queries_per_id)

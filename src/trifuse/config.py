@@ -44,7 +44,6 @@ class RunConfig:
     ma_intra: bool = True
     ma_inter: bool = True
     conv_kernel: int = 3
-    scan_chunk: int = 128
 
     # loss
     lambda_ce: float = 0.25
@@ -86,7 +85,6 @@ class RunConfig:
             ("embed_dim", lambda: self.embed_dim % self.heads == 0,
              f"must be divisible by heads = {self.heads}"),
             ("conv_kernel", lambda: self.conv_kernel % 2 == 1, "must be odd"),
-            ("scan_chunk", lambda: self.scan_chunk >= 1, "must be at least 1"),
             ("srp_mode", lambda: self.srp_mode in SRP_MODES,
              f"must be one of {SRP_MODES}"),
             ("eval_every", lambda: self.eval_every >= 1, "must be at least 1"),

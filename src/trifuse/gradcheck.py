@@ -452,21 +452,22 @@ def _build_module_cases() -> None:
 
     def residual_fuse_case(rng):
         pb = bank(rng)
-        harvested = {m: Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-                     for m in ("own", "a", "b")}
+        harvested = [Tensor(rng.normal(size=(3, 4, 2)), requires_grad=True)
+                     for _ in range(3)]
         def fn():
-            fused = pb.residual_fuse("n", 1, list(harvested.values()))
+            fused = T.concat(pb.residual_fuse(1, harvested), axis=0)
             return _weighted_sum(fused, rng)
-        wrt = list(harvested.values()) + pb.rp["n"].params() + [pb.prompts[1]["n"]]
+        wrt = (harvested + [p for mlp in pb.rp.values() for p in mlp.params()]
+               + list(pb.prompts[1].values()))
         return fn, wrt
 
     register_case("residual_fuse", residual_fuse_case)
 
     def assemble_case(rng):
         pb = bank(rng)
-        f_star = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        f_star = Tensor(rng.normal(size=(3, 4, 3)), requires_grad=True)
         def fn():
-            seq = pb.assemble_layer_input(0, "r", f_star, harvested_prev=None)
+            seq = pb.assemble_layer_input(0, f_star, harvested_prev=None)
             return _weighted_sum(seq, rng)
         return fn, [f_star] + pb.params()
 
@@ -474,11 +475,11 @@ def _build_module_cases() -> None:
 
     def harvest_case(rng):
         pb = bank(rng)
-        x = Tensor(rng.normal(size=(4, 3 + 3 * 2)), requires_grad=True)
+        x = Tensor(rng.normal(size=(3, 4, 3 + 3 * 2)), requires_grad=True)
         def fn():
-            f_star, groups = pb.harvest("t", x, n_star=3)
+            f_star, groups = pb.harvest(x, n_star=3)
             total = _weighted_sum(f_star, rng)
-            for g in groups.values():
+            for g in groups:
                 total = T.add(total, _weighted_sum(g, rng))
             return total
         return fn, [x]
@@ -503,35 +504,23 @@ def _build_module_cases() -> None:
     def block(rng, dim=2, n=3):
         return AggregationBlock(dim, d_state=2, dt_rank=2, kernel=3, rng=rng)
 
+    def streams(rng, dim, n):
+        return Tensor(np.stack([rng.normal(size=(dim, n)) for _ in range(3)]),
+                      requires_grad=True)
+
     def intra_case(rng):
         blk = block(rng)
         blk.train()
-        fs = {m: Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-              for m in ("n", "r", "t")}
-        def fn():
-            out = blk.intra(fs)
-            total = None
-            for m in ("n", "r", "t"):
-                piece = _weighted_sum(out[m], rng)
-                total = piece if total is None else T.add(total, piece)
-            return total
-        return fn, list(fs.values()) + blk.params()
+        fs = streams(rng, 2, 3)
+        return (lambda: _weighted_sum(blk.intra(fs), rng)), [fs] + blk.params()
 
     register_case("intra_ma", intra_case, spot=60)
 
     def inter_case(rng):
         blk = block(rng)
         blk.train()
-        fs = {m: Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-              for m in ("n", "r", "t")}
-        def fn():
-            out = blk.inter(fs)
-            total = None
-            for m in ("n", "r", "t"):
-                piece = _weighted_sum(out[m], rng)
-                total = piece if total is None else T.add(total, piece)
-            return total
-        return fn, list(fs.values()) + blk.params()
+        fs = streams(rng, 2, 3)
+        return (lambda: _weighted_sum(blk.inter(fs), rng)), [fs] + blk.params()
 
     register_case("inter_ma", inter_case, spot=60)
 
@@ -541,12 +530,8 @@ def _build_module_cases() -> None:
         head = AggregationHead(dim, rng)
         agg = Aggregator(blocks, head)
         agg.train()
-        tokens = {m: Tensor(rng.normal(size=(dim, 4)), requires_grad=True)
-                  for m in ("n", "r", "t")}
-        def fn():
-            f_ma = agg(tokens)
-            return _weighted_sum(f_ma, rng)
-        return fn, list(tokens.values()) + agg.params()
+        tokens = streams(rng, dim, 4)
+        return (lambda: _weighted_sum(agg(tokens), rng)), [tokens] + agg.params()
 
     register_case("ma_stack", stack_case, spot=60)
 

@@ -1,7 +1,8 @@
 """Three-stream fusion model over a frozen shared encoder.
 
-Each sample is a dict of per-modality images. Every modality runs through
-the same frozen backbone; ``RunConfig`` fields choose the trainable surface:
+Each sample is a dict of per-modality images. The three modality streams
+share the frozen backbone and run through it as one ``[3, B, D, N]`` stack
+(modality on axis 0); ``RunConfig`` fields choose the trainable surface:
 
   use_pfa  one parallel adapter per layer, shared across modalities
   use_srp  prompt groups through every layer, refined between layers from
@@ -25,8 +26,7 @@ from .config import RunConfig
 from .losses import SupervisionHeads
 from .nn import Module, locate_non_finite
 from .prompts import MODALITIES, PromptBank
-from .tensor import (Tensor, concat, finite_checks, narrow, no_grad, reshape,
-                     transpose)
+from .tensor import Tensor, finite_checks, narrow, no_grad, reshape, swapaxes
 
 
 class FusionModel(Module):
@@ -52,45 +52,41 @@ class FusionModel(Module):
             blocks = [AggregationBlock(d, cfg.d_state, cfg.dt_rank,
                                        cfg.conv_kernel, rng,
                                        use_intra=cfg.ma_intra,
-                                       use_inter=cfg.ma_inter,
-                                       chunk=cfg.scan_chunk)
+                                       use_inter=cfg.ma_inter)
                       for _ in range(cfg.ma_blocks)]
             self.aggregator = Aggregator(blocks, AggregationHead(d, rng))
 
         self.heads = SupervisionHeads(3 * d, cfg.num_ids, rng,
                                       with_ma=cfg.use_ma)
 
-        #: per-modality sequence lengths seen at each layer, refreshed on
-        #: every forward_batch; handy for asserting sequence surgery
-        self.last_seq: dict[str, list[int]] = {}
+        #: sequence length seen at each layer (the same for all three
+        #: streams), refreshed on every forward_batch
+        self.last_seq: list[int] = []
 
     # -- forward -------------------------------------------------------
 
-    def _run_stream(self, mod: str, images: np.ndarray) -> Tensor:
-        """Images ``[..., C, H, W]`` to final tokens ``[..., D, N]``."""
+    def _run_streams(self, images: np.ndarray) -> Tensor:
+        """Images ``[3, ..., C, H, W]`` to final tokens ``[3, ..., D, N]``."""
         x = self.backbone.tokens(images)
         n_star = x.shape[-1]
         harvested = None
-        lengths = []
+        self.last_seq = []
         for i, layer in enumerate(self.backbone.blocks):
             if self.bank is not None:
-                x = self.bank.assemble_layer_input(i, mod, x, harvested)
-            lengths.append(x.shape[-1])
+                x = self.bank.assemble_layer_input(i, x, harvested)
+            self.last_seq.append(x.shape[-1])
             adapter = self.adapters[i] if self.adapters is not None else None
             x = layer(x, adapter=adapter)
             if self.bank is not None:
-                x, groups = self.bank.harvest(mod, x, n_star)
-                harvested = [groups[s] for s in MODALITIES]
-        self.last_seq[mod] = lengths
+                x, harvested = self.bank.harvest(x, n_star)
         return self.backbone.norm(x)
 
     def forward_batch(self, samples: list[dict[str, np.ndarray]]):
         """Class-token and fused features, ``[3D, B]`` each (fused is None
-        without ``use_ma``). Each modality's B images run as one stream."""
-        tokens = {m: self._run_stream(m, np.stack([s[m] for s in samples]))
-                  for m in MODALITIES}
-        f_cls = concat([narrow(tokens[m], -1, 0, 1) for m in MODALITIES],
-                       axis=-2)
+        without ``use_ma``). All 3B images run as one stacked pass."""
+        tokens = self._run_streams(
+            np.stack([np.stack([s[m] for s in samples]) for m in MODALITIES]))
+        f_cls = narrow(tokens, -1, 0, 1)
         f_ma = self.aggregator(tokens) if self.aggregator is not None else None
         return _columns(f_cls), None if f_ma is None else _columns(f_ma)
 
@@ -118,5 +114,6 @@ class FusionModel(Module):
 
 
 def _columns(t: Tensor) -> Tensor:
-    """Per-sample feature columns ``[B, F, 1]`` as one ``[F, B]`` matrix."""
-    return transpose(reshape(t, t.shape[:2]))
+    """Stacked stream vectors ``[3, B, D, 1]`` as one ``[3D, B]`` matrix,
+    one column per sample."""
+    return reshape(swapaxes(t, 1, 3), (-1, t.shape[1]))

@@ -8,9 +8,10 @@ slots carry transferred copies of the sibling modalities' fresh bank
 prompts for the current layer. Transfers read bank parameters only, so the
 three streams stay mutually independent given the bank.
 
-Slot order is ``MODALITIES`` everywhere: assembly, harvest, and refinement
-all index groups the same way, and a round trip through assemble/harvest
-preserves it.
+Slot order and stream order are ``MODALITIES`` everywhere. The bank acts on
+all three streams at once: tokens are ``[3, ..., D, N]`` and each slot group
+``[3, ..., D, P]``, stream on axis 0; only the per-modality MLPs take one
+stream's row. A round trip through assemble/harvest preserves the layout.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .config import SRP_MODES
 from .nn import Linear, Module
 from .tensor import (Param, Tensor, add, concat, gelu, mul, narrow,
-                     register_differentiable)
+                     register_differentiable, reshape)
 
 MODALITIES = ("n", "r", "t")
 
@@ -77,49 +78,48 @@ class PromptBank(Module):
 
     # -- refinement ---------------------------------------------------
 
-    def residual_fuse(self, mod: str, layer: int, groups: list[Tensor]) -> Tensor:
-        """Refined prompt for ``mod`` at ``layer`` from last layer's groups.
-
-        ``groups`` holds the three harvested prompt groups in slot order.
-        """
-        base = self.prompts[layer][mod]
+    def residual_fuse(self, layer: int, groups: list[Tensor]) -> list[Tensor]:
+        """Refined prompts at ``layer``, one ``[1, ..., D, P]`` row per
+        stream, from the three ``[3, ..., D, P]`` groups harvested from the
+        last layer, in slot order."""
+        base = self.prompts[layer]
         if self.mode == "fusion":
             pooled = mul(add(add(groups[0], groups[1]), groups[2]), 1.0 / 3.0)
-            return add(base, self.rp[mod](pooled))
-        parts = [self.rp[f"{mod}_{src}"](g)
-                 for src, g in zip(MODALITIES, groups)]
-        pooled = mul(add(add(parts[0], parts[1]), parts[2]), 1.0 / 3.0)
-        return add(base, pooled)
+            return [add(base[m], self.rp[m](narrow(pooled, 0, i, 1)))
+                    for i, m in enumerate(MODALITIES)]
+        out = []
+        for i, m in enumerate(MODALITIES):
+            parts = [self.rp[f"{m}_{src}"](narrow(g, 0, i, 1))
+                     for src, g in zip(MODALITIES, groups)]
+            pooled = mul(add(add(parts[0], parts[1]), parts[2]), 1.0 / 3.0)
+            out.append(add(base[m], pooled))
+        return out
 
     # -- sequence assembly and teardown -------------------------------
 
-    def assemble_layer_input(self, layer: int, mod: str, f_star: Tensor,
+    def assemble_layer_input(self, layer: int, f_star: Tensor,
                              harvested_prev: list[Tensor] | None) -> Tensor:
-        """Stack [tokens, slot_n, slot_r, slot_t] for one stream.
+        """Append [slot_n, slot_r, slot_t] to every stream of ``f_star``
+        ``[3, ..., D, N]``; bank-only slots broadcast over the batch axes."""
+        fresh = self.prompts[layer]
+        if layer == 0 or harvested_prev is None:
+            lead = (1,) * (f_star.ndim - 2)
+            own = [reshape(fresh[m], lead + fresh[m].shape) for m in MODALITIES]
+        else:
+            own = self.residual_fuse(layer, harvested_prev)
+        groups = [concat([own[i] if src == dst
+                          else self.transfers[f"{src}_{dst}"](fresh[src])
+                          for i, dst in enumerate(MODALITIES)], axis=0)
+                  for src in MODALITIES]
+        return concat([f_star] + groups, axis=-1)
 
-        ``f_star`` may carry leading batch axes; bank-only slots are
-        computed once and broadcast over them.
-        """
-        slots = []
-        for slot in MODALITIES:
-            if slot == mod:
-                if layer == 0 or harvested_prev is None:
-                    slots.append(self.prompts[layer][mod])
-                else:
-                    slots.append(self.residual_fuse(mod, layer, harvested_prev))
-            else:
-                slots.append(self.transfers[f"{slot}_{mod}"](self.prompts[layer][slot]))
-        return concat([f_star] + slots, axis=-1)
-
-    def harvest(self, mod: str, x: Tensor, n_star: int):
-        """Split a layer output back into tokens and slot groups."""
+    def harvest(self, x: Tensor, n_star: int) -> tuple[Tensor, list[Tensor]]:
+        """Split a layer output back into tokens and the three slot groups,
+        in slot order."""
         expected = n_star + 3 * self.n_prompts
         if x.shape[-1] != expected:
             raise ValueError(
                 f"sequence has {x.shape[-1]} columns, expected {expected}")
-        f_star = narrow(x, -1, 0, n_star)
-        groups = {}
-        for i, slot in enumerate(MODALITIES):
-            groups[slot] = narrow(x, -1, n_star + i * self.n_prompts,
-                                  self.n_prompts)
-        return f_star, groups
+        p = self.n_prompts
+        return narrow(x, -1, 0, n_star), [narrow(x, -1, n_star + i * p, p)
+                                          for i in range(len(MODALITIES))]

@@ -95,13 +95,12 @@ class SelectiveScan(Module):
     """
 
     def __init__(self, dim: int, d_state: int = 16, dt_rank: int = 32,
-                 rng: np.random.Generator | None = None, chunk: int = 128,
+                 rng: np.random.Generator | None = None,
                  dt_min: float = 1e-3, dt_max: float = 1e-1):
         rng = rng or np.random.default_rng(0)
         self.dim = dim
         self.d_state = d_state
         self.dt_rank = dt_rank
-        self.chunk = chunk
 
         # S4D-real: a_log[d, s] = log(s + 1), so a = -exp(a_log) spans
         # -1 .. -d_state on every channel.
@@ -130,7 +129,7 @@ class SelectiveScan(Module):
         return SsmDiscrete(abar=abar, bbarx=bbarx, c=c, skip=self.skip, x=x)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return scan_fast(self.discretize(x), chunk=self.chunk)
+        return scan_fast(self.discretize(x))
 
 
 def ssm_flops(dim: int, d_state: int, dt_rank: int, k: int) -> int:

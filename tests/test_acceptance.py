@@ -118,9 +118,8 @@ def test_single_channel_intra_block_matches_hand_trace():
     block.intra_merge.bias.data[:] = 0.0
 
     x = [0.3, -0.7]
-    fs = {"n": Tensor(np.array([x])),
-          "r": Tensor(np.zeros((1, 2))),
-          "t": Tensor(np.zeros((1, 2)))}
+    # streams n, r, t stacked on axis 0; only n is non-zero
+    fs = Tensor(np.stack([np.array([x]), np.zeros((1, 2)), np.zeros((1, 2))]))
     out = block(fs)
 
     def sigmoid(z):
@@ -141,11 +140,11 @@ def test_single_channel_intra_block_matches_hand_trace():
     y = [ui * hi + ui for ui, hi in zip(u, h)]
     expect = [yi * silu(xi) + xi for yi, xi in zip(y, x)]
 
-    got = out["n"].data[0]
+    got = out.data[0, 0]
     assert max(abs(g - e) for g, e in zip(got, expect)) < 1e-12
     # the zero-input streams stay exactly zero through the whole block
-    assert np.array_equal(out["r"].data, np.zeros((1, 2)))
-    assert np.array_equal(out["t"].data, np.zeros((1, 2)))
+    assert np.array_equal(out.data[1], np.zeros((1, 2)))
+    assert np.array_equal(out.data[2], np.zeros((1, 2)))
 
 
 # -- 5: sequence bookkeeping, fused width, slot round trip, frozen params ----
@@ -160,8 +159,7 @@ def test_sequence_layout_slot_round_trip_and_frozen_params(tmp_path):
     f_cls, f_ma = model.forward_batch([sample])
     n_patches = (cfg.image_h // cfg.patch) * (cfg.image_w // cfg.patch)
     expected = 1 + n_patches + 3 * cfg.n_prompts
-    for m in MODALITIES:
-        assert model.last_seq[m] == [expected] * cfg.layers
+    assert model.last_seq == [expected] * cfg.layers
     assert f_ma.shape == (3 * cfg.embed_dim, 1)
     assert f_cls.shape == (3 * cfg.embed_dim, 1)
 
@@ -174,18 +172,19 @@ def test_sequence_layout_slot_round_trip_and_frozen_params(tmp_path):
     for tb in bank.transfers.values():
         _zero_linear(tb.inner)
         _zero_linear(tb.outer)
-    f_star = Tensor(np.random.default_rng(6).standard_normal((4, 3)))
-    seq = bank.assemble_layer_input(0, "r", f_star, None)
+    # the three streams stacked on axis 0; stream r is row 1
+    f_star = Tensor(np.random.default_rng(6).standard_normal((3, 4, 3)))
+    seq = bank.assemble_layer_input(0, f_star, None)
     # raw column layout is [tokens, slot n, slot r, slot t]
-    assert seq.shape == (4, 3 + 6)
-    assert np.array_equal(seq.data[:, 5:7], np.full((4, 2), 2.0))
-    assert np.array_equal(seq.data[:, 3:5], np.zeros((4, 2)))
-    assert np.array_equal(seq.data[:, 7:9], np.zeros((4, 2)))
-    f_back, groups = bank.harvest("r", seq, 3)
+    assert seq.shape == (3, 4, 3 + 6)
+    assert np.array_equal(seq.data[1, :, 5:7], np.full((4, 2), 2.0))
+    assert np.array_equal(seq.data[1, :, 3:5], np.zeros((4, 2)))
+    assert np.array_equal(seq.data[1, :, 7:9], np.zeros((4, 2)))
+    f_back, groups = bank.harvest(seq, 3)
     assert np.array_equal(f_back.data, f_star.data)
-    assert np.array_equal(groups["r"].data, np.full((4, 2), 2.0))
-    assert np.array_equal(groups["n"].data, np.zeros((4, 2)))
-    assert np.array_equal(groups["t"].data, np.zeros((4, 2)))
+    assert np.array_equal(groups[1].data[1], np.full((4, 2), 2.0))
+    assert np.array_equal(groups[0].data[1], np.zeros((4, 2)))
+    assert np.array_equal(groups[2].data[1], np.zeros((4, 2)))
 
     # frozen parameters are bitwise untouched by 100 optimization steps
     out_dir = tmp_path / "run"
@@ -219,14 +218,13 @@ def test_degenerate_configurations_reduce_exactly(tmp_path):
     # (b) zero prompts make assembly the identity at every layer
     bank = PromptBank(dim=6, n_prompts=0, layers=2,
                       rng=np.random.default_rng(2))
-    f = Tensor(rng.standard_normal((6, 5)))
-    seq = bank.assemble_layer_input(0, "n", f, None)
-    assert seq.shape == (6, 5)
+    f = Tensor(rng.standard_normal((3, 6, 5)))
+    seq = bank.assemble_layer_input(0, f, None)
+    assert seq.shape == (3, 6, 5)
     assert np.array_equal(seq.data, f.data)
-    f_back, groups = bank.harvest("n", seq, 5)
+    f_back, harvested = bank.harvest(seq, 5)
     assert np.array_equal(f_back.data, f.data)
-    harvested = [groups[slot] for slot in MODALITIES]
-    seq1 = bank.assemble_layer_input(1, "n", f, harvested)
+    seq1 = bank.assemble_layer_input(1, f, harvested)
     assert np.array_equal(seq1.data, f.data)
 
     # (c) with transfers and refiners zeroed, each stream ignores the
@@ -263,11 +261,12 @@ def test_degenerate_configurations_reduce_exactly(tmp_path):
     for b in blocks:
         _zero_linear(b.intra_merge)
         _zero_linear(b.inter_merge)
-    tokens = {m: Tensor(rng.standard_normal((dim, 5))) for m in MODALITIES}
-    got = agg(tokens).data
+    tokens = Tensor(np.stack([rng.standard_normal((dim, 5))
+                              for _ in MODALITIES]))
+    got = agg(tokens).data.reshape(3 * dim, 1)
     pieces = []
-    for m in MODALITIES:
-        t = tokens[m].data
+    for i, m in enumerate(MODALITIES):
+        t = tokens.data[i]
         v = np.concatenate([t[:, :1], t[:, 1:].mean(axis=1, keepdims=True)],
                            axis=0)
         mu = v.mean(axis=0, keepdims=True)

@@ -1,4 +1,7 @@
-"""Aggregation blocks: stage isolation, modality coupling, class bypass."""
+"""Aggregation blocks: stage isolation, modality coupling, class bypass.
+
+Token tensors are the three streams stacked, ``[3, D, N]``, stream on axis 0
+in ``MODALITIES`` order (rows 0, 1, 2 are n, r, t)."""
 
 import numpy as np
 
@@ -17,7 +20,13 @@ def _block(seed=0, dim=6, **kw):
 
 def _streams(seed, dim=6, n=5):
     rng = np.random.default_rng(seed)
-    return {m: Tensor(rng.normal(size=(dim, n))) for m in MODALITIES}
+    return Tensor(np.stack([rng.normal(size=(dim, n)) for _ in MODALITIES]))
+
+
+def _bump(fs, row, by=1.0):
+    data = fs.data.copy()
+    data[row] += by
+    return Tensor(data)
 
 
 def test_zeroed_merges_make_block_identity():
@@ -27,61 +36,55 @@ def test_zeroed_merges_make_block_identity():
         lin.bias.data[:] = 0.0
     fs = _streams(2)
     out = blk(fs)
-    for m in MODALITIES:
-        assert np.array_equal(out[m].data, fs[m].data)
+    for i in range(len(MODALITIES)):
+        assert np.array_equal(out.data[i], fs.data[i])
 
 
 def test_stages_disable_independently():
     fs = _streams(3)
     neither = _block(seed=4, use_intra=False, use_inter=False)(fs)
-    for m in MODALITIES:
-        assert np.array_equal(neither[m].data, fs[m].data)
+    for i in range(len(MODALITIES)):
+        assert np.array_equal(neither.data[i], fs.data[i])
 
     blk = _block(seed=4)
     only_intra = _block(seed=4, use_inter=False)
     only_inter = _block(seed=4, use_intra=False)
-    assert np.allclose(only_intra(fs)["n"].data, blk.intra(fs)["n"].data)
-    assert np.allclose(only_inter(fs)["r"].data, blk.inter(fs)["r"].data)
-    assert not np.allclose(only_intra(fs)["n"].data, only_inter(fs)["n"].data)
+    assert np.allclose(only_intra(fs).data[0], blk.intra(fs).data[0])
+    assert np.allclose(only_inter(fs).data[1], blk.inter(fs).data[1])
+    assert not np.allclose(only_intra(fs).data[0], only_inter(fs).data[0])
 
 
 def test_intra_stage_keeps_modalities_independent():
     blk = _block(seed=5, use_inter=False)
     fs = _streams(6)
-    base = blk(fs)
-    bumped = dict(fs)
-    bumped["t"] = Tensor(fs["t"].data + 1.0)
-    out = blk(bumped)
-    assert np.array_equal(out["n"].data, base["n"].data)
-    assert np.array_equal(out["r"].data, base["r"].data)
-    assert not np.allclose(out["t"].data, base["t"].data)
+    base = blk(fs).data
+    out = blk(_bump(fs, 2)).data
+    assert np.array_equal(out[0], base[0])
+    assert np.array_equal(out[1], base[1])
+    assert not np.allclose(out[2], base[2])
 
 
 def test_inter_stage_couples_modalities_causally():
     blk = _block(seed=7, use_intra=False)
     fs = _streams(8)
-    base = blk(fs)
-    bumped = dict(fs)
-    bumped["n"] = Tensor(fs["n"].data + 1.0)
-    out = blk(bumped)
+    base = blk(fs).data
+    out = blk(_bump(fs, 0)).data
     # the shared scan runs n, r, t left to right: perturbing the first
     # modality reaches the later ones through the carried state
-    assert not np.allclose(out["r"].data, base["r"].data)
-    assert not np.allclose(out["t"].data, base["t"].data)
+    assert not np.allclose(out[1], base[1])
+    assert not np.allclose(out[2], base[2])
 
-    bumped_last = dict(fs)
-    bumped_last["t"] = Tensor(fs["t"].data + 1.0)
-    out_last = blk(bumped_last)
-    assert np.array_equal(out_last["n"].data, base["n"].data)
-    assert np.array_equal(out_last["r"].data, base["r"].data)
+    out_last = blk(_bump(fs, 2)).data
+    assert np.array_equal(out_last[0], base[0])
+    assert np.array_equal(out_last[1], base[1])
 
 
 def test_scan_is_order_sensitive():
     blk = _block(seed=9, use_inter=False)
     fs = _streams(10)
-    rev = {m: Tensor(fs[m].data[:, ::-1].copy()) for m in MODALITIES}
-    out = blk(fs)["n"].data
-    out_rev = blk(rev)["n"].data
+    rev = Tensor(fs.data[..., ::-1].copy())
+    out = blk(fs).data[0]
+    out_rev = blk(rev).data[0]
     assert not np.allclose(out_rev, out[:, ::-1])
 
 
@@ -89,16 +92,16 @@ def test_head_formula_and_fused_width():
     dim = 6
     head = AggregationHead(dim, np.random.default_rng(11))
     rng = np.random.default_rng(12)
-    tokens = {m: Tensor(rng.normal(size=(dim, 5))) for m in MODALITIES}
+    tokens = Tensor(rng.normal(size=(3, dim, 5)))
     fused = head(tokens)
-    assert fused.shape == (3 * dim, 1)
+    assert fused.shape == (3, dim, 1)
 
-    t = tokens["r"]
+    t = Tensor(tokens.data[1])                                 # stream r
     v = head.norm(concat([narrow(t, 1, 0, 1),
                           tmean(narrow(t, 1, 1, 4), axis=1, keepdims=True)],
                          axis=0))
     want = head.out["r"](v).data
-    assert np.allclose(fused.data[dim:2 * dim], want, atol=1e-14)
+    assert np.allclose(fused.data[1], want, atol=1e-14)
 
 
 class _CaptureHead:
@@ -107,7 +110,7 @@ class _CaptureHead:
         self.seen = None
 
     def __call__(self, tokens):
-        self.seen = {m: tokens[m].data.copy() for m in tokens}
+        self.seen = tokens.data.copy()
         return self.head(tokens)
 
 
@@ -118,18 +121,17 @@ def test_class_tokens_bypass_blocks():
     agg = Aggregator(blocks, capture)
 
     rng = np.random.default_rng(15)
-    tokens = {m: Tensor(rng.normal(size=(dim, 5))) for m in MODALITIES}
+    tokens = Tensor(rng.normal(size=(3, dim, 5)))
     agg(tokens)
     first = capture.seen
 
-    shifted = {m: Tensor(np.concatenate(
-        [tokens[m].data[:, :1] + 9.0, tokens[m].data[:, 1:]], axis=1))
-        for m in MODALITIES}
-    agg(shifted)
+    shifted = tokens.data.copy()
+    shifted[..., 0] += 9.0
+    agg(Tensor(shifted))
     second = capture.seen
 
-    for m in MODALITIES:
+    for i in range(len(MODALITIES)):
         # patch tokens reaching the head are untouched by the class shift,
         # while the class column arrives shifted but never scanned
-        assert np.array_equal(first[m][:, 1:], second[m][:, 1:])
-        assert np.allclose(second[m][:, 0], first[m][:, 0] + 9.0)
+        assert np.array_equal(first[i][:, 1:], second[i][:, 1:])
+        assert np.allclose(second[i][:, 0], first[i][:, 0] + 9.0)

@@ -3,6 +3,7 @@
 import csv
 import filecmp
 import os
+import re
 
 import numpy as np
 import pytest
@@ -82,8 +83,26 @@ def test_eval_subcommand_reports_on_checkpoint(tiny_cfg_path, tmp_path, capsys):
 def test_eval_refuses_a_different_seed(tiny_cfg_path, tmp_path):
     out = str(tmp_path / "run")
     main(_train_args(tiny_cfg_path, out))
-    with pytest.raises(ValueError, match="seed 5, not seed 6"):
+    with pytest.raises(SystemExit, match="^error: .*seed 5, not seed 6$"):
         main(["--seed", "6", "--out", out, "eval"])
+    assert not os.path.exists(os.path.join(out, "eval_report.csv"))
+
+
+def test_eval_refuses_another_config_with_one_error_line(tiny_cfg_path,
+                                                          tmp_path):
+    # an edited config.cfg no longer matches the digest the checkpoint
+    # recorded; eval names both digests on one line instead of a traceback
+    out = str(tmp_path / "run")
+    main(_train_args(tiny_cfg_path, out))
+    cfg_path = os.path.join(out, "config.cfg")
+    with open(cfg_path) as fh:
+        text = fh.read()
+    with open(cfg_path, "w") as fh:
+        fh.write(text.replace("lr = ", "lr = 2"))
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", out, "eval"])
+    assert re.fullmatch(r"error: .* config sha256 [0-9a-f]{64}, "
+                        r"not [0-9a-f]{64}", str(exc.value.code))
     assert not os.path.exists(os.path.join(out, "eval_report.csv"))
 
 

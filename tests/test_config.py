@@ -92,7 +92,6 @@ def test_base_config_overlay(tmp_path):
     ("image_h", 6), ("image_w", 10), ("embed_dim", 7), ("conv_kernel", 4),
     ("srp_mode", "fused"), ("eval_every", 0), ("batch_p", 1),
     ("batch_k", 1), ("rho", 0.0), ("rho", 1.5), ("patch", 0), ("heads", 0),
-    ("scan_chunk", 0),
 ])
 def test_bad_values_fail_at_load_naming_the_key(tmp_path, key, value):
     # the tiny config has patch 4 and heads 2

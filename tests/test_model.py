@@ -30,30 +30,32 @@ def test_forward_shapes_and_sequence_lengths():
     assert f_cls.shape == (24, 1)
     assert f_ma.shape == (24, 1)
     want_len = 1 + N_PATCHES + 3 * 2
-    for m in MODALITIES:
-        assert model.last_seq[m] == [want_len, want_len]
+    assert model.last_seq == [want_len, want_len]
 
 
 def test_sequences_without_prompts():
     model = _model(use_srp=False).eval()
     model.forward_batch([_sample()])
     want_len = 1 + N_PATCHES
-    for m in MODALITIES:
-        assert model.last_seq[m] == [want_len] * 2
+    assert model.last_seq == [want_len] * 2
+
+
+def _same_image_streams(model):
+    """Final tokens of the three streams when each is fed the same image."""
+    image = _sample()["n"]
+    return model._run_streams(np.stack([image] * len(MODALITIES))).data
 
 
 def test_streams_share_backbone_and_adapters():
     model = _model(use_srp=False).eval()
-    image = _sample()["n"]
-    outs = [model._run_stream(m, image).data for m in MODALITIES]
+    outs = _same_image_streams(model)
     assert np.array_equal(outs[0], outs[1])
     assert np.array_equal(outs[0], outs[2])
 
 
 def test_prompts_differentiate_streams():
     model = _model(use_srp=True).eval()
-    image = _sample()["n"]
-    outs = [model._run_stream(m, image).data for m in MODALITIES]
+    outs = _same_image_streams(model)
     assert not np.allclose(outs[0], outs[1])
     assert not np.allclose(outs[1], outs[2])
 
@@ -62,10 +64,10 @@ def test_class_feature_stacks_stream_tokens():
     model = _model().eval()
     sample = _sample()
     f_cls, _ = model.forward_batch([sample])
-    for i, m in enumerate(MODALITIES):
-        stream = model._run_stream(m, sample[m])
+    streams = model._run_streams(np.stack([sample[m] for m in MODALITIES]))
+    for i in range(len(MODALITIES)):
         assert np.allclose(f_cls.data[8 * i:8 * (i + 1), 0],
-                           stream.data[:, 0], atol=1e-14)
+                           streams.data[i, :, 0], atol=1e-14)
 
 
 def test_toggles_control_feature_width_and_heads():

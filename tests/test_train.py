@@ -243,7 +243,7 @@ def test_f32_step_stays_float32_end_to_end(monkeypatch):
 
 
 #: tape nodes one forward-plus-loss step of demos/toy.cfg records
-TOY_STEP_OPS = 483
+TOY_STEP_OPS = 364
 
 
 def _count_ops(monkeypatch) -> Counter:
