@@ -5,6 +5,10 @@ belonging to the stream holds its own bank prompt; the other two slots
 hold transferred copies of the sibling prompts. This script makes the
 routing visible with constant markers, then checks the independence claim:
 with the cross maps zeroed, a stream cannot see the other banks at all.
+
+The bank holds every per-stream array stacked, stream on axis 0 in
+MODALITIES order (n, r, t): prompts[layer] is [3, D, P], and each map
+module (transfers, rp) is one stacked module whose row i serves stream i.
 """
 
 from dataclasses import replace
@@ -12,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from trifuse.config import RunConfig
-from trifuse.prompts import MODALITIES, PromptBank
+from trifuse.prompts import PromptBank
 from trifuse.tensor import Tensor
 from trifuse.train import build_model, build_world
 
@@ -23,29 +27,28 @@ SMALL = replace(RunConfig(), embed_dim=8, layers=2, heads=2, patch=4,
                 latent_dim=4, nuisance_dim=2, num_cams=2)
 
 
-def zero(linear):
-    linear.weight.data[:] = 0.0
-    if linear.bias is not None:
-        linear.bias.data[:] = 0.0
+def zero(mlp):
+    """Zero every row of a stacked prompt map, so each one outputs 0."""
+    for _, p in mlp.named_params():
+        p.data[:] = 0.0
 
 
 # -- marker round trip -------------------------------------------------------
 
 bank = PromptBank(dim=4, n_prompts=2, layers=2, rng=np.random.default_rng(0))
-for tb in bank.transfers.values():
-    zero(tb.inner)
-    zero(tb.outer)
-for value, m in enumerate(MODALITIES, start=1):
-    bank.prompts[0][m].data[:] = float(value)
+zero(bank.transfers)
+# markers 1, 2, 3 in the prompts of streams n, r, t
+bank.prompts[0].data[:] = np.array([1.0, 2.0, 3.0])[:, None, None]
 
 # the three streams run stacked on axis 0, in MODALITIES order; r is row 1
 tokens = Tensor(np.zeros((3, 4, 3)))
 seq = bank.assemble_layer_input(0, tokens, None)
 print("assembled width:", seq.shape[-1], "(3 tokens + 3 slots x 2 prompts)")
 print("slot fill values per column of stream r:", seq.data[1, 0, 3:].tolist())
-_, groups = bank.harvest(seq, 3)
+# the harvested slot columns are [3, D, 3 x 2]; r's own slot is columns 2:4
+_, slots = bank.harvest(seq, 3)
 print("own slot comes back intact:",
-      bool((groups[1].data[1] == 2.0).all()))
+      bool((slots.data[1, :, 2:4] == 2.0).all()))
 
 # -- sequence layout inside the full model -----------------------------------
 
@@ -61,16 +64,12 @@ print("\nper-layer sequence lengths (all three streams):", model.last_seq)
 cfg = replace(SMALL, use_pfa=False, use_ma=False)
 model = build_model(cfg, seed=0)
 model.eval()
-for tb in model.bank.transfers.values():
-    zero(tb.inner)
-    zero(tb.outer)
-for mlp in model.bank.rp.values():
-    zero(mlp.inner)
-    zero(mlp.outer)
+zero(model.bank.transfers)
+zero(model.bank.rp)
 
 before, _ = model.forward_batch([sample])
 for lay in range(cfg.layers):
-    model.bank.prompts[lay]["r"].data += 10.0
+    model.bank.prompts[lay].data[1] += 10.0                  # stream r
 after, _ = model.forward_batch([sample])
 d = cfg.embed_dim
 print("stream n unmoved by a scrambled r bank:",
@@ -85,7 +84,7 @@ separation = PromptBank(4, 2, 2, np.random.default_rng(1), mode="separation")
 
 
 def refiner_params(bank):
-    return sum(p.size for key in bank.rp for p in bank.rp[key].params())
+    return sum(p.size for p in bank.rp.params())
 
 
 print("\nrefiner params, fusion vs separation:",

@@ -2,8 +2,8 @@
 
 Tokens arrive as the model's stacked streams ``[3, ..., D, N]``, modality
 on axis 0 in ``MODALITIES`` order, and stay stacked; a per-modality module
-takes its own ``[1, ..., D, N]`` row. Patch tokens pass through a short
-stack of blocks. Each block can apply two stages:
+is one stacked module, called once on all three. Patch tokens pass through
+a short stack of blocks. Each block can apply two stages:
 
   intra: every modality is scanned by its own SSM after a convolutional
          path, gated by a linear path, then a shared linear merges the
@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nn import BatchNorm, DepthwiseConv1d, LayerNorm, Linear, Module
-from .prompts import MODALITIES
+from .nn import (BatchNorm, DepthwiseConv1d, LayerNorm, Linear, Module,
+                 stack_modules)
 from .ssm import SelectiveScan
 from .tensor import (Tensor, add, concat, mul, narrow, register_differentiable,
                      reshape, silu, swapaxes, tmean)
@@ -57,44 +57,37 @@ class LinearGate(Module):
         return silu(self.proj(x))
 
 
-def _rows(x: Tensor) -> list[Tensor]:
-    """The ``[1, ..., D, N]`` row of each stream, in ``MODALITIES`` order."""
-    return [narrow(x, 0, i, 1) for i in range(len(MODALITIES))]
-
-
 class AggregationBlock(Module):
     def __init__(self, dim: int, d_state: int, dt_rank: int, kernel: int,
                  rng: np.random.Generator, use_intra: bool = True,
                  use_inter: bool = True):
-        self.dim = dim
         self.use_intra = use_intra
         self.use_inter = use_inter
 
-        self.intra_conv = {m: ConvGate(dim, kernel, rng) for m in MODALITIES}
-        self.intra_gate = {m: LinearGate(dim, rng) for m in MODALITIES}
-        self.intra_ssm = {m: SelectiveScan(dim, d_state, dt_rank, rng)
-                          for m in MODALITIES}
+        # one row per stream, drawn in MODALITIES order (n, r, t)
+        self.intra_conv = stack_modules(lambda: ConvGate(dim, kernel, rng), (3,))
+        self.intra_gate = stack_modules(lambda: LinearGate(dim, rng), (3,))
+        self.intra_ssm = stack_modules(
+            lambda: SelectiveScan(dim, d_state, dt_rank, rng), (3,))
         self.intra_merge = Linear(dim, dim, rng)
 
-        self.inter_conv = {m: ConvGate(dim, kernel, rng) for m in MODALITIES}
-        self.inter_gate = {m: LinearGate(dim, rng) for m in MODALITIES}
+        self.inter_conv = stack_modules(lambda: ConvGate(dim, kernel, rng), (3,))
+        self.inter_gate = stack_modules(lambda: LinearGate(dim, rng), (3,))
         self.inter_ssm = SelectiveScan(dim, d_state, dt_rank, rng)
         self.inter_merge = Linear(dim, dim, rng)
 
     def intra(self, fs: Tensor) -> Tensor:
-        gated = [mul(self.intra_ssm[m](self.intra_conv[m](f)),
-                     self.intra_gate[m](f))
-                 for m, f in zip(MODALITIES, _rows(fs))]
-        return add(self.intra_merge(concat(gated, axis=0)), fs)
+        gated = mul(self.intra_ssm(self.intra_conv(fs)), self.intra_gate(fs))
+        return add(self.intra_merge(gated), fs)
 
     def inter(self, fs: Tensor) -> Tensor:
-        rows = list(zip(MODALITIES, _rows(fs)))
-        conv = concat([self.inter_conv[m](f) for m, f in rows], axis=-1)
-        gate = concat([self.inter_gate[m](f) for m, f in rows], axis=-1)
-        merged = self.inter_merge(mul(self.inter_ssm(conv), gate))
-        # [1, ..., D, 3k] back to one row per modality, [3, ..., D, k]
-        split = reshape(merged, merged.shape[:-1] + (3, fs.shape[-1]))
-        return add(reshape(swapaxes(split, 0, -2), fs.shape), fs)
+        # streams [3, ..., D, k] as one [1, ..., D, 3 x k] sequence, n r t
+        k = fs.shape[-1]
+        joined = swapaxes(reshape(self.inter_conv(fs), fs.shape[:-1] + (1, k)),
+                          0, -2)
+        scanned = self.inter_ssm(reshape(joined, joined.shape[:-2] + (3 * k,)))
+        back = reshape(swapaxes(reshape(scanned, joined.shape), 0, -2), fs.shape)
+        return add(self.inter_merge(mul(back, self.inter_gate(fs))), fs)
 
     def __call__(self, fs: Tensor) -> Tensor:
         if self.use_intra:
@@ -108,17 +101,14 @@ class AggregationHead(Module):
     """Fold [class, mean of patches] per modality into one fused vector."""
 
     def __init__(self, dim: int, rng: np.random.Generator):
-        self.dim = dim
         self.norm = LayerNorm(2 * dim)
-        self.out = {m: Linear(2 * dim, dim, rng) for m in MODALITIES}
+        self.out = stack_modules(lambda: Linear(2 * dim, dim, rng), (3,))
 
     def __call__(self, tokens: Tensor) -> Tensor:
         cls = narrow(tokens, -1, 0, 1)
         patches = narrow(tokens, -1, 1, tokens.shape[-1] - 1)
         pooled = tmean(patches, axis=-1, keepdims=True)
-        v = self.norm(concat([cls, pooled], axis=-2))
-        rows = zip(MODALITIES, _rows(v))
-        return concat([self.out[m](row) for m, row in rows], axis=0)
+        return self.out(self.norm(concat([cls, pooled], axis=-2)))
 
 
 class Aggregator(Module):

@@ -27,7 +27,6 @@ import numpy as np
 
 from .aggregation import AggregationBlock
 from .nn import MultiHeadSelfAttention
-from .prompts import MODALITIES
 from .ssm import SelectiveScan, attention_flops, ssm_flops
 from .tensor import Tensor, no_grad
 
@@ -101,7 +100,7 @@ def bench_block(lengths: list[int], dim: int = 16, d_state: int = 8,
     block.train()
     rows = []
     for n in lengths:
-        fs = Tensor(np.stack([rng.normal(size=(dim, n)) for _ in MODALITIES]))
+        fs = Tensor(rng.normal(size=(3, dim, n)))    # the three streams
         with no_grad():
             t = median_time(lambda: block(fs), reps, warmup)
         flops = 3 * ssm_flops(dim, d_state, dt_rank, n) \

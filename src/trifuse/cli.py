@@ -141,8 +141,10 @@ def cmd_eval(args) -> int:
     model = build_model(cfg, seed)
     try:
         _restore(model, Adam(model.named_params()), ckpt, seed, cfg)
-    except ValueError as err:  # another seed or config than the run's
-        sys.exit(f"error: {err}")
+    except (KeyError, ValueError) as err:
+        # another seed or config than the run's, or array names this model
+        # does not have (a checkpoint of an older layout)
+        sys.exit(f"error: {err.args[0]}")
     world = build_world(cfg, seed)
     query, gallery = world.eval_parts(cfg.eval_instances_per_id,
                                       cfg.eval_queries_per_id)

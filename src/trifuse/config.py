@@ -78,8 +78,10 @@ class RunConfig:
         # rules run in order and lazily, so a divisor is known to be
         # positive before anything is taken modulo it
         for key, ok, rule in (
-            ("patch", lambda: self.patch >= 1, "must be at least 1"),
-            ("heads", lambda: self.heads >= 1, "must be at least 1"),
+            *((key, lambda key=key: getattr(self, key) >= 1,
+               "must be at least 1")
+              for key in ("embed_dim", "channels", "ffn_ratio", "dt_rank",
+                          "conv_kernel", "num_cams", "patch", "heads")),
             ("image_h", lambda: self.image_h % self.patch == 0, by_patch),
             ("image_w", lambda: self.image_w % self.patch == 0, by_patch),
             ("embed_dim", lambda: self.embed_dim % self.heads == 0,
@@ -88,8 +90,16 @@ class RunConfig:
             ("srp_mode", lambda: self.srp_mode in SRP_MODES,
              f"must be one of {SRP_MODES}"),
             ("eval_every", lambda: self.eval_every >= 1, "must be at least 1"),
+            ("pfa_hidden_ratio", lambda: not self.use_pfa or round(
+                self.pfa_hidden_ratio * self.embed_dim) >= 1,
+             f"must give an adapter unit at embed_dim = {self.embed_dim}"),
             ("batch_p", lambda: self.batch_p >= 2, "must be at least 2"),
             ("batch_k", lambda: self.batch_k >= 2, "must be at least 2"),
+            ("num_ids", lambda: self.num_ids >= self.batch_p,
+             f"must be at least batch_p = {self.batch_p}"),
+            ("eval_queries_per_id", lambda: self.eval_queries_per_id
+             < self.eval_instances_per_id, "must be less than "
+             f"eval_instances_per_id = {self.eval_instances_per_id}"),
             ("rho", lambda: 0.0 < self.rho <= 1.0, "must be in (0, 1]"),
         ):
             if not ok():

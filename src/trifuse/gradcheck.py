@@ -179,9 +179,9 @@ _CASES_BUILT = [False]
 def _build_primitive_cases() -> None:
     from . import tensor as T
 
-    def simple(op, positive=False, avoid_zero=False):
+    def simple(op, positive=False, avoid_zero=False, shape=(3, 4)):
         def build(rng):
-            data = rng.normal(size=(3, 4))
+            data = rng.normal(size=shape)
             if positive:
                 data = np.abs(data) + 0.5
             if avoid_zero:
@@ -228,17 +228,9 @@ def _build_primitive_cases() -> None:
 
     register_case("matmul", matmul_case, tol=1e-6)
 
-    def sum_case(rng):
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        return (lambda: _weighted_sum(T.tsum(x, axis=1), rng)), [x]
-
-    register_case("sum", sum_case, tol=1e-6)
-
-    def mean_case(rng):
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        return (lambda: _weighted_sum(T.tmean(x, axis=0, keepdims=True), rng)), [x]
-
-    register_case("mean", mean_case, tol=1e-6)
+    register_case("sum", simple(lambda x: T.tsum(x, axis=1)), tol=1e-6)
+    register_case("mean", simple(lambda x: T.tmean(x, axis=0, keepdims=True)),
+                  tol=1e-6)
 
     def extreme_case(op):
         def build(rng):
@@ -251,17 +243,9 @@ def _build_primitive_cases() -> None:
     register_case("max", extreme_case(T.tmax), tol=1e-6)
     register_case("min", extreme_case(T.tmin), tol=1e-6)
 
-    def reshape_case(rng):
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        return (lambda: _weighted_sum(T.reshape(x, (2, 6)), rng)), [x]
-
-    register_case("reshape", reshape_case, tol=1e-6)
-
-    def swap_case(rng):
-        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-        return (lambda: _weighted_sum(T.swapaxes(x, 1, 2), rng)), [x]
-
-    register_case("swapaxes", swap_case, tol=1e-6)
+    register_case("reshape", simple(lambda x: T.reshape(x, (2, 6))), tol=1e-6)
+    register_case("swapaxes", simple(lambda x: T.swapaxes(x, 1, 2),
+                                     shape=(2, 3, 4)), tol=1e-6)
 
     def concat_case(rng):
         xs = [Tensor(rng.normal(size=(2, n)), requires_grad=True) for n in (1, 3, 2)]
@@ -272,11 +256,8 @@ def _build_primitive_cases() -> None:
 
     register_case("concat", concat_case, tol=1e-6)
 
-    def narrow_case(rng):
-        x = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
-        return (lambda: _weighted_sum(T.narrow(x, 1, 2, 3), rng)), [x]
-
-    register_case("narrow", narrow_case, tol=1e-6)
+    register_case("narrow", simple(lambda x: T.narrow(x, 1, 2, 3), shape=(3, 6)),
+                  tol=1e-6)
 
     def where_case(rng):
         a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
@@ -375,20 +356,18 @@ def _build_module_cases() -> None:
 
     register_case("batch_norm", bn_case)
 
-    def mhsa_case(rng):
-        att = nn.MultiHeadSelfAttention(6, 2, rng)
-        x = Tensor(rng.normal(size=(6, 5)), requires_grad=True)
-        wrt = [x] + att.params()
-        return (lambda: _weighted_sum(att(x), rng)), wrt
+    def applied(make, shape):
+        """A case of the module ``make(rng)`` on one input of ``shape``."""
+        def build(rng):
+            mod = make(rng)
+            x = Tensor(rng.normal(size=shape), requires_grad=True)
+            return (lambda: _weighted_sum(mod(x), rng)), [x] + mod.params()
+        return build
 
-    register_case("mhsa", mhsa_case)
-
-    def ffn_case(rng):
-        ff = nn.FeedForward(4, rng, ratio=2)
-        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        return (lambda: _weighted_sum(ff(x), rng)), [x] + ff.params()
-
-    register_case("ffn", ffn_case)
+    register_case("mhsa", applied(
+        lambda rng: nn.MultiHeadSelfAttention(6, 2, rng), (6, 5)))
+    register_case("ffn", applied(
+        lambda rng: nn.FeedForward(4, rng, ratio=2), (4, 3)))
 
     def make_ssm(rng, dim=3, d_state=2, dt_rank=2):
         return S.SelectiveScan(dim, d_state=d_state, dt_rank=dt_rank, rng=rng)
@@ -419,19 +398,10 @@ def _build_module_cases() -> None:
     register_case("scan_sequential", scan_case(False))
     register_case("scan_fast", scan_case(True))
 
-    def ssm_apply_case(rng):
-        core = make_ssm(rng, dim=2, d_state=3)
-        x = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
-        return (lambda: _weighted_sum(core(x), rng)), [x] + core.params()
-
-    register_case("ssm_apply", ssm_apply_case)
-
-    def pfa_apply_case(rng):
-        ad = ParallelAdapter(4, 8, rng)
-        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        return (lambda: _weighted_sum(ad(x), rng)), [x] + ad.params()
-
-    register_case("pfa_apply", pfa_apply_case)
+    register_case("ssm_apply", applied(
+        lambda rng: make_ssm(rng, dim=2, d_state=3), (2, 4)))
+    register_case("pfa_apply", applied(
+        lambda rng: ParallelAdapter(4, 8, rng), (4, 3)))
 
     def pfa_combine_case(rng):
         parts = [Tensor(rng.normal(size=(3, 4)), requires_grad=True)
@@ -440,26 +410,19 @@ def _build_module_cases() -> None:
 
     register_case("pfa_combine", pfa_combine_case, tol=1e-6)
 
-    def transfer_case(rng):
-        tb = PromptMlp(4, rng)
-        p = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        return (lambda: _weighted_sum(tb(p), rng)), [p] + tb.params()
-
-    register_case("transfer", transfer_case)
+    # the bank's layout: six maps stacked [3, 2], one prompt per stream
+    register_case("transfer", applied(lambda rng: nn.stack_modules(
+        lambda: PromptMlp(4, rng), (3, 2)), (3, 1, 4, 2)))
 
     def bank(rng, dim=4, n_prompts=2, layers=2):
         return PromptBank(dim=dim, n_prompts=n_prompts, layers=layers, rng=rng)
 
     def residual_fuse_case(rng):
         pb = bank(rng)
-        harvested = [Tensor(rng.normal(size=(3, 4, 2)), requires_grad=True)
-                     for _ in range(3)]
+        harvested = Tensor(rng.normal(size=(3, 4, 3 * 2)), requires_grad=True)
         def fn():
-            fused = T.concat(pb.residual_fuse(1, harvested), axis=0)
-            return _weighted_sum(fused, rng)
-        wrt = (harvested + [p for mlp in pb.rp.values() for p in mlp.params()]
-               + list(pb.prompts[1].values()))
-        return fn, wrt
+            return _weighted_sum(pb.residual_fuse(1, harvested), rng)
+        return fn, [harvested] + pb.rp.params() + [pb.prompts[1]]
 
     register_case("residual_fuse", residual_fuse_case)
 
@@ -477,29 +440,16 @@ def _build_module_cases() -> None:
         pb = bank(rng)
         x = Tensor(rng.normal(size=(3, 4, 3 + 3 * 2)), requires_grad=True)
         def fn():
-            f_star, groups = pb.harvest(x, n_star=3)
-            total = _weighted_sum(f_star, rng)
-            for g in groups:
-                total = T.add(total, _weighted_sum(g, rng))
-            return total
+            f_star, slots = pb.harvest(x, n_star=3)
+            return T.add(_weighted_sum(f_star, rng), _weighted_sum(slots, rng))
         return fn, [x]
 
     register_case("harvest", harvest_case, tol=1e-6)
 
-    def theta_case(rng):
-        path = ConvGate(3, kernel=3, rng=rng)
-        path.train()
-        x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-        return (lambda: _weighted_sum(path(x), rng)), [x] + path.params()
-
-    register_case("theta", theta_case)
-
-    def psi_case(rng):
-        path = LinearGate(3, rng=rng)
-        x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-        return (lambda: _weighted_sum(path(x), rng)), [x] + path.params()
-
-    register_case("psi", psi_case)
+    # a fresh module is in training mode
+    register_case("theta", applied(lambda rng: ConvGate(3, kernel=3, rng=rng),
+                                   (3, 5)))
+    register_case("psi", applied(lambda rng: LinearGate(3, rng=rng), (3, 5)))
 
     def block(rng, dim=2, n=3):
         return AggregationBlock(dim, d_state=2, dt_rank=2, kernel=3, rng=rng)

@@ -15,7 +15,7 @@ from .config import RunConfig
 from .nn import Linear, Module
 from .tensor import (Tensor, add, exp, log, matmul, mul, neg,
                      register_differentiable, relu, reshape, sqrt,
-                     sub, tmax, tmean, tmin, transpose, tsum, where_mask)
+                     sub, swapaxes, tmax, tmean, tmin, tsum, where_mask)
 
 register_differentiable("ce_smooth")
 register_differentiable("triplet_batch_hard")
@@ -41,7 +41,7 @@ def ce_smooth(logits: Tensor, labels: np.ndarray, smoothing: float) -> Tensor:
 
 def pairwise_sqdist(emb: Tensor) -> Tensor:
     """Squared Euclidean distances between columns, [batch, batch]."""
-    g = matmul(transpose(emb), emb)
+    g = matmul(swapaxes(emb, 0, 1), emb)
     sq = tsum(mul(emb, emb), axis=0)
     b = emb.shape[1]
     d2 = sub(add(reshape(sq, (b, 1)), reshape(sq, (1, b))), mul(g, 2.0))

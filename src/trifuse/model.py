@@ -12,7 +12,8 @@ share the frozen backbone and run through it as one ``[3, B, D, N]`` stack
 
 The class-token feature (three streams stacked) always exists; the fused
 feature exists only with ``use_ma``. Identity heads for both live here too
-so an optimizer can reach everything trainable through one module.
+so an optimizer can reach everything trainable through one module. Each
+per-modality map is a stacked module that serves all three streams at once.
 """
 
 from __future__ import annotations

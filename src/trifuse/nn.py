@@ -11,14 +11,15 @@ themselves for checkpointing and optimizer hookup.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Callable, Iterator, NoReturn
 
 import numpy as np
 
 from .tensor import (
     NonFiniteError, Param, Tensor, add, attention, attention_weights,
-    _sum_to_features, default_dtype, dwconv1d, finite_checks, gelu, linear,
-    no_grad, norm_affine, register_differentiable, reshape,
+    _column, _unbroadcast, default_dtype, dwconv1d, finite_checks, gelu, linear,
+    no_grad, norm_affine, register_differentiable, reshape, stack_shape,
 )
 
 register_differentiable("layer_norm")
@@ -52,10 +53,11 @@ class Module:
             cls.__call__ = _recording_module(vars(cls)["__call__"])
 
     def named_params(self, prefix: str = "") -> Iterator[tuple[str, Param]]:
-        for attr, value in vars(self).items():
-            if attr == "training":
-                continue
-            yield from _walk_params(value, f"{prefix}{attr}")
+        for name, value in _held(self, prefix):
+            if isinstance(value, Param):
+                yield name, value
+            else:
+                yield from value.named_params(name + ".")
 
     def params(self) -> list[Param]:
         return [p for _, p in self.named_params()]
@@ -69,17 +71,17 @@ class Module:
     def named_buffers(self, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
         for attr in self._buffer_attrs:
             yield f"{prefix}{attr}", getattr(self, attr)
-        for attr, value in vars(self).items():
-            if attr == "training" or attr in self._buffer_attrs:
-                continue
-            yield from _walk_buffers(value, f"{prefix}{attr}")
+        for name, value in _held(self, prefix):
+            if isinstance(value, Module):
+                yield from value.named_buffers(name + ".")
 
     def named_modules(self, name: str = "") -> Iterator[tuple[str, "Module"]]:
         """This module under ``name``, then every submodule under its
         dotted attribute path, e.g. ``aggregator.blocks.0.inter_ssm``."""
         yield name, self
-        for attr, value in vars(self).items():
-            yield from _walk_modules(value, f"{name}.{attr}" if name else attr)
+        for path, value in _held(self, f"{name}." if name else ""):
+            if isinstance(value, Module):
+                yield from value.named_modules(path)
 
     def modules(self) -> Iterator["Module"]:
         for _, m in self.named_modules():
@@ -107,8 +109,7 @@ class Module:
             state[name] = (buf, True)
         return state
 
-    def load_state_dict(self, state: dict[str, tuple[np.ndarray, bool]],
-                        strict: bool = True) -> None:
+    def load_state_dict(self, state: dict[str, tuple[np.ndarray, bool]]) -> None:
         own_params = dict(self.named_params())
         own_buffers = dict(self.named_buffers())
         seen = set()
@@ -126,47 +127,48 @@ class Module:
                     raise ValueError(f"shape mismatch for buffer '{name}'")
                 buf[...] = arr
                 seen.add(name)
-            elif strict:
+            else:
                 raise KeyError(f"unexpected entry '{name}' in state")
-        if strict:
-            missing = (set(own_params) | set(own_buffers)) - seen
-            if missing:
-                raise KeyError(f"state missing entries: {sorted(missing)}")
+        missing = (set(own_params) | set(own_buffers)) - seen
+        if missing:
+            raise KeyError(f"state missing entries: {sorted(missing)}")
 
 
-def _walk_params(value, name: str) -> Iterator[tuple[str, Param]]:
-    if isinstance(value, Param):
-        yield name, value
-    elif isinstance(value, Module):
-        yield from value.named_params(prefix=name + ".")
-    elif isinstance(value, (list, tuple)):
-        for i, item in enumerate(value):
-            yield from _walk_params(item, f"{name}.{i}")
-    elif isinstance(value, dict):
-        for key, item in value.items():
-            yield from _walk_params(item, f"{name}.{key}")
+def _held(module: Module, prefix: str) -> Iterator[tuple[str, object]]:
+    """(dotted name, value) of every Param and Module that ``module``'s
+    attributes hold, directly or in lists, tuples and dicts, in order."""
+    def walk(name, value):
+        if isinstance(value, (Param, Module)):
+            yield name, value
+        elif isinstance(value, (list, tuple, dict)):
+            items = value.items() if isinstance(value, dict) else enumerate(value)
+            for key, item in items:
+                yield from walk(f"{name}.{key}", item)
+    for attr, value in vars(module).items():
+        yield from walk(f"{prefix}{attr}", value)
 
 
-def _walk_buffers(value, name: str) -> Iterator[tuple[str, np.ndarray]]:
-    if isinstance(value, Module):
-        yield from value.named_buffers(prefix=name + ".")
-    elif isinstance(value, (list, tuple)):
-        for i, item in enumerate(value):
-            yield from _walk_buffers(item, f"{name}.{i}")
-    elif isinstance(value, dict):
-        for key, item in value.items():
-            yield from _walk_buffers(item, f"{name}.{key}")
+def stack_modules(make: Callable[[], Module], lead: tuple[int, ...]) -> Module:
+    """``prod(lead)`` modules from ``make()``, built in order, as one module
+    under the first one's names: each param and buffer is theirs stacked
+    row-major on the leading axes ``lead``, and row i computes what module
+    i computed alone."""
+    return _stack([make() for _ in range(math.prod(lead))], lead)
 
 
-def _walk_modules(value, name: str) -> Iterator[tuple[str, Module]]:
-    if isinstance(value, Module):
-        yield from value.named_modules(name)
-    elif isinstance(value, (list, tuple)):
-        for i, item in enumerate(value):
-            yield from _walk_modules(item, f"{name}.{i}")
-    elif isinstance(value, dict):
-        for key, item in value.items():
-            yield from _walk_modules(item, f"{name}.{key}")
+def _stack(modules: list[Module], lead: tuple[int, ...]) -> Module:
+    first = modules[0]
+    for attr in first._buffer_attrs:
+        rows = [getattr(m, attr) for m in modules]
+        setattr(first, attr, np.stack(rows).reshape(lead + rows[0].shape))
+    for (_, value), *others in zip(*(_held(m, "") for m in modules)):
+        rows = [value] + [other for _, other in others]
+        if isinstance(value, Module):
+            _stack(rows, lead)
+        else:
+            value.data = np.stack([p.data for p in rows]).reshape(lead + value.shape)
+            value.grad = np.zeros_like(value.data)
+    return first
 
 
 def _recording_module(call):
@@ -204,18 +206,17 @@ def locate_non_finite(root: Module, run: Callable[[], object], where: str,
 
 
 class Linear(Module):
-    """Affine map [..., in, N] -> [..., out, N], weight [out, in], recorded
-    as one ``linear`` tape node."""
+    """Affine map [..., in, N] -> [..., out, N], weight [out, in] (or
+    stacked [S, out, in]), recorded as one ``linear`` tape node."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
-                 bias: bool = True, init_std: float | None = None):
-        std = init_std if init_std is not None else d_in ** -0.5
-        self.weight = Param(rng.normal(0.0, std, size=(d_out, d_in)))
+                 bias: bool = True):
+        self.weight = Param(rng.normal(0.0, d_in ** -0.5, size=(d_out, d_in)))
         self.bias = Param(np.zeros(d_out)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[-2] != self.weight.shape[1]:
-            raise ValueError(f"linear expected {self.weight.shape[1]} input "
+        if x.shape[-2] != self.weight.shape[-1]:
+            raise ValueError(f"linear expected {self.weight.shape[-1]} input "
                              f"features, got {x.shape[-2]}")
         return linear(self.weight, x, self.bias)
 
@@ -238,7 +239,7 @@ class BatchNorm(Module):
     Training mode normalizes each sequence with its own statistics (needs
     at least two tokens) and updates the running estimates once per
     sequence, in batch order; eval mode normalizes with the stored running
-    statistics.
+    statistics (row i's own, stacked).
     """
 
     _buffer_attrs = ("running_mean", "running_var")
@@ -256,10 +257,13 @@ class BatchNorm(Module):
             n = x.shape[-1]
             if n < 2:
                 raise ValueError("batch norm needs N >= 2 tokens in training mode")
-            mus = x.data.mean(axis=-1).reshape(-1, x.shape[-2])
+            # [sequence, (S,) D]: one row of statistics per sequence
+            rows = self.running_mean.shape[:-1] + (-1, x.shape[-2])
+            mus = np.moveaxis(x.data.mean(axis=-1).reshape(rows), -2, 0)
             # the running variance keeps the unbiased estimate, the
             # normalization itself uses the population variance
-            variances = x.data.var(axis=-1).reshape(mus.shape) * n / (n - 1)
+            variances = np.moveaxis(
+                x.data.var(axis=-1).reshape(rows) * n / (n - 1), -2, 0)
             m = self.momentum
             for mu, var in zip(mus, variances):
                 self.running_mean = (1 - m) * self.running_mean + m * mu
@@ -267,18 +271,20 @@ class BatchNorm(Module):
             return norm_affine(x, self.gain, self.shift, self.eps, axis=-1)
         # eval: y = (x - mean) * scale * gain + shift with the running
         # statistics, one node whose gradients reach x, gain and shift
-        scol = (1.0 / np.sqrt(self.running_var + self.eps))[:, None]
-        gcol = self.gain.data[:, None]
-        xn = x.data - self.running_mean[:, None]
+        nd = x.ndim
+        scol = _column(1.0 / np.sqrt(self.running_var + self.eps), nd)
+        gcol = _column(self.gain.data, nd)
+        xn = x.data - _column(self.running_mean, nd)
         xn *= scol
         out = xn * gcol
-        out += self.shift.data[:, None]
+        out += _column(self.shift.data, nd)
         nx, ng, ns = (t.requires_grad for t in (x, self.gain, self.shift))
+        shape = self.gain.shape
 
         def vjp(g):
             return ((g * gcol) * scol if nx else None,
-                    _sum_to_features(g * xn) if ng else None,
-                    _sum_to_features(g) if ns else None)
+                    _unbroadcast(g * xn, gcol.shape).reshape(shape) if ng else None,
+                    _unbroadcast(g, gcol.shape).reshape(shape) if ns else None)
 
         return Tensor._from_op(out, (x, self.gain, self.shift), vjp,
                                "batch_norm")
@@ -287,19 +293,16 @@ class BatchNorm(Module):
 class DepthwiseConv1d(Module):
     """One odd-sized kernel per channel sliding along the token axis."""
 
-    def __init__(self, dim: int, kernel: int, rng: np.random.Generator,
-                 causal: bool = False, bias: bool = True):
+    def __init__(self, dim: int, kernel: int, rng: np.random.Generator):
         if kernel % 2 == 0:
             raise ValueError("depthwise conv kernel size must be odd")
         self.kernels = Param(rng.normal(0.0, kernel ** -0.5, size=(dim, kernel)))
-        self.bias = Param(np.zeros(dim)) if bias else None
-        self.causal = causal
+        self.bias = Param(np.zeros(dim))
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = dwconv1d(x, self.kernels, causal=self.causal)
-        if self.bias is not None:
-            y = add(y, reshape(self.bias, (self.bias.size, 1)))
-        return y
+        b = self.bias
+        return add(dwconv1d(x, self.kernels),
+                   reshape(b, stack_shape(b.shape + (1,), x.ndim)))
 
 
 class MultiHeadSelfAttention(Module):
@@ -309,7 +312,6 @@ class MultiHeadSelfAttention(Module):
         if dim % heads != 0:
             raise ValueError("feature dim must be divisible by head count")
         self.heads = heads
-        self.dim = dim
         self.wq = Linear(dim, dim, rng)
         self.wk = Linear(dim, dim, rng)
         self.wv = Linear(dim, dim, rng)

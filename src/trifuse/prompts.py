@@ -9,9 +9,11 @@ prompts for the current layer. Transfers read bank parameters only, so the
 three streams stay mutually independent given the bank.
 
 Slot order and stream order are ``MODALITIES`` everywhere. The bank acts on
-all three streams at once: tokens are ``[3, ..., D, N]`` and each slot group
-``[3, ..., D, P]``, stream on axis 0; only the per-modality MLPs take one
-stream's row. A round trip through assemble/harvest preserves the layout.
+all three streams at once: tokens are ``[3, ..., D, N]`` and a layer's
+prompt slot columns ``[3, ..., D, 3P]``, stream on axis 0. Its prompts
+and maps are stacked the same way (``stack_modules``), so the transfers
+and the refinement are one call each per layer. A round trip through
+assemble/harvest preserves the layout.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from __future__ import annotations
 import numpy as np
 
 from .config import SRP_MODES
-from .nn import Linear, Module
-from .tensor import (Param, Tensor, add, concat, gelu, mul, narrow,
-                     register_differentiable, reshape)
+from .nn import Linear, Module, stack_modules
+from .tensor import (Param, Tensor, add, concat, gelu, matmul, mul, narrow,
+                     register_differentiable, reshape, stack_shape, swapaxes,
+                     tsum, where_mask)
 
 MODALITIES = ("n", "r", "t")
 
@@ -43,13 +46,21 @@ class PromptMlp(Module):
         return self.outer(gelu(self.inner(p)))
 
 
-class PromptBank(Module):
-    """Per-layer prompt parameters plus transfer and refinement maps.
+#: (src, dst) of the six transfers, source-major as the bank stacks them
+_PAIRS = [(src, dst) for src in range(3) for dst in range(3) if src != dst]
+#: [9, 6] 0/1 map from the transfers to the rows (dst, src) of the 3 x 3
+#: slot grid; the rows where dst == src stay zero
+_SLOT_GRID = np.eye(9)[[3 * dst + src for src, dst in _PAIRS]].T
 
-    mode "fusion" refines each stream's prompt from the mean of the three
-    harvested groups with one MLP per stream. mode "separation" keeps one
-    MLP per (stream, source) pair and averages their outputs, which costs
-    three times the refinement parameters for the same shapes.
+
+class PromptBank(Module):
+    """Per-layer prompts ``[3, D, P]`` plus transfer maps stacked ``[3, 2]``
+    (row (src, j) carries stream src's prompt to its j-th sibling).
+
+    mode "fusion" refines each stream's prompt from the mean of its three
+    harvested groups with one MLP per stream (``rp`` is ``[3]``). mode
+    "separation" keeps one MLP per (stream, source slot) pair (``[3, 3]``)
+    and averages their outputs, three times the refinement parameters.
     """
 
     def __init__(self, dim: int, n_prompts: int, layers: int,
@@ -57,69 +68,64 @@ class PromptBank(Module):
                  init_std: float = 0.02):
         if mode not in SRP_MODES:
             raise ValueError(f"unknown refinement mode {mode!r}")
-        self.dim = dim
         self.n_prompts = n_prompts
-        self.layers = layers
         self.mode = mode
         self.prompts = [
-            {m: Param(init_std * rng.standard_normal((dim, n_prompts)))
-             for m in MODALITIES}
+            Param(np.stack([init_std * rng.standard_normal((dim, n_prompts))
+                            for _ in MODALITIES]))
             for _ in range(layers)
         ]
-        self.transfers = {
-            f"{src}_{dst}": PromptMlp(dim, rng)
-            for src in MODALITIES for dst in MODALITIES if src != dst
-        }
-        if mode == "fusion":
-            self.rp = {m: PromptMlp(dim, rng) for m in MODALITIES}
-        else:
-            self.rp = {f"{m}_{src}": PromptMlp(dim, rng)
-                       for m in MODALITIES for src in MODALITIES}
+        self.transfers = stack_modules(lambda: PromptMlp(dim, rng), (3, 2))
+        self.rp = stack_modules(lambda: PromptMlp(dim, rng),
+                                (3,) if mode == "fusion" else (3, 3))
 
     # -- refinement ---------------------------------------------------
 
-    def residual_fuse(self, layer: int, groups: list[Tensor]) -> list[Tensor]:
-        """Refined prompts at ``layer``, one ``[1, ..., D, P]`` row per
-        stream, from the three ``[3, ..., D, P]`` groups harvested from the
-        last layer, in slot order."""
-        base = self.prompts[layer]
+    def residual_fuse(self, layer: int, harvested: Tensor) -> Tensor:
+        """Refined prompts at ``layer``, ``[3, ..., D, P]``, from the slot
+        columns ``[3, ..., D, 3P]`` harvested from the last layer."""
+        by_slot = reshape(harvested, harvested.shape[:-1] + (3, self.n_prompts))
         if self.mode == "fusion":
-            pooled = mul(add(add(groups[0], groups[1]), groups[2]), 1.0 / 3.0)
-            return [add(base[m], self.rp[m](narrow(pooled, 0, i, 1)))
-                    for i, m in enumerate(MODALITIES)]
-        out = []
-        for i, m in enumerate(MODALITIES):
-            parts = [self.rp[f"{m}_{src}"](narrow(g, 0, i, 1))
-                     for src, g in zip(MODALITIES, groups)]
-            pooled = mul(add(add(parts[0], parts[1]), parts[2]), 1.0 / 3.0)
-            out.append(add(base[m], pooled))
-        return out
+            refined = self.rp(mul(tsum(by_slot, axis=-2), 1.0 / 3.0))
+        else:
+            # [3, ..., 3 slots, D, P] meets the [3, 3] stack of maps
+            parts = self.rp(swapaxes(by_slot, -3, -2))
+            refined = mul(tsum(parts, axis=-3), 1.0 / 3.0)
+        base = self.prompts[layer]
+        return add(reshape(base, stack_shape(base.shape, harvested.ndim)),
+                   refined)
 
     # -- sequence assembly and teardown -------------------------------
 
     def assemble_layer_input(self, layer: int, f_star: Tensor,
-                             harvested_prev: list[Tensor] | None) -> Tensor:
+                             harvested_prev: Tensor | None) -> Tensor:
         """Append [slot_n, slot_r, slot_t] to every stream of ``f_star``
         ``[3, ..., D, N]``; bank-only slots broadcast over the batch axes."""
         fresh = self.prompts[layer]
+        nd = f_star.ndim
         if layer == 0 or harvested_prev is None:
-            lead = (1,) * (f_star.ndim - 2)
-            own = [reshape(fresh[m], lead + fresh[m].shape) for m in MODALITIES]
+            own = reshape(fresh, stack_shape(fresh.shape, nd))
         else:
             own = self.residual_fuse(layer, harvested_prev)
-        groups = [concat([own[i] if src == dst
-                          else self.transfers[f"{src}_{dst}"](fresh[src])
-                          for i, dst in enumerate(MODALITIES)], axis=0)
-                  for src in MODALITIES]
-        return concat([f_star] + groups, axis=-1)
+        d, p = fresh.shape[1:]
+        # the 3 x 3 slot grid, stream (dst) by slot (src): the transfers off
+        # the diagonal, placed by one 0/1 matmul, each stream's own prompt on
+        # it, picked by a mask
+        moved = self.transfers(reshape(fresh, (3, 1, d, p)))
+        grid = matmul(Tensor(_SLOT_GRID), reshape(moved, (6, d * p)))
+        grid = swapaxes(reshape(grid, (3, 3, d, p)), 1, 2)     # [dst, D, src, P]
+        own_slot = np.eye(3, dtype=bool).reshape(stack_shape((3, 1, 3, 1), nd + 1))
+        slots = where_mask(own_slot, reshape(own, own.shape[:-1] + (1, p)),
+                           reshape(grid, stack_shape(grid.shape, nd + 1)))
+        return concat([f_star, reshape(slots, slots.shape[:-2] + (3 * p,))],
+                      axis=-1)
 
-    def harvest(self, x: Tensor, n_star: int) -> tuple[Tensor, list[Tensor]]:
-        """Split a layer output back into tokens and the three slot groups,
-        in slot order."""
+    def harvest(self, x: Tensor, n_star: int) -> tuple[Tensor, Tensor]:
+        """Split a layer output back into its tokens ``[3, ..., D, n_star]``
+        and its slot columns ``[3, ..., D, 3P]``, in slot order."""
         expected = n_star + 3 * self.n_prompts
         if x.shape[-1] != expected:
             raise ValueError(
                 f"sequence has {x.shape[-1]} columns, expected {expected}")
-        p = self.n_prompts
-        return narrow(x, -1, 0, n_star), [narrow(x, -1, n_star + i * p, p)
-                                          for i in range(len(MODALITIES))]
+        return (narrow(x, -1, 0, n_star),
+                narrow(x, -1, n_star, 3 * self.n_prompts))

@@ -28,7 +28,8 @@ import numpy as np
 
 from .nn import Linear, Module
 from .tensor import (Param, Tensor, add, concat, exp, linear_recurrence, mul,
-                     narrow, register_differentiable, reshape, softplus, tsum)
+                     narrow, register_differentiable, reshape, softplus,
+                     stack_shape, tsum)
 
 register_differentiable("discretize")
 register_differentiable("scan_sequential")
@@ -41,8 +42,8 @@ class SsmDiscrete:
     """Discretized scan coefficients for one sequence or a batch of them.
 
     abar and bbarx are [..., dim, d_state, k], c is [..., d_state, k], with
-    the same leading batch axes. skip and x are optional; when both are
-    present the scan output gains the skip term.
+    the same leading batch axes. skip ([(S,) dim]) and x are optional; when
+    both are present the scan output gains the skip term.
     """
 
     abar: Tensor
@@ -61,7 +62,9 @@ def _contract_state(h: Tensor, c: Tensor) -> Tensor:
 def _add_skip(y: Tensor, disc: SsmDiscrete) -> Tensor:
     if disc.skip is None or disc.x is None:
         return y
-    return add(y, mul(reshape(disc.skip, (disc.skip.shape[0], 1)), disc.x))
+    skip = disc.skip
+    return add(y, mul(reshape(skip, stack_shape(skip.shape + (1,), y.ndim)),
+                      disc.x))
 
 
 def scan_sequential(disc: SsmDiscrete) -> Tensor:
@@ -91,16 +94,15 @@ class SelectiveScan(Module):
     Projections follow the selective parameterization: b and c are linear
     in the input, and the step size delta comes from a rank-bottlenecked
     projection through a softplus, with its bias initialized so that the
-    initial steps land in [dt_min, dt_max].
+    initial steps land in [dt_min, dt_max]. Stacked by ``stack_modules``,
+    row i of the input's axis 0 runs its own scan.
     """
 
     def __init__(self, dim: int, d_state: int = 16, dt_rank: int = 32,
                  rng: np.random.Generator | None = None,
                  dt_min: float = 1e-3, dt_max: float = 1e-1):
         rng = rng or np.random.default_rng(0)
-        self.dim = dim
         self.d_state = d_state
-        self.dt_rank = dt_rank
 
         # S4D-real: a_log[d, s] = log(s + 1), so a = -exp(a_log) spans
         # -1 .. -d_state on every channel.
@@ -121,9 +123,10 @@ class SelectiveScan(Module):
         delta = softplus(self.dt_up(self.dt_low(x)))          # [..., d, k]
         b = self.b_proj(x)                                    # [..., s, k]
         c = self.c_proj(x)                                    # [..., s, k]
-        a = mul(exp(self.a_log), -1.0)                        # [d, s]
+        a = mul(exp(self.a_log), -1.0)                        # [(S,) d, s]
         delta_col = reshape(delta, (*lead, d, 1, k))
-        abar = exp(mul(delta_col, reshape(a, (d, s, 1))))
+        a_col = reshape(a, stack_shape(a.shape, x.ndim) + (1,))
+        abar = exp(mul(delta_col, a_col))
         xb = mul(reshape(x, (*lead, d, 1, k)), reshape(b, (*lead, 1, s, k)))
         bbarx = mul(delta_col, xb)
         return SsmDiscrete(abar=abar, bbarx=bbarx, c=c, skip=self.skip, x=x)

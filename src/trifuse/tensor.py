@@ -44,9 +44,10 @@ __all__ = [
     "register_differentiable", "DIFFERENTIABLE_OPS",
     "add", "sub", "mul", "neg", "matmul", "linear", "exp", "log",
     "sqrt", "softplus", "relu", "gelu", "silu",
-    "tsum", "tmean", "tmax", "tmin", "reshape", "swapaxes", "transpose",
+    "tsum", "tmean", "tmax", "tmin", "reshape", "swapaxes",
     "concat", "narrow", "where_mask", "attention",
     "attention_weights", "norm_affine", "dwconv1d", "linear_recurrence",
+    "stack_shape",
 ]
 
 
@@ -378,9 +379,22 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _sum_to_features(g: np.ndarray) -> np.ndarray:
-    """Sum ``g`` over every axis but the feature axis -2."""
-    return g.sum(axis=tuple(i for i in range(g.ndim) if i != g.ndim - 2))
+def stack_shape(shape: Sequence[int], ndim: int) -> tuple[int, ...]:
+    """``shape`` of a module's array lined up with an input of ``ndim`` axes.
+
+    Axes in front of a module's own two (weight ``[out, in]``, column
+    ``[D, 1]``) stack one module per stream: the first meets the input's
+    axis 0, any others the axes before its last two, and 1s fill the gap,
+    so ``[3, out, in]`` meets ``[3, B, in, N]`` as ``[3, 1, out, in]``."""
+    shape = tuple(shape)
+    if len(shape) <= 2:
+        return shape
+    return shape[:1] + (1,) * (ndim - len(shape)) + shape[1:]
+
+
+def _column(v: np.ndarray, ndim: int) -> np.ndarray:
+    """Values ``[(S,) D]`` as a column ``[(S,) D, 1]`` for ``ndim`` axes."""
+    return v.reshape(stack_shape(v.shape + (1,), ndim))
 
 
 def _needs(parents: Sequence[Tensor]) -> tuple[bool, ...]:
@@ -458,19 +472,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 @_diffop("linear")
 def linear(w: Tensor, x: Tensor, b: Tensor | None = None) -> Tensor:
     """Affine map ``w @ x + b[:, None]`` as one tape node: weight
-    ``[out, in]``, input ``[..., in, N]``, optional bias ``[out]``."""
-    out = w.data @ x.data
+    ``[out, in]``, input ``[..., in, N]``, optional bias ``[out]``; stacked
+    ``[S, out, in]`` and ``[S, out]`` ones line up by :func:`stack_shape`."""
+    xd = x.data
+    wv = w.data.reshape(stack_shape(w.data.shape, xd.ndim))
+    out = wv @ xd
     if b is not None:
-        out += b.data[:, None]
+        bv = _column(b.data, out.ndim)
+        out += bv
     parents = (w, x) if b is None else (w, x, b)
     nw, nx = _needs((w, x))
     nb = b is not None and b.requires_grad
-    wd, xd = w.data, x.data
 
     def vjp(g):
-        gw = _unbroadcast(g @ np.swapaxes(xd, -1, -2), wd.shape) if nw else None
-        gx = _unbroadcast(np.swapaxes(wd, -1, -2) @ g, xd.shape) if nx else None
-        gb = _unbroadcast(g, (wd.shape[0], 1)).reshape(-1) if nb else None
+        gw = (_unbroadcast(g @ np.swapaxes(xd, -1, -2), wv.shape)
+              .reshape(w.data.shape) if nw else None)
+        gx = _unbroadcast(np.swapaxes(wv, -1, -2) @ g, xd.shape) if nx else None
+        gb = _unbroadcast(g, bv.shape).reshape(b.data.shape) if nb else None
         return gw, gx, gb
 
     return Tensor._from_op(out, parents, vjp, "linear")
@@ -669,12 +687,6 @@ def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
     return Tensor._from_op(out, (a,), vjp, "swapaxes")
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ValueError("transpose() is 2-D sugar; use swapaxes for higher ranks")
-    return swapaxes(a, 0, 1)
-
-
 @_diffop("concat")
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Join along ``axis``, broadcasting every other axis (numpy rules, so
@@ -789,7 +801,7 @@ def attention_weights(q: Tensor, k: Tensor, scale: float) -> Tensor:
 @_diffop("norm_affine")
 def norm_affine(x: Tensor, gain: Tensor, shift: Tensor, eps: float, axis: int) -> Tensor:
     """Normalize ``x`` to zero mean and unit variance along ``axis``, then
-    apply a per-feature affine (gain and shift indexed by axis -2).
+    apply a per-feature affine (gain and shift ``[(S,) D]`` on axis -2).
 
     ``axis=-2`` is layer norm over the feature axis (per token/column);
     ``axis=-1`` is batch norm over the token axis (per channel/row), which
@@ -799,9 +811,9 @@ def norm_affine(x: Tensor, gain: Tensor, shift: Tensor, eps: float, axis: int) -
     # the mean of squared deviations, as np.var takes it, from the same centring
     inv = 1.0 / np.sqrt(np.mean(xhat * xhat, axis=axis, keepdims=True) + eps)
     xhat *= inv
-    gcol = gain.data[:, None]
+    gcol = _column(gain.data, xhat.ndim)
     out = xhat * gcol
-    out += shift.data[:, None]
+    out += _column(shift.data, xhat.ndim)
     nx, ng, ns = _needs((x, gain, shift))
 
     def vjp(g):
@@ -810,8 +822,8 @@ def norm_affine(x: Tensor, gain: Tensor, shift: Tensor, eps: float, axis: int) -
             dxhat = g * gcol
             gx = inv * (dxhat - dxhat.mean(axis=axis, keepdims=True)
                         - xhat * (dxhat * xhat).mean(axis=axis, keepdims=True))
-        gg = _sum_to_features(g * xhat) if ng else None
-        gs = _sum_to_features(g) if ns else None
+        gg = _unbroadcast(g * xhat, gcol.shape).reshape(gain.shape) if ng else None
+        gs = _unbroadcast(g, gcol.shape).reshape(shift.shape) if ns else None
         return gx, gg, gs
 
     return Tensor._from_op(out, (x, gain, shift), vjp, "norm_affine")
@@ -825,7 +837,7 @@ def dwconv1d(x: Tensor, kernels: Tensor, causal: bool = False) -> Tensor:
     the left so position n sees positions <= n. Leading axes are batch.
     """
     D, N = x.data.shape[-2:]
-    Dk, k = kernels.data.shape
+    Dk, k = kernels.data.shape[-2:]
     if Dk != D:
         raise ValueError("kernel channel count must match input channels")
     if k % 2 == 0:
@@ -834,23 +846,26 @@ def dwconv1d(x: Tensor, kernels: Tensor, causal: bool = False) -> Tensor:
     right = 0 if causal else k // 2
     xp = np.pad(x.data, ((0, 0),) * (x.data.ndim - 1) + ((left, right),))
     out = np.zeros_like(x.data)
-    for j in range(k):
-        out += kernels.data[:, j:j + 1] * xp[..., j:j + N]
-    nx, nk = _needs((x, kernels))
     kd = kernels.data
+    kv = kd.reshape(stack_shape(kd.shape, x.data.ndim))
+    for j in range(k):
+        out += kv[..., j:j + 1] * xp[..., j:j + N]
+    nx, nk = _needs((x, kernels))
 
     def vjp(g):
         gx = None
         if nx:
             gxp = np.zeros_like(xp)
             for j in range(k):
-                gxp[..., j:j + N] += kd[:, j:j + 1] * g
+                gxp[..., j:j + N] += kv[..., j:j + 1] * g
             gx = gxp[..., left:left + N].copy() if (left or right) else gxp
         gk = None
         if nk:
             gk = np.empty_like(kd)
+            tap = kv.shape[:-1] + (1,)
             for j in range(k):
-                gk[:, j] = _sum_to_features(xp[..., j:j + N] * g)
+                gk[..., j] = _unbroadcast(xp[..., j:j + N] * g,
+                                          tap).reshape(kd.shape[:-1])
         return gx, gk
 
     return Tensor._from_op(out, (x, kernels), vjp, "dwconv1d")
@@ -860,18 +875,28 @@ def dwconv1d(x: Tensor, kernels: Tensor, causal: bool = False) -> Tensor:
 # linear recurrence scan
 # ---------------------------------------------------------------------------
 
+def _copy_by_lanes(dst: np.ndarray, src: np.ndarray) -> None:
+    """``dst[...] = src`` in blocks of the leading (lane) axis that stay in
+    cache; one transposing copy of a few MB runs several times slower."""
+    step = max(1, (1 << 15) // max(1, src[0].size))
+    for m in range(0, len(src), step):
+        dst[m:m + step] = src[m:m + step]
+
+
 def _token_major(x: np.ndarray, chunk: int, count: int, fill: float) -> np.ndarray:
     """Copy ``x [..., K]`` to ``[chunk, ..., count]``, where token
     ``c * chunk + j`` sits at ``[j, ..., c]``; positions past K hold ``fill``."""
-    out = np.empty((chunk,) + x.shape[:-1] + (count,), dtype=x.dtype)
-    view = np.moveaxis(out, 0, -1)  # [..., count, chunk], writes land in out
     K = x.shape[-1]
+    lanes = x.reshape(-1, K)
+    out = np.empty((chunk, len(lanes), count), dtype=x.dtype)
+    view = np.moveaxis(out, 0, -1)  # [lanes, count, chunk], writes land in out
     full, rest = divmod(K, chunk)
-    view[..., :full, :] = x[..., :full * chunk].reshape(x.shape[:-1] + (full, chunk))
+    _copy_by_lanes(view[:, :full, :],
+                   lanes[:, :full * chunk].reshape(len(lanes), full, chunk))
     if rest:
-        view[..., full, :rest] = x[..., full * chunk:]
-        view[..., full, rest:] = fill
-    return out
+        _copy_by_lanes(view[:, full, :rest], lanes[:, full * chunk:])
+        view[:, full, rest:] = fill
+    return out.reshape((chunk,) + x.shape[:-1] + (count,))
 
 
 def _chunked_scan(a: np.ndarray, b: np.ndarray, chunk: int) -> np.ndarray:
@@ -881,10 +906,10 @@ def _chunked_scan(a: np.ndarray, b: np.ndarray, chunk: int) -> np.ndarray:
     all of one length L (the last padded with a = 1, b = 0), laid out
     token-major as ``[L, ..., C]``. One sweep over the L positions advances
     every (lane, chunk) pair at once, giving each chunk's zero-initial-state
-    prefix and the running product of its a. Then C - 1 carry steps link
-    the chunks in order: chunk c adds its running product times the last
-    state of chunk c - 1. With a single chunk (K <= ``chunk``) this is the
-    plain sequential recurrence, bitwise.
+    prefix and the running product of its a. C - 1 carry steps link the
+    chunks' last states, then chunk c adds its running product times the
+    last state of chunk c - 1. With a single chunk (K <= ``chunk``) this is
+    the plain sequential recurrence, bitwise.
     """
     K = a.shape[-1]
     count = -(-K // chunk)
@@ -897,10 +922,17 @@ def _chunked_scan(a: np.ndarray, b: np.ndarray, chunk: int) -> np.ndarray:
         bt[j] += at[j] * bt[j - 1]
         if count > 1:
             at[j] *= at[j - 1]
-    for c in range(1, count):
-        bt[..., c] += at[..., c] * bt[-1, ..., c - 1]
+    if count > 1:
+        # carry the chunks' last states in order, over the small [..., C]
+        # slice, then link every other position in one pass: a loop over
+        # chunks on the whole array would sweep all of it once per chunk
+        last = bt[-1]
+        for c in range(1, count):
+            last[..., c] += at[-1, ..., c] * last[..., c - 1]
+        bt[:-1, ..., 1:] += at[:-1, ..., 1:] * last[..., :-1]
     h = np.empty(a.shape[:-1] + (count * chunk,), dtype=bt.dtype)
-    h.reshape(a.shape[:-1] + (count, chunk))[...] = np.moveaxis(bt, 0, -1)
+    _copy_by_lanes(h.reshape(-1, count, chunk),
+                   np.moveaxis(bt.reshape(chunk, -1, count), 0, -1))
     return h[..., :K]
 
 

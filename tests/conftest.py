@@ -24,6 +24,19 @@ def make_tiny_cfg(**overrides) -> RunConfig:
     return dataclasses.replace(base, **overrides)
 
 
+def module_row(stacked, alone, index):
+    """``alone``, a module built like one row of ``stacked``, loaded with
+    row ``index`` of each of its stacked params and buffers, in the same
+    train or eval mode."""
+    params = dict(stacked.named_params())
+    for name, p in alone.named_params():
+        p.data = params[name].data[index].copy()
+    buffers = dict(stacked.named_buffers())
+    for name, buf in alone.named_buffers():
+        buf[...] = buffers[name][index]
+    return alone.train(stacked.training)
+
+
 _PINNED_CHILD = """
 import dataclasses, importlib, json, sys
 module, name, args, kwargs = json.loads(sys.argv[1])

@@ -94,26 +94,26 @@ def test_single_channel_intra_block_matches_hand_trace():
                              rng=np.random.default_rng(0),
                              use_intra=True, use_inter=False)
     block.eval()
-    for m in MODALITIES:
-        cg = block.intra_conv[m]
-        cg.proj.weight.data[:] = 1.0
-        cg.proj.bias.data[:] = 0.0
-        cg.conv.kernels.data[:] = np.array([[0.0, 1.0, 0.0]])
-        cg.conv.bias.data[:] = 0.0
-        cg.norm.gain.data[:] = 1.0
-        cg.norm.shift.data[:] = 0.0
-        cg.norm.running_mean[:] = 0.0
-        cg.norm.running_var[:] = 1.0
-        block.intra_gate[m].proj.weight.data[:] = 1.0
-        block.intra_gate[m].proj.bias.data[:] = 0.0
-        ssm = block.intra_ssm[m]
-        ssm.a_log.data[:] = math.log(2.0)
-        ssm.skip.data[:] = 1.0
-        ssm.b_proj.weight.data[:] = 1.0
-        ssm.c_proj.weight.data[:] = 1.0
-        ssm.dt_low.weight.data[:] = 1.0
-        ssm.dt_up.weight.data[:] = 1.0
-        ssm.dt_up.bias.data[:] = math.log(math.expm1(0.5))
+    # every stream's row of the stacked modules gets the same pins
+    cg = block.intra_conv
+    cg.proj.weight.data[:] = 1.0
+    cg.proj.bias.data[:] = 0.0
+    cg.conv.kernels.data[:] = np.array([[0.0, 1.0, 0.0]])
+    cg.conv.bias.data[:] = 0.0
+    cg.norm.gain.data[:] = 1.0
+    cg.norm.shift.data[:] = 0.0
+    cg.norm.running_mean[:] = 0.0
+    cg.norm.running_var[:] = 1.0
+    block.intra_gate.proj.weight.data[:] = 1.0
+    block.intra_gate.proj.bias.data[:] = 0.0
+    ssm = block.intra_ssm
+    ssm.a_log.data[:] = math.log(2.0)
+    ssm.skip.data[:] = 1.0
+    ssm.b_proj.weight.data[:] = 1.0
+    ssm.c_proj.weight.data[:] = 1.0
+    ssm.dt_low.weight.data[:] = 1.0
+    ssm.dt_up.weight.data[:] = 1.0
+    ssm.dt_up.bias.data[:] = math.log(math.expm1(0.5))
     block.intra_merge.weight.data[:] = 1.0
     block.intra_merge.bias.data[:] = 0.0
 
@@ -166,12 +166,10 @@ def test_sequence_layout_slot_round_trip_and_frozen_params(tmp_path):
     # a constant marker written into a slot comes back from the same slot
     bank = PromptBank(dim=4, n_prompts=2, layers=2,
                       rng=np.random.default_rng(5))
-    markers = {"n": 1.0, "r": 2.0, "t": 3.0}
-    for m in MODALITIES:
-        bank.prompts[0][m].data[:] = markers[m]
-    for tb in bank.transfers.values():
-        _zero_linear(tb.inner)
-        _zero_linear(tb.outer)
+    # markers 1, 2, 3 for streams n, r, t
+    bank.prompts[0].data[:] = np.array([1.0, 2.0, 3.0])[:, None, None]
+    _zero_linear(bank.transfers.inner)
+    _zero_linear(bank.transfers.outer)
     # the three streams stacked on axis 0; stream r is row 1
     f_star = Tensor(np.random.default_rng(6).standard_normal((3, 4, 3)))
     seq = bank.assemble_layer_input(0, f_star, None)
@@ -180,11 +178,11 @@ def test_sequence_layout_slot_round_trip_and_frozen_params(tmp_path):
     assert np.array_equal(seq.data[1, :, 5:7], np.full((4, 2), 2.0))
     assert np.array_equal(seq.data[1, :, 3:5], np.zeros((4, 2)))
     assert np.array_equal(seq.data[1, :, 7:9], np.zeros((4, 2)))
-    f_back, groups = bank.harvest(seq, 3)
+    f_back, slots = bank.harvest(seq, 3)
     assert np.array_equal(f_back.data, f_star.data)
-    assert np.array_equal(groups[1].data[1], np.full((4, 2), 2.0))
-    assert np.array_equal(groups[0].data[1], np.zeros((4, 2)))
-    assert np.array_equal(groups[2].data[1], np.zeros((4, 2)))
+    assert np.array_equal(slots.data[1, :, 2:4], np.full((4, 2), 2.0))
+    assert np.array_equal(slots.data[1, :, 0:2], np.zeros((4, 2)))
+    assert np.array_equal(slots.data[1, :, 4:6], np.zeros((4, 2)))
 
     # frozen parameters are bitwise untouched by 100 optimization steps
     out_dir = tmp_path / "run"
@@ -232,10 +230,7 @@ def test_degenerate_configurations_reduce_exactly(tmp_path):
     cfg = make_tiny_cfg(use_pfa=False, use_ma=False)
     model = build_model(cfg, seed=2)
     model.eval()
-    for tb in model.bank.transfers.values():
-        _zero_linear(tb.inner)
-        _zero_linear(tb.outer)
-    for mlp in model.bank.rp.values():
+    for mlp in (model.bank.transfers, model.bank.rp):
         _zero_linear(mlp.inner)
         _zero_linear(mlp.outer)
     sample = build_world(cfg, 2).train_part(cfg.instances_per_id).samples[0]
@@ -243,8 +238,8 @@ def test_degenerate_configurations_reduce_exactly(tmp_path):
     d = cfg.embed_dim
     stream_n = before.data[:d].copy()
     for lay in range(cfg.layers):
-        model.bank.prompts[lay]["r"].data += 3.7
-        model.bank.prompts[lay]["t"].data -= 1.9
+        model.bank.prompts[lay].data[1] += 3.7                # stream r
+        model.bank.prompts[lay].data[2] -= 1.9                # stream t
     after, _ = model.forward_batch([sample])
     assert np.array_equal(after.data[:d], stream_n)
     assert not np.array_equal(after.data[d:2 * d], before.data[d:2 * d])
@@ -265,7 +260,7 @@ def test_degenerate_configurations_reduce_exactly(tmp_path):
                               for _ in MODALITIES]))
     got = agg(tokens).data.reshape(3 * dim, 1)
     pieces = []
-    for i, m in enumerate(MODALITIES):
+    for i in range(len(MODALITIES)):
         t = tokens.data[i]
         v = np.concatenate([t[:, :1], t[:, 1:].mean(axis=1, keepdims=True)],
                            axis=0)
@@ -273,8 +268,8 @@ def test_degenerate_configurations_reduce_exactly(tmp_path):
         var = v.var(axis=0, keepdims=True)
         normed = (head.norm.gain.data[:, None] * (v - mu)
                   / np.sqrt(var + 1e-5) + head.norm.shift.data[:, None])
-        pieces.append(head.out[m].weight.data @ normed
-                      + head.out[m].bias.data[:, None])
+        pieces.append(head.out.weight.data[i] @ normed
+                      + head.out.bias.data[i][:, None])
     assert np.abs(got - np.vstack(pieces)).max() < 1e-12
 
 

@@ -100,7 +100,8 @@ def test_head_formula_and_fused_width():
     v = head.norm(concat([narrow(t, 1, 0, 1),
                           tmean(narrow(t, 1, 1, 4), axis=1, keepdims=True)],
                          axis=0))
-    want = head.out["r"](v).data
+    out = head.out                                 # row 1 maps stream r
+    want = out.weight.data[1] @ v.data + out.bias.data[1][:, None]
     assert np.allclose(fused.data[1], want, atol=1e-14)
 
 

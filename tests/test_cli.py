@@ -106,6 +106,28 @@ def test_eval_refuses_another_config_with_one_error_line(tiny_cfg_path,
     assert not os.path.exists(os.path.join(out, "eval_report.csv"))
 
 
+def test_eval_refuses_an_older_checkpoint_layout_with_one_error_line(
+        tiny_cfg_path, tmp_path):
+    # a checkpoint whose array names this model lacks, such as one written
+    # before the per-modality modules were stacked, is named, not traced
+    out = str(tmp_path / "run")
+    main(_train_args(tiny_cfg_path, out))
+    manifest = os.path.join(out, "checkpoint", "manifest.tsv")
+    with open(manifest) as fh:
+        text = fh.read()
+    new = "model.aggregator.blocks.0.intra_conv.proj.weight\t"
+    old = "model.aggregator.blocks.0.intra_conv.n.proj.weight\t"
+    assert new in text
+    with open(manifest, "w") as fh:
+        fh.write(text.replace(new, old))
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", out, "eval"])
+    assert str(exc.value.code) == (
+        "error: unexpected entry "
+        "'aggregator.blocks.0.intra_conv.n.proj.weight' in state")
+    assert not os.path.exists(os.path.join(out, "eval_report.csv"))
+
+
 def test_eval_defaults_to_the_checkpoint_seed(tiny_cfg_path, tmp_path, capsys):
     out = str(tmp_path / "run")
     main(_train_args(tiny_cfg_path, out))

@@ -1,10 +1,13 @@
 """Selective scan kernel: oracle equivalence, discretization, flops."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import run_pinned
 from trifuse.bench import bench_scan, fit_linear
+from trifuse.nn import MultiHeadSelfAttention
 from trifuse.ssm import (SelectiveScan, SsmDiscrete, attention_flops,
                          scan_fast, scan_sequential, ssm_flops)
 from trifuse.tensor import Tensor, no_grad, softplus
@@ -106,3 +109,33 @@ def test_scan_runtime_scales_linearly():
     _, slope, r2 = fit_linear(np.array(lengths), times)
     assert slope > 0
     assert r2 > 0.98
+
+
+def _held_bytes(module, n: int, dim: int = 16) -> int:
+    """Bytes allocated by one forward call of ``module`` on ``[dim, n]``
+    tokens and still held after it: the output and its tape, including
+    arrays kept only in VJP closures."""
+    x = Tensor(np.random.default_rng(0).normal(size=(dim, n)),
+               requires_grad=True)
+    tracemalloc.start()
+    try:
+        out = module(x)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del out
+    return held
+
+
+def test_tape_memory_doubles_for_scan_and_quadruples_for_attention():
+    # a deterministic twin of the wall-clock fits: numpy reports its
+    # buffers to tracemalloc, so the ratios hold on any machine and load
+    lengths = [256, 512, 1024, 2048]
+    scan = SelectiveScan(16, d_state=16, dt_rank=16,
+                         rng=np.random.default_rng(1))
+    held = np.array([_held_bytes(scan, n) for n in lengths], float)
+    assert np.all(np.abs(held[1:] / held[:-1] - 2.0) < 0.05), held
+
+    att = MultiHeadSelfAttention(16, 4, np.random.default_rng(2))
+    held = np.array([_held_bytes(att, n) for n in lengths], float)
+    assert np.all(np.abs(held[1:] / held[:-1] - 4.0) < 0.2), held

@@ -72,10 +72,12 @@ def test_sampler_replaces_when_pool_is_short():
 
 
 def test_sampler_rejects_oversized_p():
-    cfg = make_tiny_cfg(batch_p=9, num_ids=4)
+    # validate() refuses num_ids < batch_p, so the world is built from a
+    # valid config and only the sampler sees the oversized P
+    cfg = make_tiny_cfg(batch_p=2, num_ids=4)
     data = build_world(cfg, seed=1).train_part(2)
     with pytest.raises(ValueError):
-        sample_batch(0, 1, data, cfg)
+        sample_batch(0, 1, data, dataclasses.replace(cfg, batch_p=9))
 
 
 # -- optimizer -------------------------------------------------------------
@@ -243,7 +245,7 @@ def test_f32_step_stays_float32_end_to_end(monkeypatch):
 
 
 #: tape nodes one forward-plus-loss step of demos/toy.cfg records
-TOY_STEP_OPS = 364
+TOY_STEP_OPS = 240
 
 
 def _count_ops(monkeypatch) -> Counter:
