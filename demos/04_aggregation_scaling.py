@@ -1,11 +1,14 @@
 """Why scan, not attend.
 
 The aggregation stage exists to mix long concatenated token sequences, and
-the scan is what keeps that affordable. Two views of the same fact here.
+the scan is what keeps that affordable. Three views of the same fact here.
 The operation-count models say the scan grows linearly with tokens while
 attention grows quadratically. The wall clock agrees, timed on a
 one-thread BLAS pool: a larger pool can switch kernels partway through the
-length range and bend the curves.
+length range and bend the curves. So does the memory one forward call
+leaves on the tape, which numpy reports to tracemalloc the same way on any
+machine: it doubles for the scan when the tokens double, and roughly
+quadruples for attention, whose node keeps its [N, N] probabilities.
 """
 
 import os
@@ -19,8 +22,9 @@ for var in _THREAD_VARS:
 import numpy as np
 
 from trifuse.bench import (bench_attention, bench_block, bench_scan,
-                           fit_linear)
-from trifuse.ssm import attention_flops, ssm_flops
+                           fit_linear, held_bytes)
+from trifuse.nn import MultiHeadSelfAttention
+from trifuse.ssm import SelectiveScan, attention_flops, ssm_flops
 
 print("operation counts, doubling the token count each row")
 print(f"{'tokens':>8} {'scan':>14} {'attention':>14}")
@@ -42,3 +46,13 @@ for label, fn in (("scan", bench_scan), ("block", bench_block),
 att = bench_attention([512, 1024], reps=3, warmup=1, seed=0)
 print(f"\nattention doubling ratio t(1024)/t(512) = "
       f"{att[1].seconds / att[0].seconds:.2f} (a linear op would give 2)")
+
+print("\nheld tape memory of one forward call, ratio per doubling of tokens")
+for label, module in (
+        ("scan", SelectiveScan(16, d_state=16, dt_rank=16,
+                               rng=np.random.default_rng(1))),
+        ("attention", MultiHeadSelfAttention(16, 4, np.random.default_rng(2)))):
+    held = [held_bytes(module, n) for n in lengths]
+    ratios = " ".join(f"x{b / a:.2f}" for a, b in zip(held, held[1:]))
+    print(f"{label:>10}: {held[-1] / 2**20:.2f} MB at {lengths[-1]} tokens, "
+          f"ratios {ratios} (linear gives x2, quadratic x4)")

@@ -12,10 +12,11 @@ a short stack of blocks. Each block can apply two stages:
          scans the concatenation of all three modalities as one sequence,
          so state crosses modality boundaries.
 
-Class tokens bypass the blocks. The head, for each modality, stacks
-[class token, mean of final patch tokens], applies one shared layer norm
-over the doubled width, and a per-modality linear back to the model width,
-giving one ``[3, ..., D, 1]`` fused vector per sample.
+Class tokens bypass the blocks: the aggregator takes them and the patch
+tokens as two arguments and hands both to the head. The head, for each
+modality, stacks [class token, mean of final patch tokens], applies one
+shared layer norm over the doubled width, and a per-modality linear back to
+the model width, giving one ``[3, ..., D, 1]`` fused vector per sample.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .nn import (BatchNorm, DepthwiseConv1d, LayerNorm, Linear, Module,
                  stack_modules)
 from .ssm import SelectiveScan
-from .tensor import (Tensor, add, concat, mul, narrow, register_differentiable,
+from .tensor import (Tensor, add, concat, mul, register_differentiable,
                      reshape, silu, swapaxes, tmean)
 
 register_differentiable("theta")
@@ -104,9 +105,7 @@ class AggregationHead(Module):
         self.norm = LayerNorm(2 * dim)
         self.out = stack_modules(lambda: Linear(2 * dim, dim, rng), (3,))
 
-    def __call__(self, tokens: Tensor) -> Tensor:
-        cls = narrow(tokens, -1, 0, 1)
-        patches = narrow(tokens, -1, 1, tokens.shape[-1] - 1)
+    def __call__(self, cls: Tensor, patches: Tensor) -> Tensor:
         pooled = tmean(patches, axis=-1, keepdims=True)
         return self.out(self.norm(concat([cls, pooled], axis=-2)))
 
@@ -118,8 +117,7 @@ class Aggregator(Module):
         self.blocks = blocks
         self.head = head
 
-    def __call__(self, tokens: Tensor) -> Tensor:
-        fs = narrow(tokens, -1, 1, tokens.shape[-1] - 1)
+    def __call__(self, cls: Tensor, patches: Tensor) -> Tensor:
         for block in self.blocks:
-            fs = block(fs)
-        return self.head(concat([narrow(tokens, -1, 0, 1), fs], axis=-1))
+            patches = block(patches)
+        return self.head(cls, patches)

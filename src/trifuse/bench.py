@@ -15,12 +15,14 @@ curve, whatever the scan itself does.
 
 Timings use medians over repetitions after warmup. They are inherently
 machine-dependent and are excluded from byte-determinism guarantees; the
-flops columns come from closed forms and are reproducible.
+flops columns come from closed forms and are reproducible, and so is
+``held_bytes``, the memory a forward call leaves on its tape.
 """
 
 from __future__ import annotations
 
 import time
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +55,19 @@ def fit_linear(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     if ss_tot == 0.0:
         return a, b, 1.0
     return a, b, 1.0 - ss_res / ss_tot
+
+
+def held_bytes(module, n: int, dim: int = 16) -> int:
+    """Bytes one forward call of ``module`` on ``[dim, n]`` tokens leaves
+    held: its output and tape, arrays kept only in VJP closures included."""
+    x = Tensor(np.random.default_rng(0).normal(size=(dim, n)),
+               requires_grad=True)
+    tracemalloc.start()
+    try:
+        out = module(x)  # noqa: F841 -- held while the memory is read
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
 
 
 @dataclass

@@ -52,7 +52,10 @@ def read_array(path: str) -> np.ndarray:
             raise ValueError(f"{path}: unsupported version {version}")
         if code not in _DTYPES:
             raise ValueError(f"{path}: unknown dtype code {code}")
-        dims = struct.unpack(f"<{rank}Q", fh.read(8 * rank))
+        raw = fh.read(8 * rank)
+        if len(raw) != 8 * rank:
+            raise ValueError(f"{path}: truncated dims")
+        dims = struct.unpack(f"<{rank}Q", raw)
         expected = int(np.prod(dims, dtype=np.int64)) if rank else 1
         payload = fh.read()
     arr = np.frombuffer(payload, dtype=_DTYPES[code])

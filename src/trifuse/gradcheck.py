@@ -165,6 +165,18 @@ def _weighted_sum(t: Tensor, rng) -> Tensor:
     return tsum(mul(t, Tensor(w)))
 
 
+def _scan_case(scan):
+    """A case of ``scan`` on the six operands of three stacked selective
+    scans over K = 7 tokens (steps delta > 0, as softplus makes them)."""
+    def build(rng):
+        shapes = ((3, 2, 3, 7), (3, 2, 3, 7), (3, 3, 2), (3, 2, 2, 7),
+                  (3, 2, 2, 7), (3, 3))
+        ops = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+        ops[1].data = np.abs(ops[1].data) + 0.1
+        return (lambda: _weighted_sum(scan(*ops), rng)), ops
+    return build
+
+
 def _ensure_cases() -> None:
     if _CASES_BUILT[0]:
         return
@@ -302,13 +314,8 @@ def _build_primitive_cases() -> None:
 
     register_case("dwconv1d", dwconv_case, tol=1e-6)
 
-    def recurrence_case(rng):
-        a = Tensor(1.0 / (1.0 + np.exp(-rng.normal(size=(2, 2, 7)))),
-                   requires_grad=True)
-        b = Tensor(rng.normal(size=(2, 2, 7)), requires_grad=True)
-        return (lambda: _weighted_sum(T.linear_recurrence(a, b, chunk=4), rng)), [a, b]
-
-    register_case("linear_recurrence", recurrence_case, tol=1e-6)
+    register_case("selective_scan", _scan_case(
+        lambda *ops: T.selective_scan(*ops, chunk=4)), tol=1e-6)
 
 
 def _build_module_cases() -> None:
@@ -369,37 +376,9 @@ def _build_module_cases() -> None:
     register_case("ffn", applied(
         lambda rng: nn.FeedForward(4, rng, ratio=2), (4, 3)))
 
-    def make_ssm(rng, dim=3, d_state=2, dt_rank=2):
-        return S.SelectiveScan(dim, d_state=d_state, dt_rank=dt_rank, rng=rng)
-
-    def discretize_case(rng):
-        core = make_ssm(rng)
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        def fn():
-            disc = core.discretize(x)
-            return _weighted_sum(
-                T.add(T.tsum(disc.abar, axis=1), T.tsum(disc.bbarx, axis=1)),
-                rng) + _weighted_sum(disc.c, rng)
-        return fn, [x] + core.params()
-
-    register_case("discretize", discretize_case)
-
-    def scan_case(fast):
-        def build(rng):
-            core = make_ssm(rng)
-            x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-            def fn():
-                disc = core.discretize(x)
-                y = S.scan_fast(disc) if fast else S.scan_sequential(disc)
-                return _weighted_sum(y, rng)
-            return fn, [x] + core.params()
-        return build
-
-    register_case("scan_sequential", scan_case(False))
-    register_case("scan_fast", scan_case(True))
-
+    register_case("scan_sequential", _scan_case(S.scan_sequential))
     register_case("ssm_apply", applied(
-        lambda rng: make_ssm(rng, dim=2, d_state=3), (2, 4)))
+        lambda rng: S.SelectiveScan(2, d_state=3, dt_rank=2, rng=rng), (2, 4)))
     register_case("pfa_apply", applied(
         lambda rng: ParallelAdapter(4, 8, rng), (4, 3)))
 
@@ -481,7 +460,10 @@ def _build_module_cases() -> None:
         agg = Aggregator(blocks, head)
         agg.train()
         tokens = streams(rng, dim, 4)
-        return (lambda: _weighted_sum(agg(tokens), rng)), [tokens] + agg.params()
+        def fn():
+            cls = T.narrow(tokens, -1, 0, 1)
+            return _weighted_sum(agg(cls, T.narrow(tokens, -1, 1, 3)), rng)
+        return fn, [tokens] + agg.params()
 
     register_case("ma_stack", stack_case, spot=60)
 

@@ -88,7 +88,8 @@ class FusionModel(Module):
         tokens = self._run_streams(
             np.stack([np.stack([s[m] for s in samples]) for m in MODALITIES]))
         f_cls = narrow(tokens, -1, 0, 1)
-        f_ma = self.aggregator(tokens) if self.aggregator is not None else None
+        f_ma = None if self.aggregator is None else self.aggregator(
+            f_cls, narrow(tokens, -1, 1, tokens.shape[-1] - 1))
         return _columns(f_cls), None if f_ma is None else _columns(f_ma)
 
     # -- inference -----------------------------------------------------

@@ -12,80 +12,49 @@ continuous diagonal transition a = -exp(a_log) < 0, and delta, b, c are
 produced from the input by small projections. The input path uses the Euler
 form bbarx = delta * b * x, as Mamba does.
 
-``scan_sequential`` is the reference implementation, a plain loop over
-tokens. ``scan_fast`` evaluates the same recurrence with the tensor core's
-``linear_recurrence``: a sweep over the positions of a chunk that advances
-every chunk at once, then a carry that links the chunks in order. Both are
-differentiable end to end and must agree to near machine precision; the
-test suite holds them to 1e-10.
+``SelectiveScan`` computes delta, b and c and hands them, with x, a_log
+and skip, to the tensor core's ``selective_scan``: one tape node that
+discretizes, runs the chunked sweep, contracts the states with c and adds
+the skip, and whose VJP runs the adjoint recurrence through the same sweep.
+``scan_sequential`` builds the same function of the same six operands from
+tape primitives and a plain loop over tokens. It is the test oracle only:
+the two must agree in value and gradient to near machine precision, and
+the test suite holds them to 1e-10.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .nn import Linear, Module
-from .tensor import (Param, Tensor, add, concat, exp, linear_recurrence, mul,
-                     narrow, register_differentiable, reshape, softplus,
-                     stack_shape, tsum)
+from .tensor import (Param, Tensor, add, concat, exp, mul, narrow,
+                     register_differentiable, reshape, selective_scan,
+                     softplus, stack_shape, tsum)
 
-register_differentiable("discretize")
 register_differentiable("scan_sequential")
-register_differentiable("scan_fast")
 register_differentiable("ssm_apply")
 
 
-@dataclass
-class SsmDiscrete:
-    """Discretized scan coefficients for one sequence or a batch of them.
-
-    abar and bbarx are [..., dim, d_state, k], c is [..., d_state, k], with
-    the same leading batch axes. skip ([(S,) dim]) and x are optional; when
-    both are present the scan output gains the skip term.
-    """
-
-    abar: Tensor
-    bbarx: Tensor
-    c: Tensor
-    skip: Tensor | None = None
-    x: Tensor | None = None
-
-
-def _contract_state(h: Tensor, c: Tensor) -> Tensor:
-    # h [..., d, s, k], c [..., s, k] -> y [..., d, k]
-    return tsum(mul(h, reshape(c, c.shape[:-2] + (1,) + c.shape[-2:])),
-                axis=-2)
-
-
-def _add_skip(y: Tensor, disc: SsmDiscrete) -> Tensor:
-    if disc.skip is None or disc.x is None:
-        return y
-    skip = disc.skip
-    return add(y, mul(reshape(skip, stack_shape(skip.shape + (1,), y.ndim)),
-                      disc.x))
-
-
-def scan_sequential(disc: SsmDiscrete) -> Tensor:
-    """Reference scan: explicit loop over the token axis."""
-    *lead, d, s, k = disc.abar.shape
+def scan_sequential(x: Tensor, delta: Tensor, a_log: Tensor, b: Tensor,
+                    c: Tensor, skip: Tensor) -> Tensor:
+    """Reference scan: tape primitives and an explicit loop over tokens."""
+    *lead, d, k = x.shape
+    s = b.shape[-2]
+    a = mul(exp(a_log), -1.0)                                 # [(L,) d, s]
+    delta_col = reshape(delta, (*lead, d, 1, k))
+    abar = exp(mul(delta_col, reshape(a, stack_shape(a.shape, x.ndim) + (1,))))
+    bbarx = mul(delta_col, mul(reshape(x, (*lead, d, 1, k)),
+                               reshape(b, (*lead, 1, s, k))))
     h = None
     ys = []
     for i in range(k):
-        a_i = reshape(narrow(disc.abar, -1, i, 1), (*lead, d, s))
-        b_i = reshape(narrow(disc.bbarx, -1, i, 1), (*lead, d, s))
+        a_i = reshape(narrow(abar, -1, i, 1), (*lead, d, s))
+        b_i = reshape(narrow(bbarx, -1, i, 1), (*lead, d, s))
         h = b_i if h is None else add(mul(a_i, h), b_i)
-        c_i = reshape(narrow(disc.c, -1, i, 1), (*lead, 1, s))
-        y_i = tsum(mul(h, c_i), axis=-1, keepdims=True)
-        ys.append(y_i)
-    return _add_skip(concat(ys, axis=-1), disc)
-
-
-def scan_fast(disc: SsmDiscrete, chunk: int = 128) -> Tensor:
-    """Chunked sweep over the token axis, one recurrence node."""
-    h = linear_recurrence(disc.abar, disc.bbarx, chunk=chunk)
-    return _add_skip(_contract_state(h, disc.c), disc)
+        c_i = reshape(narrow(c, -1, i, 1), (*lead, 1, s))
+        ys.append(tsum(mul(h, c_i), axis=-1, keepdims=True))
+    skip_col = reshape(skip, stack_shape(skip.shape + (1,), x.ndim))
+    return add(concat(ys, axis=-1), mul(skip_col, x))
 
 
 class SelectiveScan(Module):
@@ -102,7 +71,6 @@ class SelectiveScan(Module):
                  rng: np.random.Generator | None = None,
                  dt_min: float = 1e-3, dt_max: float = 1e-1):
         rng = rng or np.random.default_rng(0)
-        self.d_state = d_state
 
         # S4D-real: a_log[d, s] = log(s + 1), so a = -exp(a_log) spans
         # -1 .. -d_state on every channel.
@@ -117,22 +85,10 @@ class SelectiveScan(Module):
         # inverse softplus, so softplus(bias) == dt at initialization
         self.dt_up.bias = Param(dt + np.log(-np.expm1(-dt)))
 
-    def discretize(self, x: Tensor) -> SsmDiscrete:
-        *lead, d, k = x.shape
-        s = self.d_state
-        delta = softplus(self.dt_up(self.dt_low(x)))          # [..., d, k]
-        b = self.b_proj(x)                                    # [..., s, k]
-        c = self.c_proj(x)                                    # [..., s, k]
-        a = mul(exp(self.a_log), -1.0)                        # [(S,) d, s]
-        delta_col = reshape(delta, (*lead, d, 1, k))
-        a_col = reshape(a, stack_shape(a.shape, x.ndim) + (1,))
-        abar = exp(mul(delta_col, a_col))
-        xb = mul(reshape(x, (*lead, d, 1, k)), reshape(b, (*lead, 1, s, k)))
-        bbarx = mul(delta_col, xb)
-        return SsmDiscrete(abar=abar, bbarx=bbarx, c=c, skip=self.skip, x=x)
-
     def __call__(self, x: Tensor) -> Tensor:
-        return scan_fast(self.discretize(x))
+        delta = softplus(self.dt_up(self.dt_low(x)))          # [..., d, k]
+        return selective_scan(x, delta, self.a_log, self.b_proj(x),
+                              self.c_proj(x), self.skip)
 
 
 def ssm_flops(dim: int, d_state: int, dt_rank: int, k: int) -> int:

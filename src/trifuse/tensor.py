@@ -8,9 +8,9 @@ goes: each node drops its closure, parents and gradient once its VJP has
 run, so after ``backward`` only leaves hold a ``.grad`` (each its own
 array) and a second ``backward`` through the same graph raises
 ``RuntimeError``. There is no compilation and no GPU path; a few hot
-chains (``linear``, ``attention``) are fused into single hand-written
-nodes. The point is a core small enough to verify against central finite
-differences and fast enough for toy models.
+chains (``linear``, ``attention``, ``selective_scan``) are fused into
+single hand-written nodes. The point is a core small enough to verify
+against central finite differences and fast enough for toy models.
 
 Conventions used throughout the package:
 
@@ -46,7 +46,7 @@ __all__ = [
     "sqrt", "softplus", "relu", "gelu", "silu",
     "tsum", "tmean", "tmax", "tmin", "reshape", "swapaxes",
     "concat", "narrow", "where_mask", "attention",
-    "attention_weights", "norm_affine", "dwconv1d", "linear_recurrence",
+    "attention_weights", "norm_affine", "dwconv1d", "selective_scan",
     "stack_shape",
 ]
 
@@ -872,7 +872,7 @@ def dwconv1d(x: Tensor, kernels: Tensor, causal: bool = False) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# linear recurrence scan
+# selective scan
 # ---------------------------------------------------------------------------
 
 def _copy_by_lanes(dst: np.ndarray, src: np.ndarray) -> None:
@@ -936,32 +936,58 @@ def _chunked_scan(a: np.ndarray, b: np.ndarray, chunk: int) -> np.ndarray:
     return h[..., :K]
 
 
-@_diffop("linear_recurrence")
-def linear_recurrence(a: Tensor, b: Tensor, chunk: int = 128) -> Tensor:
-    """Differentiable first-order linear recurrence along the last axis.
+@_diffop("selective_scan")
+def selective_scan(x: Tensor, delta: Tensor, a_log: Tensor, b: Tensor,
+                   c: Tensor, skip: Tensor, chunk: int = 128) -> Tensor:
+    """The selective state space scan as one tape node: with a = -exp(a_log)
+    and h zero before the first token, the chunked sweep evaluates
 
-    Returns the full state sequence h with h_k = a_k * h_{k-1} + b_k and
-    zero initial state. The backward pass is the same recurrence run in
-    reverse time on the incoming gradient, so it reuses the chunked sweep.
-    """
-    if a.data.shape != b.data.shape:
-        raise ValueError("linear_recurrence operands must share a shape")
-    h = _chunked_scan(a.data, b.data, chunk)
-    na, nb = _needs((a, b))
-    ad = a.data
+        h[d,s,k] = exp(delta[d,k] a[d,s]) h[d,s,k-1] + delta[d,k] b[s,k] x[d,k]
+        y[d,k]   = sum_s c[s,k] h[d,s,k] + skip[d] x[d,k]
+
+    for x, delta ``[..., D, K]`` and b, c ``[..., S, K]``; ``a_log``
+    ``[(L,) D, S]`` and ``skip`` ``[(L,) D]`` line up by :func:`stack_shape`.
+    The VJP runs the adjoint recurrence through the same sweep. Besides its
+    operands the node keeps only h and the decays abar = exp(delta a)."""
+    xd, dd, bd, cd = x.data, delta.data, b.data, c.data
+    a = np.exp(a_log.data) * -1.0
+    a_col = a.reshape(stack_shape(a.shape, xd.ndim) + (1,))  # [(L,) D, S, 1]
+    d_col, x_col = dd[..., None, :], xd[..., None, :]        # [..., D, 1, K]
+    b_col, c_col = bd[..., None, :, :], cd[..., None, :, :]  # [..., 1, S, K]
+    abar = d_col * a_col
+    np.exp(abar, out=abar)
+    bbarx = x_col * b_col
+    np.multiply(d_col, bbarx, out=bbarx)
+    h = _chunked_scan(abar, bbarx, chunk)
+    del bbarx
+    skip_col = _column(skip.data, xd.ndim)
+    out = (h * c_col).sum(axis=-2)
+    out += skip_col * xd
+    nx, ndelta, na, nb, nc, ns = _needs((x, delta, a_log, b, c, skip))
 
     def vjp(g):
-        # adjoint recurrence: ghat_k = g_k + a_{k+1} * ghat_{k+1}
-        ar = np.empty_like(ad)
+        g_col = g[..., None, :]
+        # adjoint recurrence: ghat_k = dL/dh_k + abar_{k+1} * ghat_{k+1}
+        ar = np.empty_like(abar)
         ar[..., 0] = 1.0
-        ar[..., 1:] = ad[..., :0:-1]
-        ghat = _chunked_scan(ar, g[..., ::-1], chunk)[..., ::-1]
-        gb = ghat if nb else None
-        ga = None
-        if na:
-            ga = np.empty_like(ghat)
-            ga[..., 0] = 0.0
-            np.multiply(ghat[..., 1:], h[..., :-1], out=ga[..., 1:])
-        return ga, gb
+        ar[..., 1:] = abar[..., :0:-1]
+        ghat = _chunked_scan(ar, (g_col * c_col)[..., ::-1], chunk)[..., ::-1]
+        del ar
+        # dL/d(delta a) through abar = exp(delta a): ghat_k h_{k-1} abar_k
+        u = np.zeros_like(ghat)
+        np.multiply(ghat[..., 1:], h[..., :-1], out=u[..., 1:])
+        u *= abar
+        q = (ghat * b_col).sum(axis=-2)                      # dL/d(delta x)
+        gx = q * dd + g * skip_col if nx else None
+        gdelta = q * xd + (u * a_col).sum(axis=-2) if ndelta else None
+        ga = (_unbroadcast(u * d_col, a_col.shape).reshape(a.shape) * a
+              if na else None)
+        gb = (_unbroadcast((ghat * (dd * xd)[..., None, :]).sum(axis=-3),
+                           bd.shape) if nb else None)
+        gc = _unbroadcast((g_col * h).sum(axis=-3), cd.shape) if nc else None
+        gskip = (_unbroadcast(g * xd, skip_col.shape).reshape(skip.data.shape)
+                 if ns else None)
+        return gx, gdelta, ga, gb, gc, gskip
 
-    return Tensor._from_op(h, (a, b), vjp, "linear_recurrence")
+    return Tensor._from_op(out, (x, delta, a_log, b, c, skip), vjp,
+                           "selective_scan")

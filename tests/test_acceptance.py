@@ -25,8 +25,8 @@ from trifuse.dump import load_checkpoint
 from trifuse.gradcheck import format_report, run_suite
 from trifuse.prompts import MODALITIES, PromptBank
 from trifuse.retrieval import average_precision, evaluate
-from trifuse.ssm import SsmDiscrete, scan_fast, scan_sequential
-from trifuse.tensor import Tensor, no_grad
+from trifuse.ssm import scan_sequential
+from trifuse.tensor import Tensor, no_grad, selective_scan
 from trifuse.train import build_model, build_world, train
 
 
@@ -46,15 +46,15 @@ def test_fast_scan_matches_reference_on_random_battery():
             d = int(rng.integers(1, 9))
             s = int(rng.integers(1, 17))
             k = int(rng.integers(1, 129))
-            disc = SsmDiscrete(
-                abar=Tensor(rng.uniform(0.05, 0.999, (d, s, k))),
-                bbarx=Tensor(rng.standard_normal((d, s, k))),
-                c=Tensor(rng.standard_normal((s, k))),
-                skip=Tensor(rng.standard_normal(d)),
-                x=Tensor(rng.standard_normal((d, k))))
+            ops = [Tensor(rng.standard_normal((d, k))),
+                   Tensor(rng.uniform(0.01, 1.0, (d, k))),
+                   Tensor(rng.uniform(-3.0, 1.0, (d, s))),
+                   Tensor(rng.standard_normal((s, k))),
+                   Tensor(rng.standard_normal((s, k))),
+                   Tensor(rng.standard_normal(d))]
             chunk = int(rng.integers(1, 65))
-            gap = np.abs(scan_fast(disc, chunk=chunk).data
-                         - scan_sequential(disc).data)
+            gap = np.abs(selective_scan(*ops, chunk=chunk).data
+                         - scan_sequential(*ops).data)
             assert gap.max() < 1e-10
     assert perf_counter() - start < 10.0
 
@@ -258,7 +258,8 @@ def test_degenerate_configurations_reduce_exactly(tmp_path):
         _zero_linear(b.inter_merge)
     tokens = Tensor(np.stack([rng.standard_normal((dim, 5))
                               for _ in MODALITIES]))
-    got = agg(tokens).data.reshape(3 * dim, 1)
+    got = agg(Tensor(tokens.data[..., :1]),
+              Tensor(tokens.data[..., 1:])).data.reshape(3 * dim, 1)
     pieces = []
     for i in range(len(MODALITIES)):
         t = tokens.data[i]
@@ -352,7 +353,7 @@ def test_repeated_runs_write_byte_identical_logs(tmp_path):
     assert filecmp.cmp(os.path.join(ab[0], "ablation.tsv"),
                        os.path.join(ab[1], "ablation.tsv"), shallow=False)
 
-    subset = ["relu", "linear", "scan_fast"]
+    subset = ["relu", "linear", "selective_scan"]
     first = format_report(run_suite(seed=0, names=subset))
     second = format_report(run_suite(seed=0, names=subset))
     assert first == second

@@ -92,11 +92,11 @@ def test_head_formula_and_fused_width():
     dim = 6
     head = AggregationHead(dim, np.random.default_rng(11))
     rng = np.random.default_rng(12)
-    tokens = Tensor(rng.normal(size=(3, dim, 5)))
-    fused = head(tokens)
+    tokens = rng.normal(size=(3, dim, 5))
+    fused = head(Tensor(tokens[..., :1]), Tensor(tokens[..., 1:]))
     assert fused.shape == (3, dim, 1)
 
-    t = Tensor(tokens.data[1])                                 # stream r
+    t = Tensor(tokens[1])                                      # stream r
     v = head.norm(concat([narrow(t, 1, 0, 1),
                           tmean(narrow(t, 1, 1, 4), axis=1, keepdims=True)],
                          axis=0))
@@ -110,9 +110,9 @@ class _CaptureHead:
         self.head = head
         self.seen = None
 
-    def __call__(self, tokens):
-        self.seen = tokens.data.copy()
-        return self.head(tokens)
+    def __call__(self, cls, patches):
+        self.seen = np.concatenate([cls.data, patches.data], axis=-1)
+        return self.head(cls, patches)
 
 
 def test_class_tokens_bypass_blocks():
@@ -122,13 +122,13 @@ def test_class_tokens_bypass_blocks():
     agg = Aggregator(blocks, capture)
 
     rng = np.random.default_rng(15)
-    tokens = Tensor(rng.normal(size=(3, dim, 5)))
-    agg(tokens)
+    tokens = rng.normal(size=(3, dim, 5))
+    agg(Tensor(tokens[..., :1]), Tensor(tokens[..., 1:]))
     first = capture.seen
 
-    shifted = tokens.data.copy()
+    shifted = tokens.copy()
     shifted[..., 0] += 9.0
-    agg(Tensor(shifted))
+    agg(Tensor(shifted[..., :1]), Tensor(shifted[..., 1:]))
     second = capture.seen
 
     for i in range(len(MODALITIES)):

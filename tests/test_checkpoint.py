@@ -48,12 +48,13 @@ def test_read_rejects_corrupt_files(tmp_path):
         "dtype": blob[:5] + bytes([7]) + blob[6:],
         "short_payload": blob[:-8],
         "truncated_header": blob[:5],
+        "truncated_dims": blob[:12],
     }
     for name, broken in cases.items():
         path = str(tmp_path / f"{name}.mptd")
         with open(path, "wb") as fh:
             fh.write(broken)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"{name}.mptd"):
             read_array(path)
 
 

@@ -9,7 +9,7 @@ from trifuse.tensor import Tensor, tsum
 
 
 def test_subset_run_passes():
-    results = run_suite(seed=0, names=["relu", "matmul", "linear_recurrence"])
+    results = run_suite(seed=0, names=["relu", "matmul", "selective_scan"])
     assert len(results) == 3
     assert all(r.ok for r in results)
 

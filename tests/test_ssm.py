@@ -1,65 +1,113 @@
 """Selective scan kernel: oracle equivalence, discretization, flops."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from conftest import run_pinned
-from trifuse.bench import bench_scan, fit_linear
+from trifuse.bench import bench_scan, fit_linear, held_bytes
 from trifuse.nn import MultiHeadSelfAttention
-from trifuse.ssm import (SelectiveScan, SsmDiscrete, attention_flops,
-                         scan_fast, scan_sequential, ssm_flops)
-from trifuse.tensor import Tensor, no_grad, softplus
+from trifuse.ssm import (SelectiveScan, attention_flops, scan_sequential,
+                         ssm_flops)
+from trifuse.tensor import Tensor, mul, no_grad, selective_scan, softplus, tsum
+
+
+def _fused(chunk=128):
+    return lambda *ops: selective_scan(*ops, chunk=chunk)
 
 
 def test_hand_unrolled_three_steps():
-    disc = SsmDiscrete(abar=Tensor(np.full((1, 1, 3), 0.5)),
-                       bbarx=Tensor(np.ones((1, 1, 3))),
-                       c=Tensor(np.ones((1, 3))))
-    for scan in (scan_sequential, scan_fast):
-        assert np.allclose(scan(disc).data.ravel(), [1.0, 1.5, 1.75],
+    # a = -1 and delta = ln 2 decay by 1/2; b = 1 / ln 2 makes each input 1
+    ln2 = np.log(2.0)
+    ops = [Tensor(np.ones((1, 3))), Tensor(np.full((1, 3), ln2)),
+           Tensor(np.zeros((1, 1))), Tensor(np.full((1, 3), 1.0 / ln2)),
+           Tensor(np.ones((1, 3))), Tensor(np.full(1, 0.5))]
+    for scan in (scan_sequential, _fused()):
+        assert np.allclose(scan(*ops).data.ravel(), [1.5, 2.0, 2.25],
                            atol=1e-15)
 
 
-def _random_instance(rng):
-    d = int(rng.integers(1, 9))
-    s = int(rng.integers(1, 17))
-    k = int(rng.integers(1, 129))
-    disc = SsmDiscrete(
-        abar=Tensor(rng.uniform(0.0, 1.0, size=(d, s, k))),
-        bbarx=Tensor(rng.normal(size=(d, s, k))),
-        c=Tensor(rng.normal(size=(s, k))),
-        skip=Tensor(rng.normal(size=d)),
-        x=Tensor(rng.normal(size=(d, k))),
-    )
-    return disc
+def _operands(rng, lead, d, s, k, stacked=False):
+    """x, delta, a_log, b, c, skip of a random scan; the params ``a_log``
+    and ``skip`` carry a leading axis of 3 when ``stacked``."""
+    rows = (3,) if stacked else ()
+    return [rng.normal(size=lead + (d, k)),
+            np.log1p(np.exp(rng.normal(size=lead + (d, k)))),
+            rng.normal(size=rows + (d, s)) * 0.5,
+            rng.normal(size=lead + (s, k)),
+            rng.normal(size=lead + (s, k)),
+            rng.normal(size=rows + (d,))]
 
 
 def test_fast_scan_matches_sequential_reference():
     rng = np.random.default_rng(1234)
     with no_grad():
         for _ in range(20):
-            disc = _random_instance(rng)
-            gap = np.abs(scan_fast(disc).data - scan_sequential(disc).data)
+            d = int(rng.integers(1, 9))
+            s = int(rng.integers(1, 17))
+            k = int(rng.integers(1, 129))
+            ops = [Tensor(v) for v in _operands(rng, (), d, s, k)]
+            gap = np.abs(selective_scan(*ops).data
+                         - scan_sequential(*ops).data)
             assert gap.max() < 1e-10
 
 
+@pytest.mark.parametrize("lead,stacked", [((3, 2), True), ((2,), False),
+                                          ((), False)])
+def test_fused_gradients_match_sequential_reference(lead, stacked):
+    # K = 13 spans four chunks of 4, so the carry between chunks is on the
+    # forward and the adjoint path
+    rng = np.random.default_rng(len(lead))
+    for _ in range(3):
+        values = _operands(rng, lead, 3, 4, 13, stacked)
+        w = Tensor(rng.normal(size=values[0].shape))
+        got = []
+        for scan in (_fused(chunk=4), scan_sequential):
+            ops = [Tensor(v, requires_grad=True) for v in values]
+            y = scan(*ops)
+            tsum(mul(y, w)).backward()
+            got.append([y.data] + [t.grad for t in ops])
+        for name, fast, ref in zip(("y", "x", "delta", "a_log", "b", "c",
+                                    "skip"), *got):
+            gap = np.abs(fast - ref).max() / np.abs(ref).max()
+            assert gap < 1e-10, name
+
+
 def test_discretize_shapes_and_decay_range():
+    # closed form on two tokens: the first state is the Euler input
+    # delta b x, the second decays it by the zero-order hold exp(delta a)
     rng = np.random.default_rng(0)
+    x, delta, a_log, b, c, skip = _operands(rng, (), 4, 3, 2)
+    a = -np.exp(a_log)                                      # [d, s]
+    decay = np.exp(delta[:, None, 1] * a)
+    assert decay.min() > 0.0 and decay.max() < 1.0
+    h1 = delta[:, None, 0] * b[None, :, 0] * x[:, None, 0]  # [d, s]
+    h2 = decay * h1 + delta[:, None, 1] * b[None, :, 1] * x[:, None, 1]
+    want = np.stack([h1 @ c[:, 0], h2 @ c[:, 1]], axis=-1) + skip[:, None] * x
+    y = selective_scan(*(Tensor(v) for v in (x, delta, a_log, b, c, skip)))
+    assert y.shape == (4, 2)
+    assert np.allclose(y.data, want, atol=1e-12)
+
+    # the layer feeds the op softplus step sizes and its b and c projections
     core = SelectiveScan(4, d_state=3, dt_rank=2, rng=rng)
-    x = Tensor(rng.normal(size=(4, 6)) * 5)
-    disc = core.discretize(x)
-    assert disc.abar.shape == (4, 3, 6)
-    assert disc.bbarx.shape == (4, 3, 6)
-    assert disc.c.shape == (3, 6)
-    assert disc.abar.data.min() > 0.0
-    assert disc.abar.data.max() < 1.0
-    # Euler input path: bbarx = delta * b * x
-    delta = softplus(core.dt_up(core.dt_low(x))).data
-    b = core.b_proj(x).data
-    want = delta[:, None, :] * b[None, :, :] * x.data[:, None, :]
-    assert np.allclose(disc.bbarx.data, want, atol=1e-12)
+    xt = Tensor(x * 5)
+    want = selective_scan(xt, softplus(core.dt_up(core.dt_low(xt))),
+                          core.a_log, core.b_proj(xt), core.c_proj(xt),
+                          core.skip)
+    assert np.array_equal(core(xt).data, want.data)
+
+
+def test_one_layer_call_records_six_tape_nodes():
+    # four projections, the softplus of the step sizes, and the scan
+    core = SelectiveScan(4, d_state=3, dt_rank=2,
+                         rng=np.random.default_rng(2))
+    y = core(Tensor(np.ones((2, 4, 5)), requires_grad=True))
+    seen, todo = set(), [y]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen and node._parents:
+            seen.add(id(node))
+            todo.extend(node._parents)
+    assert len(seen) == 6
 
 
 def test_step_size_initialization_window():
@@ -111,31 +159,15 @@ def test_scan_runtime_scales_linearly():
     assert r2 > 0.98
 
 
-def _held_bytes(module, n: int, dim: int = 16) -> int:
-    """Bytes allocated by one forward call of ``module`` on ``[dim, n]``
-    tokens and still held after it: the output and its tape, including
-    arrays kept only in VJP closures."""
-    x = Tensor(np.random.default_rng(0).normal(size=(dim, n)),
-               requires_grad=True)
-    tracemalloc.start()
-    try:
-        out = module(x)
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    del out
-    return held
-
-
 def test_tape_memory_doubles_for_scan_and_quadruples_for_attention():
     # a deterministic twin of the wall-clock fits: numpy reports its
     # buffers to tracemalloc, so the ratios hold on any machine and load
     lengths = [256, 512, 1024, 2048]
     scan = SelectiveScan(16, d_state=16, dt_rank=16,
                          rng=np.random.default_rng(1))
-    held = np.array([_held_bytes(scan, n) for n in lengths], float)
+    held = np.array([held_bytes(scan, n) for n in lengths], float)
     assert np.all(np.abs(held[1:] / held[:-1] - 2.0) < 0.05), held
 
     att = MultiHeadSelfAttention(16, 4, np.random.default_rng(2))
-    held = np.array([_held_bytes(att, n) for n in lengths], float)
+    held = np.array([held_bytes(att, n) for n in lengths], float)
     assert np.all(np.abs(held[1:] / held[:-1] - 4.0) < 0.2), held

@@ -235,6 +235,9 @@ def test_default_dtype_switch():
 
 
 # -- the scan -----------------------------------------------------------
+# The linear recurrence h_k = a_k h_{k-1} + b_k is evaluated by the chunked
+# sweep ``_chunked_scan``; its adjoint runs inside the VJP of the one scan
+# op, ``selective_scan``, so that op carries the gradient check.
 
 
 def _reference_recurrence(a, b):
@@ -247,10 +250,8 @@ def _reference_recurrence(a, b):
 
 
 def test_linear_recurrence_hand_case():
-    a = Tensor(np.full((1, 1, 3), 0.5))
-    b = Tensor(np.ones((1, 1, 3)))
-    h = T.linear_recurrence(a, b)
-    assert np.allclose(h.data.ravel(), [1.0, 1.5, 1.75], atol=1e-15)
+    h = T._chunked_scan(np.full((1, 1, 3), 0.5), np.ones((1, 1, 3)), 128)
+    assert np.allclose(h.ravel(), [1.0, 1.5, 1.75], atol=1e-15)
 
 
 @pytest.mark.parametrize("shape,chunk", [
@@ -261,8 +262,8 @@ def test_linear_recurrence_matches_loop(shape, chunk):
     rng = np.random.default_rng(hash(shape) % 2**32)
     a = rng.uniform(0.1, 0.99, size=shape)
     b = rng.normal(size=shape)
-    h = T.linear_recurrence(Tensor(a), Tensor(b), chunk=chunk)
-    assert np.max(np.abs(h.data - _reference_recurrence(a, b))) < 1e-12
+    h = T._chunked_scan(a, b, chunk)
+    assert np.max(np.abs(h - _reference_recurrence(a, b))) < 1e-12
 
 
 @pytest.mark.parametrize("shape,chunk", [
@@ -272,28 +273,33 @@ def test_linear_recurrence_in_one_chunk_is_the_loop_bitwise(shape, chunk):
     rng = np.random.default_rng(7)
     a = rng.uniform(0.1, 0.99, size=shape)
     b = rng.normal(size=shape)
-    h = T.linear_recurrence(Tensor(a), Tensor(b), chunk=chunk)
-    assert np.array_equal(h.data, _reference_recurrence(a, b))
+    h = T._chunked_scan(a, b, chunk)
+    assert np.array_equal(h, _reference_recurrence(a, b))
 
 
 def test_linear_recurrence_does_not_mutate_inputs():
     rng = np.random.default_rng(5)
-    a = Tensor(rng.uniform(0.2, 0.9, size=(2, 2, 6)))
-    b = Tensor(rng.normal(size=(2, 2, 6)))
-    a_before, b_before = a.data.copy(), b.data.copy()
-    T.linear_recurrence(a, b, chunk=128)  # single chunk covers everything
-    assert np.array_equal(a.data, a_before)
-    assert np.array_equal(b.data, b_before)
+    a = rng.uniform(0.2, 0.9, size=(2, 2, 6))
+    b = rng.normal(size=(2, 2, 6))
+    a_before, b_before = a.copy(), b.copy()
+    T._chunked_scan(a, b, 128)  # single chunk covers everything
+    assert np.array_equal(a, a_before)
+    assert np.array_equal(b, b_before)
 
 
 def test_linear_recurrence_gradient_small():
     rng = np.random.default_rng(3)
-    a = Tensor(rng.uniform(0.2, 0.9, size=(2, 7)), requires_grad=True)
-    b = Tensor(rng.normal(size=(2, 7)), requires_grad=True)
+    x = Tensor(rng.normal(size=(2, 7)), requires_grad=True)
+    delta = Tensor(rng.uniform(0.1, 1.0, size=(2, 7)), requires_grad=True)
+    a_log = Tensor(rng.normal(size=(2, 3)) * 0.5, requires_grad=True)
+    b = Tensor(rng.normal(size=(3, 7)), requires_grad=True)
+    c = Tensor(rng.normal(size=(3, 7)), requires_grad=True)
+    skip = Tensor(rng.normal(size=2), requires_grad=True)
     w = rng.normal(size=(2, 7))
+    ops = [x, delta, a_log, b, c, skip]
     err = check_function(
-        lambda: T.tsum(T.mul(T.linear_recurrence(a, b, chunk=3), Tensor(w))),
-        [a, b])
+        lambda: T.tsum(T.mul(T.selective_scan(*ops, chunk=3), Tensor(w))),
+        ops)
     assert err < 1e-8
 
 

@@ -245,7 +245,7 @@ def test_f32_step_stays_float32_end_to_end(monkeypatch):
 
 
 #: tape nodes one forward-plus-loss step of demos/toy.cfg records
-TOY_STEP_OPS = 240
+TOY_STEP_OPS = 204
 
 
 def _count_ops(monkeypatch) -> Counter:
@@ -356,8 +356,8 @@ def test_nan_planted_mid_run_names_op_module_and_step(monkeypatch, tmp_path):
     monkeypatch.setattr(training, "sample_batch", planting)
     cfg = make_tiny_cfg(steps=6, eval_every=2)
     with pytest.raises(NonFiniteError,
-                       match=r"^op 'exp' produced non-finite values in "
-                             r"aggregator\.blocks\.0\.inter_ssm at step 4$"):
+                       match=r"^op 'selective_scan' produced non-finite values "
+                             r"in aggregator\.blocks\.0\.inter_ssm at step 4$"):
         training.train(cfg, 0, str(tmp_path), quiet=True)
 
     for name, p in seen["model"].named_params():
