@@ -29,6 +29,10 @@ from .nn import Module, locate_non_finite
 from .prompts import MODALITIES, PromptBank
 from .tensor import Tensor, finite_checks, narrow, no_grad, reshape, swapaxes
 
+#: Samples times pixels per image in one eval chunk: 8 samples of 64x32,
+#: a whole 128-sample split of 16x8
+_EVAL_CHUNK_PIXELS = 1 << 14
+
 
 class FusionModel(Module):
     def __init__(self, cfg: RunConfig, rng: np.random.Generator):
@@ -98,19 +102,29 @@ class FusionModel(Module):
         """Retrieval embedding, one column per sample.
 
         The class-token feature, with the fused feature stacked below it
-        when aggregation is enabled. The pass runs without per-op finite
-        checks or numpy floating-point warnings and checks the returned
-        matrix once; if that fails, the pass runs again with per-op checks
-        to name the op and module at fault.
+        when aggregation is enabled. The samples run in chunks of
+        ``_EVAL_CHUNK_PIXELS // (H * W)`` (at least one), so the pass's
+        working memory, the scans' ``[3, B, D, S, N]`` states above all,
+        does not grow with the split. Every column depends on its own
+        sample only, so the chunks give the one-pass matrix bitwise. The
+        pass runs without per-op finite checks or numpy floating-point
+        warnings and checks the returned matrix once; if that fails, the
+        pass runs again with per-op checks to name the op and module at
+        fault.
         """
+        h, w = samples[0][MODALITIES[0]].shape[-2:]
+        step = max(1, _EVAL_CHUNK_PIXELS // (h * w))
+        chunks = [samples[m:m + step] for m in range(0, len(samples), step)]
+        parts = []
         with no_grad(), finite_checks(False), np.errstate(all="ignore"):
-            f_cls, f_ma = self.forward_batch(samples)
-        if f_ma is None:
-            out = f_cls.data.copy()
-        else:
-            out = np.concatenate([f_cls.data, f_ma.data], axis=0)
+            for chunk in chunks:
+                f_cls, f_ma = self.forward_batch(chunk)
+                parts.append(f_cls.data if f_ma is None
+                             else np.concatenate([f_cls.data, f_ma.data]))
+        out = np.concatenate(parts, axis=1)
         if not np.isfinite(out).all():
-            locate_non_finite(self, lambda: self.forward_batch(samples),
+            locate_non_finite(self, lambda: [self.forward_batch(c)
+                                             for c in chunks],
                               "eval pass", "non-finite features")
         return out
 

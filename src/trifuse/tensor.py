@@ -24,6 +24,11 @@ Conventions used throughout the package:
   default; ``finite_checks(False)`` turns them off for a block of code,
   as the training loop and ``FusionModel.features`` do, checking their
   results once instead
+* work that sweeps many lanes (batch times heads, or feature rows) goes
+  in blocks of lanes of at most ``_CACHE_ELEMS`` elements, so each block
+  stays in cache through all its passes: attention builds, uses and, with
+  no tape to keep it, drops its ``[N, N]`` probabilities block by block,
+  and the scan makes its token-major copies the same way
 * importing this module fixes glibc's allocator thresholds for the
   process, so the arrays a step frees stay in the heap for the next step
   (``_keep_freed_memory``)
@@ -64,6 +69,10 @@ class NonFiniteError(ArithmeticError):
 _DEFAULT_DTYPE = np.float64
 _GRAD_ENABLED = True
 _FINITE_CHECKS = True
+
+#: Elements in one block of lanes, small enough to stay in a core's cache
+#: (256 KB in float64)
+_CACHE_ELEMS = 1 << 15
 
 
 def _keep_freed_memory() -> bool:
@@ -577,9 +586,22 @@ def gelu(a: Tensor) -> Tensor:
     out *= 0.5
 
     def vjp(g):
-        dinner = _GELU_C * (1.0 + 3.0 * 0.044715 * x * x)
-        d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-        return (g * d,)
+        # g * (0.5 (1 + t) + 0.5 x (1 - t²) c (1 + 3 · 0.044715 x²)) in three
+        # buffers, each product and sum in the order the formula reads
+        dinner = x * (3.0 * 0.044715)
+        dinner *= x
+        dinner += 1.0
+        dinner *= _GELU_C
+        d = t * t
+        np.subtract(1.0, d, out=d)
+        rest = x * 0.5
+        rest *= d
+        rest *= dinner
+        np.add(t, 1.0, out=d)
+        d *= 0.5
+        d += rest
+        d *= g
+        return (d,)
 
     return Tensor._from_op(out, (a,), vjp, "gelu")
 
@@ -750,10 +772,12 @@ def where_mask(mask: np.ndarray, a: Tensor, b) -> Tensor:
 # normalization and attention building blocks
 # ---------------------------------------------------------------------------
 
-def _attention_probs(qd: np.ndarray, kd: np.ndarray, scale: float) -> np.ndarray:
-    """p = softmax(qᵀk · scale) over the key axis, built in one
-    ``[..., N, N]`` buffer whose rows (queries) are stochastic."""
-    p = np.swapaxes(qd, -1, -2) @ kd
+def _attention_probs(p: np.ndarray, q: np.ndarray, k: np.ndarray,
+                     scale: float) -> np.ndarray:
+    """Write p = softmax(qᵀk · scale) over the key axis into ``p [..., N, M]``
+    for ``q [..., d, N]`` and ``k [..., d, M]``; rows (queries) are
+    stochastic."""
+    np.matmul(np.swapaxes(q, -1, -2), k, out=p)
     p *= scale
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
@@ -767,35 +791,63 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     p = softmax(qᵀk · scale) over the keys.
 
     ``q``, ``k`` and ``v`` share one shape ``[..., d, N]`` (leading axes
-    are batch and heads); the output is ``[..., d, N]`` too. Besides the
-    operands the node keeps only p, not the scores or a transposed copy.
+    are batch and heads); the output is ``[..., d, N]`` too. The leading
+    axes flatten to L lanes, which run in blocks of lanes whose ``[N, N]``
+    probabilities fit ``_CACHE_ELEMS``: each block builds its p, uses it
+    and moves on, so the softmax passes stay in cache. With a tape the
+    node keeps the whole p (and nothing else besides its operands) and its
+    VJP walks the same blocks; without one, one block's buffer is reused
+    and no ``[L, N, N]`` array is ever built. Every row goes through the
+    same numpy calls whatever the block, so the block size never changes
+    a bit of the output or the gradients.
     """
     if not q.data.shape == k.data.shape == v.data.shape:
         raise ValueError("attention operands must share a shape")
-    qd, kd, vd = q.data, k.data, v.data
-    p = _attention_probs(qd, kd, scale)
-    out = vd @ np.swapaxes(p, -1, -2)
+    shape = q.data.shape
+    d, n = shape[-2:]
+    ql, kl, vl = (t.data.reshape(-1, d, n) for t in (q, k, v))
+    step = max(1, _CACHE_ELEMS // (n * n))  # lanes per block
+    blocks = [slice(m, m + step) for m in range(0, len(ql), step)]
     nq, nk, nv = _needs((q, k, v))
+    tape = _GRAD_ENABLED and (nq or nk or nv)  # as _from_op decides
+    p = np.empty((len(ql) if tape else min(len(ql), step), n, n),
+                 dtype=ql.dtype)
+    out = np.empty(ql.shape, dtype=ql.dtype)
+    for s in blocks:
+        pb = p[s] if tape else p[:len(ql[s])]
+        _attention_probs(pb, ql[s], kl[s], scale)
+        np.matmul(vl[s], np.swapaxes(pb, -1, -2), out=out[s])
 
     def vjp(g):
-        gv = g @ p if nv else None
-        gq = gk = None
-        if nq or nk:
-            gs = np.swapaxes(g, -1, -2) @ vd  # d/dp
-            gs -= (gs * p).sum(axis=-1, keepdims=True)
-            gs *= p
-            gs *= scale  # d/d(qᵀk)
-            gq = kd @ np.swapaxes(gs, -1, -2) if nq else None
-            gk = qd @ gs if nk else None
-        return gq, gk, gv
+        gl = g.reshape(-1, d, n)
+        gq, gk, gv = (np.empty_like(ql) if need else None
+                      for need in (nq, nk, nv))
+        gs = np.empty_like(p[:step]) if nq or nk else None
+        for s in blocks:
+            pb = p[s]
+            if nv:
+                np.matmul(gl[s], pb, out=gv[s])
+            if nq or nk:
+                gsb = np.matmul(np.swapaxes(gl[s], -1, -2), vl[s],
+                                out=gs[:len(pb)])  # d/dp
+                gsb -= (gsb * pb).sum(axis=-1, keepdims=True)
+                gsb *= pb
+                gsb *= scale  # d/d(qᵀk)
+                if nq:
+                    np.matmul(kl[s], np.swapaxes(gsb, -1, -2), out=gq[s])
+                if nk:
+                    np.matmul(ql[s], gsb, out=gk[s])
+        return tuple(None if a is None else a.reshape(shape)
+                     for a in (gq, gk, gv))
 
-    return Tensor._from_op(out, (q, k, v), vjp, "attention")
+    return Tensor._from_op(out.reshape(shape), (q, k, v), vjp, "attention")
 
 
 def attention_weights(q: Tensor, k: Tensor, scale: float) -> Tensor:
     """The probabilities p that :func:`attention` mixes values with, as a
     constant tensor ``[..., N, N]`` recorded on no tape."""
-    return Tensor(_attention_probs(q.data, k.data, scale))
+    p = np.empty(q.shape[:-2] + (q.shape[-1], k.shape[-1]), dtype=q.dtype)
+    return Tensor(_attention_probs(p, q.data, k.data, scale))
 
 
 @_diffop("norm_affine")
@@ -878,7 +930,7 @@ def dwconv1d(x: Tensor, kernels: Tensor, causal: bool = False) -> Tensor:
 def _copy_by_lanes(dst: np.ndarray, src: np.ndarray) -> None:
     """``dst[...] = src`` in blocks of the leading (lane) axis that stay in
     cache; one transposing copy of a few MB runs several times slower."""
-    step = max(1, (1 << 15) // max(1, src[0].size))
+    step = max(1, _CACHE_ELEMS // max(1, src[0].size))
     for m in range(0, len(src), step):
         dst[m:m + step] = src[m:m + step]
 

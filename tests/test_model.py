@@ -1,12 +1,19 @@
 """Fusion model: stream plumbing, toggles, feature assembly."""
 
+import dataclasses
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from trifuse.config import RunConfig
+from trifuse.config import RunConfig, load_config
 from trifuse.model import FusionModel
 from trifuse.prompts import MODALITIES
-from trifuse.tensor import NonFiniteError
+from trifuse.tensor import NonFiniteError, no_grad, set_default_dtype
+from trifuse.train import build_model
+
+TOY_CFG = os.path.join(os.path.dirname(__file__), "..", "demos", "toy.cfg")
 
 N_PATCHES = (8 // 4) * (8 // 4)
 
@@ -133,3 +140,47 @@ def test_nan_before_features_names_the_module_path():
                        match=r"^op 'linear' produced non-finite values in "
                              r"adapters\.1\.up at eval pass$"):
         model.features([_sample(), _sample(1)])
+
+
+def _wide_model(seed=0):
+    """64x32 images: ``features`` runs 8 samples per chunk."""
+    cfg = RunConfig(embed_dim=8, layers=2, heads=2, patch=8,
+                    image_h=64, image_w=32, channels=1, n_prompts=2,
+                    num_ids=4, d_state=2, dt_rank=2, ma_blocks=1)
+    return FusionModel(cfg, np.random.default_rng(seed)).eval()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_chunked_features_are_bitwise_one_pass(dtype):
+    set_default_dtype(dtype)
+    try:
+        model = _wide_model()
+        rng = np.random.default_rng(5)
+        samples = [{m: rng.normal(size=(1, 64, 32)).astype(dtype)
+                    for m in MODALITIES} for _ in range(20)]  # 8 + 8 + 4
+        feats = model.features(samples)
+        with no_grad():
+            f_cls, f_ma = model.forward_batch(samples)
+    finally:
+        set_default_dtype(np.float64)
+    assert feats.dtype == dtype
+    assert np.array_equal(feats, np.concatenate([f_cls.data, f_ma.data]))
+
+
+def test_eval_pass_memory_does_not_grow_with_the_split():
+    # the long_seq_train size: 64x32 images in 4x4 patches, 135 columns
+    cfg = dataclasses.replace(load_config(TOY_CFG), image_h=64, image_w=32,
+                              patch=4)
+    model = build_model(cfg, 1).eval()
+    rng = np.random.default_rng(6)
+    samples = [{m: rng.normal(size=(cfg.channels, 64, 32))
+                for m in MODALITIES} for _ in range(36)]
+    peaks = []
+    for count in (12, 36):
+        tracemalloc.start()
+        try:
+            model.features(samples[:count])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks

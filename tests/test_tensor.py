@@ -1,6 +1,7 @@
 """Autodiff core: op semantics, backward correctness, tape mechanics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +215,71 @@ def test_attention_matches_the_unfused_chain():
     assert np.abs(w.data - p).max() < 1e-12
     with pytest.raises(ValueError):
         T.attention(q, k, Tensor(np.ones((2, 3, 4, 5))), scale)
+
+
+def _attention_in_one_go(q, k, v, g, scale):
+    """Output and gq, gk, gv of softmax attention over all lanes at once,
+    in the numpy calls the blocked op makes on each block."""
+    p = np.swapaxes(q, -1, -2) @ k
+    p *= scale
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = v @ np.swapaxes(p, -1, -2)
+    gv = g @ p
+    gs = np.swapaxes(g, -1, -2) @ v
+    gs -= (gs * p).sum(axis=-1, keepdims=True)
+    gs *= p
+    gs *= scale
+    return out, k @ np.swapaxes(gs, -1, -2), q @ gs, gv
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_blocked_attention_is_bitwise_the_one_go_formula(dtype):
+    # N = 64 puts 8 lanes in a block: 20 lanes run as 8 + 8 + 4
+    shape = (4, 5, 3, 64)
+    assert T._CACHE_ELEMS // 64 ** 2 == 8
+    rng = np.random.default_rng(11)
+    q0, k0, v0, g = (rng.normal(size=shape).astype(dtype) for _ in range(4))
+    want = _attention_in_one_go(q0, k0, v0, g, 0.3)
+    q, k, v = (Tensor(a, requires_grad=True, dtype=dtype) for a in (q0, k0, v0))
+    out = T.attention(q, k, v, 0.3)
+    out.backward(g)
+    with no_grad():
+        free = T.attention(*(Tensor(a, dtype=dtype) for a in (q0, k0, v0)),
+                           0.3)
+    for got, ref in zip((out.data, q.grad, k.grad, v.grad, free.data),
+                        want + (want[0],)):
+        assert got.dtype == dtype
+        assert np.array_equal(got, ref)
+
+
+def test_attention_without_a_tape_builds_no_whole_probability_array():
+    # [216, 135, 135] float64 probabilities would be 31.5 MB; one block is
+    # one lane, 146 KB, and the output 1.9 MB
+    rng = np.random.default_rng(12)
+    q, k, v = (Tensor(rng.normal(size=(108, 2, 8, 135))) for _ in range(3))
+    with no_grad():
+        tracemalloc.start()
+        try:
+            T.attention(q, k, v, 8 ** -0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 4e6, peak
+
+
+def test_attention_gradient_over_several_lane_blocks(monkeypatch):
+    # two lanes of [5, 5] per block: 7 lanes run as 2 + 2 + 2 + 1, in the
+    # taped pass and in the no-grad passes of the central differences
+    monkeypatch.setattr(T, "_CACHE_ELEMS", 2 * 5 * 5)
+    rng = np.random.default_rng(13)
+    ops = [Tensor(rng.normal(size=(7, 3, 5)), requires_grad=True)
+           for _ in range(3)]
+    w = Tensor(rng.normal(size=(7, 3, 5)))
+    err = check_function(lambda: T.tsum(T.mul(T.attention(*ops, 0.6), w)),
+                         ops)
+    assert err < 1e-8
 
 
 def test_finite_checks_raise_and_can_be_disabled():
