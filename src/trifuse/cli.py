@@ -132,11 +132,14 @@ def cmd_eval(args) -> int:
     if not os.path.exists(cfg_path) or not os.path.isdir(ckpt):
         sys.exit(f"error: {out} does not look like a train-toy output "
                  "(missing config.cfg or checkpoint/)")
-    seed = args.seed
+    try:
+        meta = read_meta(ckpt)
+    except (OSError, ValueError) as err:
+        # a missing or corrupt state file
+        sys.exit(f"error: {err}")
+    seed = meta.get("seed") if args.seed is None else args.seed
     if seed is None:
-        seed = read_meta(ckpt).get("seed")
-        if seed is None:
-            sys.exit(f"error: {ckpt} records no seed; pass --seed")
+        sys.exit(f"error: {ckpt} records no seed; pass --seed")
     cfg = load_config(cfg_path)
     model = build_model(cfg, seed)
     try:

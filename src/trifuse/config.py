@@ -163,5 +163,5 @@ def config_digest(cfg: RunConfig) -> str:
 
 
 def save_config(path: str, cfg: RunConfig) -> None:
-    with open(path, "w") as fh:
-        fh.write(_config_text(cfg))
+    from .dump import write_atomic  # dump imports numpy; config stays light
+    write_atomic(path, [_config_text(cfg).encode()])

@@ -882,11 +882,9 @@ def norm_affine(x: Tensor, gain: Tensor, shift: Tensor, eps: float, axis: int) -
 
 
 @_diffop("dwconv1d")
-def dwconv1d(x: Tensor, kernels: Tensor, causal: bool = False) -> Tensor:
-    """Depthwise 1-D convolution along the token axis, one kernel per channel.
-
-    Same-padding by default (output length N); ``causal=True`` pads only on
-    the left so position n sees positions <= n. Leading axes are batch.
+def dwconv1d(x: Tensor, kernels: Tensor) -> Tensor:
+    """Depthwise 1-D convolution along the token axis, one kernel per channel,
+    with same-padding (output length N). Leading axes are batch.
     """
     D, N = x.data.shape[-2:]
     Dk, k = kernels.data.shape[-2:]
@@ -894,9 +892,8 @@ def dwconv1d(x: Tensor, kernels: Tensor, causal: bool = False) -> Tensor:
         raise ValueError("kernel channel count must match input channels")
     if k % 2 == 0:
         raise ValueError("dwconv1d requires an odd kernel size")
-    left = k - 1 if causal else k // 2
-    right = 0 if causal else k // 2
-    xp = np.pad(x.data, ((0, 0),) * (x.data.ndim - 1) + ((left, right),))
+    pad = k // 2
+    xp = np.pad(x.data, ((0, 0),) * (x.data.ndim - 1) + ((pad, pad),))
     out = np.zeros_like(x.data)
     kd = kernels.data
     kv = kd.reshape(stack_shape(kd.shape, x.data.ndim))
@@ -910,7 +907,7 @@ def dwconv1d(x: Tensor, kernels: Tensor, causal: bool = False) -> Tensor:
             gxp = np.zeros_like(xp)
             for j in range(k):
                 gxp[..., j:j + N] += kv[..., j:j + 1] * g
-            gx = gxp[..., left:left + N].copy() if (left or right) else gxp
+            gx = gxp[..., pad:pad + N].copy() if pad else gxp
         gk = None
         if nk:
             gk = np.empty_like(kd)

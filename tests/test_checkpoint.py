@@ -1,74 +1,89 @@
-"""Array dump format, checkpoint directories, and exact resumption."""
+"""The checkpoint state file, atomic saves, and exact resumption."""
 
 import dataclasses
+import errno
 import filecmp
 import hashlib
 import os
+import re
 import struct
 
 import numpy as np
 import pytest
 
 from conftest import make_tiny_cfg
+from trifuse import dump
 from trifuse.config import save_config
-from trifuse.dump import (MAGIC, load_checkpoint, read_array,
-                          save_checkpoint, write_array)
+from trifuse.dump import MAGIC, load_checkpoint, read_meta, save_checkpoint
 from trifuse import train as train_mod
 from trifuse.train import build_model, train
 
 
-# -- single-array format ------------------------------------------------
+# -- the state file ---------------------------------------------------------
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_array_round_trip(tmp_path, dtype):
     rng = np.random.default_rng(0)
-    for shape in [(), (5,), (3, 4), (2, 3, 4)]:
-        arr = rng.normal(size=shape).astype(dtype)
-        path = str(tmp_path / "a.mptd")
-        write_array(path, arr)
-        back = read_array(path)
-        assert back.dtype == dtype
-        assert back.shape == arr.shape
-        assert np.array_equal(back, arr)
+    arrays = {f"a{len(shape)}": (rng.normal(size=shape).astype(dtype), False)
+              for shape in [(), (5,), (3, 4), (2, 3, 4)]}
+    save_checkpoint(str(tmp_path / "ckpt"), arrays, {})
+    back, _ = load_checkpoint(str(tmp_path / "ckpt"))
+    for name, (arr, _) in arrays.items():
+        got = back[name][0]
+        assert got.dtype == dtype
+        assert got.shape == arr.shape
+        assert np.array_equal(got, arr)
 
 
 def test_write_rejects_unsupported_dtype(tmp_path):
-    with pytest.raises(ValueError):
-        write_array(str(tmp_path / "a.mptd"), np.arange(3))  # int64
+    with pytest.raises(ValueError, match="int64"):
+        save_checkpoint(str(tmp_path / "ckpt"),
+                        {"w": (np.arange(3), False)}, {})
 
 
 def test_read_rejects_corrupt_files(tmp_path):
-    good = str(tmp_path / "good.mptd")
-    write_array(good, np.ones((2, 2)))
-    blob = open(good, "rb").read()
+    good = str(tmp_path / "good")
+    save_checkpoint(good, {"w": (np.ones((2, 2)), False)}, {"step": 1})
+    blob = open(os.path.join(good, dump.STATE), "rb").read()
 
     cases = {
         "magic": b"XXXX" + blob[4:],
         "version": blob[:4] + bytes([9]) + blob[5:],
-        "dtype": blob[:5] + bytes([7]) + blob[6:],
+        "dtype": blob.replace(b"\tf8\t", b"\tf9\t"),
+        "meta_kind": blob.replace(b"\ti\t1", b"\tq\t1"),
+        "truncated_prefix": blob[:5],
+        "truncated_header": blob[:20],
         "short_payload": blob[:-8],
-        "truncated_header": blob[:5],
-        "truncated_dims": blob[:12],
+        "trailing_bytes": blob + b"\0" * 8,
     }
     for name, broken in cases.items():
-        path = str(tmp_path / f"{name}.mptd")
-        with open(path, "wb") as fh:
-            fh.write(broken)
-        with pytest.raises(ValueError, match=f"{name}.mptd"):
-            read_array(path)
+        assert broken != blob, name
+        ckpt = tmp_path / name
+        ckpt.mkdir()
+        path = ckpt / dump.STATE
+        path.write_bytes(broken)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_checkpoint(str(ckpt))
 
 
 def test_header_layout_is_as_documented(tmp_path):
-    path = str(tmp_path / "a.mptd")
-    write_array(path, np.zeros((3, 7), dtype=np.float32))
-    blob = open(path, "rb").read()
-    magic, version, code, rank = struct.unpack("<4sBBB", blob[:7])
-    assert magic == MAGIC and version == 1 and code == 0 and rank == 2
-    assert struct.unpack("<2Q", blob[7:23]) == (3, 7)
-    assert len(blob) == 23 + 3 * 7 * 4
+    ckpt = str(tmp_path / "ckpt")
+    w = np.arange(21, dtype=np.float32).reshape(3, 7)
+    b = np.array([0.5, -1.0])
+    save_checkpoint(ckpt, {"w": (w, False), "b": (b, True)},
+                    {"step": 4, "lr": 0.1, "config_sha256": "ab"})
+    assert os.listdir(ckpt) == ["state.mptd"]
+    blob = open(os.path.join(ckpt, "state.mptd"), "rb").read()
+    magic, version, hlen = struct.unpack("<4sBQ", blob[:13])
+    assert magic == MAGIC and version == 2
+    header = blob[13:13 + hlen].decode()
+    assert header == ("meta\tconfig_sha256\ts\tab\n"
+                      "meta\tlr\tf\t0.10000000000000001\n"
+                      "meta\tstep\ti\t4\n"
+                      "array\tb\tf8\t2\t1\n"
+                      "array\tw\tf4\t3,7\t0\n")
+    assert blob[13 + hlen:] == b.astype("<f8").tobytes() + w.astype("<f4").tobytes()
 
-
-# -- checkpoint directories ----------------------------------------------
 
 def test_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(1)
@@ -87,16 +102,71 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(got, arr)
         assert got_frozen == frozen
     assert back_meta == meta
+    assert read_meta(str(tmp_path / "ckpt")) == meta
 
 
-def test_manifest_dims_mismatch_detected(tmp_path):
+def test_header_dims_mismatch_detected(tmp_path):
     ckpt = str(tmp_path / "ckpt")
     save_checkpoint(ckpt, {"w": (np.zeros((2, 3)), False)}, {"step": 0})
-    manifest = os.path.join(ckpt, "manifest.tsv")
-    text = open(manifest).read().replace("2,3", "3,2")
-    open(manifest, "w").write(text)
-    with pytest.raises(ValueError):
+    path = os.path.join(ckpt, "state.mptd")
+    blob = open(path, "rb").read()
+    # same header length, one column more than the payload holds
+    open(path, "wb").write(blob.replace(b"\t2,3\t", b"\t2,4\t"))
+    with pytest.raises(ValueError, match="state.mptd"):
         load_checkpoint(ckpt)
+
+
+class _DiskFills:
+    """A file whose third write fails, as when the disk fills up."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 3:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(data)
+
+    def writelines(self, chunks):
+        for chunk in chunks:
+            self.write(chunk)
+
+
+def test_a_save_that_fails_midway_keeps_the_previous_checkpoint(
+        tmp_path, monkeypatch):
+    ckpt = str(tmp_path / "ckpt")
+    old = {"a": (np.zeros((4, 4)), False), "b": (np.ones(3), True)}
+    save_checkpoint(ckpt, old, {"step": 1})
+    new = {"a": (np.full((4, 4), 2.0), False), "b": (np.full(3, 3.0), True)}
+
+    def full_disk_open(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        return _DiskFills(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(dump, "open", full_disk_open, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(ckpt, new, {"step": 2})
+    monkeypatch.undo()
+
+    arrays, meta = load_checkpoint(ckpt)
+    assert meta == {"step": 1}
+    assert set(arrays) == set(old)
+    for name, (arr, frozen) in old.items():
+        assert np.array_equal(arrays[name][0], arr)
+        assert arrays[name][1] == frozen
+    save_checkpoint(ckpt, new, {"step": 2})
+    assert os.listdir(ckpt) == ["state.mptd"]
+    assert load_checkpoint(ckpt)[1] == {"step": 2}
 
 
 # -- training resumption --------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 from conftest import make_tiny_cfg
 from trifuse.cli import main
 from trifuse.config import save_config
+from trifuse.dump import STATE, load_checkpoint, save_checkpoint
 from trifuse.tensor import default_dtype, set_default_dtype
 
 
@@ -112,19 +113,35 @@ def test_eval_refuses_an_older_checkpoint_layout_with_one_error_line(
     # before the per-modality modules were stacked, is named, not traced
     out = str(tmp_path / "run")
     main(_train_args(tiny_cfg_path, out))
-    manifest = os.path.join(out, "checkpoint", "manifest.tsv")
-    with open(manifest) as fh:
-        text = fh.read()
-    new = "model.aggregator.blocks.0.intra_conv.proj.weight\t"
-    old = "model.aggregator.blocks.0.intra_conv.n.proj.weight\t"
-    assert new in text
-    with open(manifest, "w") as fh:
-        fh.write(text.replace(new, old))
+    ckpt = os.path.join(out, "checkpoint")
+    arrays, meta = load_checkpoint(ckpt)
+    new = "model.aggregator.blocks.0.intra_conv.proj.weight"
+    old = "model.aggregator.blocks.0.intra_conv.n.proj.weight"
+    arrays[old] = arrays.pop(new)
+    save_checkpoint(ckpt, arrays, meta)
     with pytest.raises(SystemExit) as exc:
         main(["--out", out, "eval"])
     assert str(exc.value.code) == (
         "error: unexpected entry "
         "'aggregator.blocks.0.intra_conv.n.proj.weight' in state")
+    assert not os.path.exists(os.path.join(out, "eval_report.csv"))
+
+
+@pytest.mark.parametrize("seed_args", [[], ["--seed", "5"]],
+                         ids=["checkpoint_seed", "given_seed"])
+@pytest.mark.parametrize("damage", ["missing", "truncated"])
+def test_eval_refuses_a_missing_or_corrupt_state_file_with_one_error_line(
+        tiny_cfg_path, tmp_path, damage, seed_args):
+    out = str(tmp_path / "run")
+    main(_train_args(tiny_cfg_path, out))
+    state = os.path.join(out, "checkpoint", STATE)
+    if damage == "missing":
+        os.remove(state)
+    else:
+        os.truncate(state, os.path.getsize(state) // 2)
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", out, *seed_args, "eval"])
+    assert re.fullmatch(rf"error: .*{re.escape(state)}.*", str(exc.value.code))
     assert not os.path.exists(os.path.join(out, "eval_report.csv"))
 
 

@@ -369,15 +369,12 @@ def test_linear_recurrence_gradient_small():
     assert err < 1e-8
 
 
-def test_dwconv_same_and_causal_padding():
+def test_dwconv_same_padding():
     x = Tensor(np.array([[0.0, 3.0, 0.0]]))
     k_id = Tensor(np.array([[0.0, 1.0, 0.0]]))
     assert np.allclose(T.dwconv1d(x, k_id).data, x.data)
     k_avg = Tensor(np.array([[1.0, 1.0, 1.0]]) / 3.0)
     assert np.allclose(T.dwconv1d(x, k_avg).data, [[1.0, 1.0, 1.0]])
-    # causal: tap order [oldest .. current], no lookahead
-    causal = T.dwconv1d(x, Tensor(np.array([[1.0, 1.0, 1.0]])), causal=True)
-    assert np.allclose(causal.data, [[0.0, 3.0, 3.0]])
     with pytest.raises(ValueError):
         T.dwconv1d(x, Tensor(np.ones((1, 4))))  # even kernel
 
