@@ -55,8 +55,9 @@ print("own slot comes back intact:",
 model = build_model(SMALL, seed=0)
 model.eval()
 world = build_world(SMALL, seed=0)
-sample = world.train_part(SMALL.instances_per_id).samples[0]
-model.forward_batch([sample])
+# a split is one array [3, N, C, H, W], stream on axis 0; keep sample 0
+images = world.train_part(SMALL.instances_per_id).images[:, :1]
+model.forward_batch(images)
 print("\nper-layer sequence lengths (all three streams):", model.last_seq)
 
 # -- independence given the bank ---------------------------------------------
@@ -67,10 +68,10 @@ model.eval()
 zero(model.bank.transfers)
 zero(model.bank.rp)
 
-before, _ = model.forward_batch([sample])
+before, _ = model.forward_batch(images)
 for lay in range(cfg.layers):
     model.bank.prompts[lay].data[1] += 10.0                  # stream r
-after, _ = model.forward_batch([sample])
+after, _ = model.forward_batch(images)
 d = cfg.embed_dim
 print("stream n unmoved by a scrambled r bank:",
       bool((after.data[:d] == before.data[:d]).all()))

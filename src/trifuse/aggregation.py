@@ -59,23 +59,30 @@ class LinearGate(Module):
 
 
 class AggregationBlock(Module):
+    """The enabled stages. A disabled one builds no modules, so it draws no
+    rng and holds no params; its attributes keep the class's None."""
+
+    intra_conv = intra_gate = intra_ssm = intra_merge = None
+    inter_conv = inter_gate = inter_ssm = inter_merge = None
+
     def __init__(self, dim: int, d_state: int, dt_rank: int, kernel: int,
                  rng: np.random.Generator, use_intra: bool = True,
                  use_inter: bool = True):
-        self.use_intra = use_intra
-        self.use_inter = use_inter
-
         # one row per stream, drawn in MODALITIES order (n, r, t)
-        self.intra_conv = stack_modules(lambda: ConvGate(dim, kernel, rng), (3,))
-        self.intra_gate = stack_modules(lambda: LinearGate(dim, rng), (3,))
-        self.intra_ssm = stack_modules(
-            lambda: SelectiveScan(dim, d_state, dt_rank, rng), (3,))
-        self.intra_merge = Linear(dim, dim, rng)
+        if use_intra:
+            self.intra_conv = stack_modules(
+                lambda: ConvGate(dim, kernel, rng), (3,))
+            self.intra_gate = stack_modules(lambda: LinearGate(dim, rng), (3,))
+            self.intra_ssm = stack_modules(
+                lambda: SelectiveScan(dim, d_state, dt_rank, rng), (3,))
+            self.intra_merge = Linear(dim, dim, rng)
 
-        self.inter_conv = stack_modules(lambda: ConvGate(dim, kernel, rng), (3,))
-        self.inter_gate = stack_modules(lambda: LinearGate(dim, rng), (3,))
-        self.inter_ssm = SelectiveScan(dim, d_state, dt_rank, rng)
-        self.inter_merge = Linear(dim, dim, rng)
+        if use_inter:
+            self.inter_conv = stack_modules(
+                lambda: ConvGate(dim, kernel, rng), (3,))
+            self.inter_gate = stack_modules(lambda: LinearGate(dim, rng), (3,))
+            self.inter_ssm = SelectiveScan(dim, d_state, dt_rank, rng)
+            self.inter_merge = Linear(dim, dim, rng)
 
     def intra(self, fs: Tensor) -> Tensor:
         gated = mul(self.intra_ssm(self.intra_conv(fs)), self.intra_gate(fs))
@@ -91,9 +98,9 @@ class AggregationBlock(Module):
         return add(self.inter_merge(mul(back, self.inter_gate(fs))), fs)
 
     def __call__(self, fs: Tensor) -> Tensor:
-        if self.use_intra:
+        if self.intra_ssm is not None:
             fs = self.intra(fs)
-        if self.use_inter:
+        if self.inter_ssm is not None:
             fs = self.inter(fs)
         return fs
 

@@ -81,7 +81,8 @@ class RunConfig:
             *((key, lambda key=key: getattr(self, key) >= 1,
                "must be at least 1")
               for key in ("embed_dim", "channels", "ffn_ratio", "dt_rank",
-                          "conv_kernel", "num_cams", "patch", "heads")),
+                          "conv_kernel", "patch", "heads", "instances_per_id",
+                          "eval_queries_per_id")),
             ("image_h", lambda: self.image_h % self.patch == 0, by_patch),
             ("image_w", lambda: self.image_w % self.patch == 0, by_patch),
             ("embed_dim", lambda: self.embed_dim % self.heads == 0,
@@ -100,6 +101,8 @@ class RunConfig:
             ("eval_queries_per_id", lambda: self.eval_queries_per_id
              < self.eval_instances_per_id, "must be less than "
              f"eval_instances_per_id = {self.eval_instances_per_id}"),
+            # a query's positives are gallery samples from other cameras
+            ("num_cams", lambda: self.num_cams >= 2, "must be at least 2"),
             ("rho", lambda: 0.0 < self.rho <= 1.0, "must be in (0, 1]"),
         ):
             if not ok():

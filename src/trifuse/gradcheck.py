@@ -500,20 +500,13 @@ def _build_module_cases() -> None:
                         margin=3.0)
         model = FusionModel(cfg, rng)
         model.train()
-        images = [
-            {m: rng.normal(size=(1, 8, 8)) for m in ("n", "r", "t")}
-            for _ in range(4)
-        ]
+        # drawn sample-major, as [3, B, C, H, W] with the stream on axis 0
+        images = rng.normal(size=(4, 3, 1, 8, 8)).swapaxes(0, 1)
         labels = np.array([0, 0, 1, 1])
-        wrt = []
-        for name, p in model.named_params():
-            if p.frozen:
-                continue
-            wrt.append(p)
         def fn():
             f_cls, f_ma = model.forward_batch(images)
             total, _ = L.total_loss(f_cls, f_ma, labels, model.heads, cfg)
             return total
-        return fn, wrt
+        return fn, model.trainable_params()
 
     register_case("model.composed_path", composed_case, spot=4)

@@ -1,8 +1,8 @@
 """Three-stream fusion model over a frozen shared encoder.
 
-Each sample is a dict of per-modality images. The three modality streams
-share the frozen backbone and run through it as one ``[3, B, D, N]`` stack
-(modality on axis 0); ``RunConfig`` fields choose the trainable surface:
+A batch is one ``[3, B, C, H, W]`` image array, modality on axis 0; the
+three streams share the frozen backbone and run through it as one
+``[3, B, D, N]`` stack. ``RunConfig`` fields choose the trainable surface:
 
   use_pfa  one parallel adapter per layer, shared across modalities
   use_srp  prompt groups through every layer, refined between layers from
@@ -26,7 +26,7 @@ from .backbone import VisionBackbone
 from .config import RunConfig
 from .losses import SupervisionHeads
 from .nn import Module, locate_non_finite
-from .prompts import MODALITIES, PromptBank
+from .prompts import PromptBank
 from .tensor import Tensor, finite_checks, narrow, no_grad, reshape, swapaxes
 
 #: Samples times pixels per image in one eval chunk: 8 samples of 64x32,
@@ -86,11 +86,11 @@ class FusionModel(Module):
                 x, harvested = self.bank.harvest(x, n_star)
         return self.backbone.norm(x)
 
-    def forward_batch(self, samples: list[dict[str, np.ndarray]]):
-        """Class-token and fused features, ``[3D, B]`` each (fused is None
-        without ``use_ma``). All 3B images run as one stacked pass."""
-        tokens = self._run_streams(
-            np.stack([np.stack([s[m] for s in samples]) for m in MODALITIES]))
+    def forward_batch(self, images: np.ndarray):
+        """Class-token and fused features of images ``[3, B, C, H, W]``,
+        ``[3D, B]`` each (fused is None without ``use_ma``). All 3B images
+        run as one stacked pass."""
+        tokens = self._run_streams(images)
         f_cls = narrow(tokens, -1, 0, 1)
         f_ma = None if self.aggregator is None else self.aggregator(
             f_cls, narrow(tokens, -1, 1, tokens.shape[-1] - 1))
@@ -98,8 +98,8 @@ class FusionModel(Module):
 
     # -- inference -----------------------------------------------------
 
-    def features(self, samples: list[dict[str, np.ndarray]]) -> np.ndarray:
-        """Retrieval embedding, one column per sample.
+    def features(self, images: np.ndarray) -> np.ndarray:
+        """Retrieval embedding of ``[3, B, C, H, W]`` images, one per column.
 
         The class-token feature, with the fused feature stacked below it
         when aggregation is enabled. The samples run in chunks of
@@ -112,9 +112,9 @@ class FusionModel(Module):
         pass runs again with per-op checks to name the op and module at
         fault.
         """
-        h, w = samples[0][MODALITIES[0]].shape[-2:]
+        _, b, _, h, w = images.shape
         step = max(1, _EVAL_CHUNK_PIXELS // (h * w))
-        chunks = [samples[m:m + step] for m in range(0, len(samples), step)]
+        chunks = [images[:, m:m + step] for m in range(0, b, step)]
         parts = []
         with no_grad(), finite_checks(False), np.errstate(all="ignore"):
             for chunk in chunks:

@@ -21,6 +21,10 @@ Everything is drawn from ``np.random.default_rng`` seeded with integer
 lists, so any sample is reproducible from (seed, part, id, instance) with
 no generator state carried between calls. Train and eval parts draw
 disjoint instance streams of the same identities.
+
+A split is one array ``images`` ``[3, N, C, H, W]``, the modality on axis
+0 in ``MODALITIES`` order as the model stacks its streams, with ``ids``
+and ``cams`` ``[N]``; sample i is ``images[:, i]``, rows id-major.
 """
 
 from __future__ import annotations
@@ -40,12 +44,12 @@ _TRAIN, _EVAL = 0, 1
 
 @dataclass
 class ReidData:
-    samples: list[dict[str, np.ndarray]]
+    images: np.ndarray
     ids: np.ndarray
     cams: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.images.shape[1]
 
 
 class SyntheticWorld:
@@ -80,36 +84,26 @@ class SyntheticWorld:
         flat = flat + cfg.sigma * rng.normal(size=flat.size)
         return flat.reshape(self.shape)
 
-    def _part(self, part: int, instances_per_id: int) -> ReidData:
-        samples, ids, cams = [], [], []
-        for ident in range(self.cfg.num_ids):
-            for inst in range(instances_per_id):
-                samples.append({m: self._image(m, ident, part, inst)
-                                for m in MODALITIES})
-                ids.append(ident)
-                cams.append(inst % self.cfg.num_cams)
-        return ReidData(samples=samples, ids=np.array(ids), cams=np.array(cams))
+    def _part(self, part: int, instances: range) -> ReidData:
+        """Instances ``instances`` of every id, id-major."""
+        ids = np.repeat(np.arange(self.cfg.num_ids), len(instances))
+        insts = np.tile(instances, self.cfg.num_ids)
+        images = np.empty((len(MODALITIES), len(ids)) + self.shape)
+        for i, (ident, inst) in enumerate(zip(ids, insts)):
+            for r, m in enumerate(MODALITIES):
+                images[r, i] = self._image(m, ident, part, inst)
+        return ReidData(images=images, ids=ids, cams=insts % self.cfg.num_cams)
 
     def train_part(self, instances_per_id: int) -> ReidData:
-        return self._part(_TRAIN, instances_per_id)
+        return self._part(_TRAIN, range(instances_per_id))
 
     def eval_parts(self, instances_per_id: int,
                    queries_per_id: int) -> tuple[ReidData, ReidData]:
         """Held-out instances of the training identities, split per id into
-        queries and gallery. Camera tags keep round-robin order, so a query
-        keeps cross-camera positives in the gallery."""
+        queries (each id's first ``queries_per_id`` instances) and gallery
+        (the rest). Camera tags keep round-robin order, so a query keeps
+        cross-camera positives in the gallery."""
         if queries_per_id >= instances_per_id:
             raise ValueError("need at least one gallery instance per id")
-        full = self._part(_EVAL, instances_per_id)
-        q_idx, g_idx = [], []
-        for i in range(len(full)):
-            if i % instances_per_id < queries_per_id:
-                q_idx.append(i)
-            else:
-                g_idx.append(i)
-        return self._select(full, q_idx), self._select(full, g_idx)
-
-    @staticmethod
-    def _select(data: ReidData, idx: list[int]) -> ReidData:
-        return ReidData(samples=[data.samples[i] for i in idx],
-                        ids=data.ids[idx], cams=data.cams[idx])
+        return (self._part(_EVAL, range(queries_per_id)),
+                self._part(_EVAL, range(queries_per_id, instances_per_id)))

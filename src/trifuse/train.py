@@ -111,21 +111,19 @@ def lr_at(step: int, cfg: RunConfig) -> float:
 
 
 def sample_batch(step: int, seed: int, data: ReidData, cfg: RunConfig):
-    """P identities, K instances each, from a stateless per-step stream."""
+    """P identities, K instances each, from a stateless per-step stream:
+    their images ``[3, P*K, C, H, W]`` and their ids ``[P*K]``."""
     rng = np.random.default_rng([seed, _BATCH_STREAM, step])
     unique_ids = np.unique(data.ids)
     if cfg.batch_p > len(unique_ids):
         raise ValueError("batch_p exceeds the number of identities")
     chosen = rng.permutation(unique_ids)[:cfg.batch_p]
-    samples, labels = [], []
+    picks = []
     for ident in chosen:
         pool = np.flatnonzero(data.ids == ident)
         replace = len(pool) < cfg.batch_k
-        picks = rng.choice(pool, size=cfg.batch_k, replace=replace)
-        for i in picks:
-            samples.append(data.samples[i])
-            labels.append(ident)
-    return samples, np.array(labels)
+        picks.extend(rng.choice(pool, size=cfg.batch_k, replace=replace))
+    return data.images[:, picks], data.ids[picks]
 
 
 def build_model(cfg: RunConfig, seed: int) -> FusionModel:
@@ -142,8 +140,8 @@ def evaluate_model(model: FusionModel, query: ReidData,
                    gallery: ReidData) -> RetrievalResult:
     was_training = model.training
     model.eval()
-    q = model.features(query.samples)
-    g = model.features(gallery.samples)
+    q = model.features(query.images)
+    g = model.features(gallery.images)
     if was_training:
         model.train()
     return evaluate(q, query.ids, query.cams, g, gallery.ids, gallery.cams)
@@ -265,13 +263,13 @@ def train(cfg: RunConfig, seed: int, out_dir: str,
     reached = cfg.steps
     try:
         for step in range(start_step, cfg.steps):
-            samples, labels = sample_batch(step, seed, train_data, cfg)
+            images, labels = sample_batch(step, seed, train_data, cfg)
             opt.zero_grad()
             saved = [getattr(m, attr).copy() for m, attr in buffers]
             # a non-finite value is reported by the checks below, not by
             # numpy warnings on its way through the unchecked pass
             with finite_checks(False), np.errstate(all="ignore"):
-                f_cls, f_ma = model.forward_batch(samples)
+                f_cls, f_ma = model.forward_batch(images)
                 loss, parts = total_loss(f_cls, f_ma, labels, model.heads, cfg)
                 loss.backward()
             lr = lr_at(step, cfg)
@@ -284,7 +282,7 @@ def train(cfg: RunConfig, seed: int, out_dir: str,
                 # the running statistics a second time; both folds are undone
                 try:
                     locate_non_finite(model, lambda: total_loss(
-                        *model.forward_batch(samples), labels, model.heads,
+                        *model.forward_batch(images), labels, model.heads,
                         cfg), f"step {step + 1}", str(err))
                 finally:
                     for (m, attr), arr in zip(buffers, saved):

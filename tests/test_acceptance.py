@@ -155,8 +155,8 @@ def test_sequence_layout_slot_round_trip_and_frozen_params(tmp_path):
     model = build_model(cfg, seed=3)
     model.eval()
     world = build_world(cfg, seed=3)
-    sample = world.train_part(cfg.instances_per_id).samples[0]
-    f_cls, f_ma = model.forward_batch([sample])
+    images = world.train_part(cfg.instances_per_id).images[:, :1]
+    f_cls, f_ma = model.forward_batch(images)
     n_patches = (cfg.image_h // cfg.patch) * (cfg.image_w // cfg.patch)
     expected = 1 + n_patches + 3 * cfg.n_prompts
     assert model.last_seq == [expected] * cfg.layers
@@ -233,14 +233,14 @@ def test_degenerate_configurations_reduce_exactly(tmp_path):
     for mlp in (model.bank.transfers, model.bank.rp):
         _zero_linear(mlp.inner)
         _zero_linear(mlp.outer)
-    sample = build_world(cfg, 2).train_part(cfg.instances_per_id).samples[0]
-    before, _ = model.forward_batch([sample])
+    images = build_world(cfg, 2).train_part(cfg.instances_per_id).images[:, :1]
+    before, _ = model.forward_batch(images)
     d = cfg.embed_dim
     stream_n = before.data[:d].copy()
     for lay in range(cfg.layers):
         model.bank.prompts[lay].data[1] += 3.7                # stream r
         model.bank.prompts[lay].data[2] -= 1.9                # stream t
-    after, _ = model.forward_batch([sample])
+    after, _ = model.forward_batch(images)
     assert np.array_equal(after.data[:d], stream_n)
     assert not np.array_equal(after.data[d:2 * d], before.data[d:2 * d])
 

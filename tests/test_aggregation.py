@@ -49,6 +49,11 @@ def test_stages_disable_independently():
     blk = _block(seed=4)
     only_intra = _block(seed=4, use_inter=False)
     only_inter = _block(seed=4, use_intra=False)
+    # the intra stage draws first, so only the inter-only block needs the
+    # full block's inter stage loaded to compute the same stage
+    state = blk.state_dict()
+    only_inter.load_state_dict({name: state[name]
+                                for name in only_inter.state_dict()})
     assert np.allclose(only_intra(fs).data[0], blk.intra(fs).data[0])
     assert np.allclose(only_inter(fs).data[1], blk.inter(fs).data[1])
     assert not np.allclose(only_intra(fs).data[0], only_inter(fs).data[0])

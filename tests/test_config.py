@@ -94,7 +94,8 @@ def test_base_config_overlay(tmp_path):
     ("batch_k", 1), ("rho", 0.0), ("rho", 1.5), ("patch", 0), ("heads", 0),
     ("dt_rank", 0), ("embed_dim", 0), ("ffn_ratio", 0), ("channels", 0),
     ("pfa_hidden_ratio", 0.0), ("num_cams", 0), ("conv_kernel", -1),
-    ("num_ids", 1), ("eval_queries_per_id", 2),
+    ("num_ids", 1), ("eval_queries_per_id", 2), ("eval_queries_per_id", 0),
+    ("num_cams", 1), ("instances_per_id", 0),
 ])
 def test_bad_values_fail_at_load_naming_the_key(tmp_path, key, value):
     # the tiny config has patch 4 and heads 2

@@ -26,14 +26,16 @@ def _model(seed=0, **toggle_kw):
     return FusionModel(cfg, np.random.default_rng(seed))
 
 
-def _sample(seed=0):
-    rng = np.random.default_rng(seed)
-    return {m: rng.normal(size=(1, 8, 8)) for m in MODALITIES}
+def _images(*seeds):
+    """Images ``[3, B, 1, 8, 8]``, sample b drawn from ``seeds[b]`` in
+    ``MODALITIES`` order."""
+    return np.stack([np.random.default_rng(seed).normal(
+        size=(len(MODALITIES), 1, 8, 8)) for seed in seeds or (0,)], axis=1)
 
 
 def test_forward_shapes_and_sequence_lengths():
     model = _model().eval()
-    f_cls, f_ma = model.forward_batch([_sample()])
+    f_cls, f_ma = model.forward_batch(_images())
     assert f_cls.shape == (24, 1)
     assert f_ma.shape == (24, 1)
     want_len = 1 + N_PATCHES + 3 * 2
@@ -42,14 +44,14 @@ def test_forward_shapes_and_sequence_lengths():
 
 def test_sequences_without_prompts():
     model = _model(use_srp=False).eval()
-    model.forward_batch([_sample()])
+    model.forward_batch(_images())
     want_len = 1 + N_PATCHES
     assert model.last_seq == [want_len] * 2
 
 
 def _same_image_streams(model):
     """Final tokens of the three streams when each is fed the same image."""
-    image = _sample()["n"]
+    image = _images()[0]
     return model._run_streams(np.stack([image] * len(MODALITIES))).data
 
 
@@ -69,9 +71,9 @@ def test_prompts_differentiate_streams():
 
 def test_class_feature_stacks_stream_tokens():
     model = _model().eval()
-    sample = _sample()
-    f_cls, _ = model.forward_batch([sample])
-    streams = model._run_streams(np.stack([sample[m] for m in MODALITIES]))
+    images = _images()
+    f_cls, _ = model.forward_batch(images)
+    streams = model._run_streams(images[:, 0])
     for i in range(len(MODALITIES)):
         assert np.allclose(f_cls.data[8 * i:8 * (i + 1), 0],
                            streams.data[i, :, 0], atol=1e-14)
@@ -84,21 +86,38 @@ def test_toggles_control_feature_width_and_heads():
     assert without.heads.ma_head is None
     assert with_ma.heads.ma_head is not None
 
-    _, f_ma = without.forward_batch([_sample()])
+    _, f_ma = without.forward_batch(_images())
     assert f_ma is None
 
-    samples = [_sample(s) for s in range(3)]
-    assert with_ma.features(samples).shape == (48, 3)
-    assert without.features(samples).shape == (24, 3)
+    images = _images(0, 1, 2)
+    assert with_ma.features(images).shape == (48, 3)
+    assert without.features(images).shape == (24, 3)
+
+
+def test_disabled_aggregation_stage_builds_no_params():
+    cfg = load_config(TOY_CFG)
+    full = build_model(cfg, 3)
+    state = full.state_dict()
+    for toggles, gone in (
+            (dict(ma_intra=False), (".intra_",)),
+            (dict(ma_inter=False), (".inter_",)),
+            (dict(ma_intra=False, ma_inter=False), (".intra_", ".inter_"))):
+        model = build_model(dataclasses.replace(cfg, **toggles), 3)
+        dropped = {name for name in state
+                   if any(part in name for part in gone)}
+        assert dropped
+        assert set(model.state_dict()) == set(state) - dropped, toggles
+        assert model.num_trainable() == full.num_trainable() - sum(
+            state[name][0].size for name in dropped if not state[name][1])
 
 
 def test_batch_forward_concatenates_sample_columns():
     model = _model().eval()
-    samples = [_sample(s) for s in range(2)]
-    f_cls, f_ma = model.forward_batch(samples)
+    images = _images(0, 1)
+    f_cls, f_ma = model.forward_batch(images)
     assert f_cls.shape == (24, 2)
     assert f_ma.shape == (24, 2)
-    one_cls, one_ma = model.forward_batch([samples[1]])
+    one_cls, one_ma = model.forward_batch(images[:, 1:])
     assert np.array_equal(f_cls.data[:, 1:], one_cls.data)
     assert np.array_equal(f_ma.data[:, 1:], one_ma.data)
 
@@ -107,11 +126,11 @@ def test_train_batch_keeps_per_sequence_batch_norm():
     # per-sequence statistics: every sample's features and every running
     # estimate match feeding the samples one at a time, in order; pooled
     # batch statistics would move both
-    samples = [_sample(s) for s in range(3)]
+    images = _images(0, 1, 2)
     batched, single = _model().train(), _model().train()
-    f_cls, f_ma = batched.forward_batch(samples)
-    for i, sample in enumerate(samples):
-        one_cls, one_ma = single.forward_batch([sample])
+    f_cls, f_ma = batched.forward_batch(images)
+    for i in range(images.shape[1]):
+        one_cls, one_ma = single.forward_batch(images[:, i:i + 1])
         assert np.array_equal(f_cls.data[:, i:i + 1], one_cls.data)
         assert np.array_equal(f_ma.data[:, i:i + 1], one_ma.data)
     one_by_one = dict(single.named_buffers())
@@ -125,7 +144,7 @@ def test_train_batch_keeps_per_sequence_batch_norm():
 def test_frozen_backbone_keeps_zero_gradients():
     model = _model()
     model.train()
-    f_cls, f_ma = model.forward_batch([_sample()])
+    f_cls, f_ma = model.forward_batch(_images())
     (f_cls.sum() + f_ma.sum()).backward()
     for name, p in model.backbone.named_params():
         assert np.all(p.grad == 0.0), f"backbone.{name} received gradient"
@@ -139,7 +158,7 @@ def test_nan_before_features_names_the_module_path():
     with pytest.raises(NonFiniteError,
                        match=r"^op 'linear' produced non-finite values in "
                              r"adapters\.1\.up at eval pass$"):
-        model.features([_sample(), _sample(1)])
+        model.features(_images(0, 1))
 
 
 def _wide_model(seed=0):
@@ -156,11 +175,11 @@ def test_chunked_features_are_bitwise_one_pass(dtype):
     try:
         model = _wide_model()
         rng = np.random.default_rng(5)
-        samples = [{m: rng.normal(size=(1, 64, 32)).astype(dtype)
-                    for m in MODALITIES} for _ in range(20)]  # 8 + 8 + 4
-        feats = model.features(samples)
+        images = rng.normal(size=(20, len(MODALITIES), 1, 64, 32)).astype(
+            dtype).swapaxes(0, 1)  # 8 + 8 + 4 samples
+        feats = model.features(images)
         with no_grad():
-            f_cls, f_ma = model.forward_batch(samples)
+            f_cls, f_ma = model.forward_batch(images)
     finally:
         set_default_dtype(np.float64)
     assert feats.dtype == dtype
@@ -173,13 +192,13 @@ def test_eval_pass_memory_does_not_grow_with_the_split():
                               patch=4)
     model = build_model(cfg, 1).eval()
     rng = np.random.default_rng(6)
-    samples = [{m: rng.normal(size=(cfg.channels, 64, 32))
-                for m in MODALITIES} for _ in range(36)]
+    images = rng.normal(size=(36, len(MODALITIES), cfg.channels, 64, 32)
+                        ).swapaxes(0, 1)
     peaks = []
     for count in (12, 36):
         tracemalloc.start()
         try:
-            model.features(samples[:count])
+            model.features(images[:, :count])
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -6,7 +6,7 @@ import pytest
 from trifuse.config import RunConfig
 from trifuse.prompts import MODALITIES
 from trifuse.synthetic import SyntheticWorld
-from trifuse.train import build_world
+from trifuse.train import build_world, sample_batch
 
 
 def _cfg(**kw):
@@ -30,9 +30,7 @@ def test_rho_validation():
 def test_samples_reproducible_across_worlds_and_call_order():
     a = _world().train_part(3)
     b = _world().train_part(3)
-    for sa, sb in zip(a.samples, b.samples):
-        for m in MODALITIES:
-            assert np.array_equal(sa[m], sb[m])
+    assert np.array_equal(a.images, b.images)
 
     # single draws do not depend on any shared generator state
     w = _world()
@@ -47,24 +45,58 @@ def test_part_layout_and_camera_round_robin():
     assert len(data) == 4 * 5
     assert np.array_equal(data.ids, np.repeat(np.arange(4), 5))
     assert np.array_equal(data.cams, np.tile([0, 1, 0, 1, 0], 4))
-    sample = data.samples[0]
-    assert set(sample) == set(MODALITIES)
-    assert sample["n"].shape == (1, 8, 8)
+    assert data.images.shape == (len(MODALITIES), 4 * 5, 1, 8, 8)
+
+
+def _expected_part(world, part, instances):
+    """Ids, instances and images of ``instances`` of every id, id-major,
+    one ``_image`` call at a time."""
+    ids = [i for i in range(world.cfg.num_ids) for _ in instances]
+    insts = [k for _ in range(world.cfg.num_ids) for k in instances]
+    images = np.stack([[world._image(m, i, part, k)
+                        for i, k in zip(ids, insts)] for m in MODALITIES])
+    return np.array(ids), np.array(insts), images
+
+
+def test_stacked_splits_keep_every_image_id_and_camera():
+    w = _world(num_cams=3)
+    train = w.train_part(4)
+    query, gallery = w.eval_parts(5, 2)
+    for data, part, instances in ((train, 0, range(4)), (query, 1, range(2)),
+                                  (gallery, 1, range(2, 5))):
+        ids, insts, images = _expected_part(w, part, instances)
+        assert len(data) == len(ids)
+        assert np.array_equal(data.ids, ids)
+        assert np.array_equal(data.cams, insts % 3)
+        # images[r, i] is stream MODALITIES[r] of sample i
+        assert np.array_equal(data.images, images)
+
+
+def test_sampled_labels_are_the_ids_of_the_sampled_rows():
+    cfg = _cfg(batch_p=3, batch_k=3)
+    data = _world().train_part(2)  # 2 instances per id: some picks repeat
+    for step in range(4):
+        images, labels = sample_batch(step, 5, data, cfg)
+        assert images.shape == (3, 9, 1, 8, 8)
+        for j, label in enumerate(labels):
+            rows = [i for i in range(len(data))
+                    if np.array_equal(data.images[:, i], images[:, j])]
+            assert rows and all(data.ids[i] == label for i in rows)
 
 
 def test_modalities_render_differently():
     w = _world()
-    s = w.train_part(1).samples[0]
-    assert not np.allclose(s["n"], s["r"])
-    assert not np.allclose(s["r"], s["t"])
+    n, r, t = w.train_part(1).images[:, 0]
+    assert not np.allclose(n, r)
+    assert not np.allclose(r, t)
 
 
 def test_train_and_eval_parts_are_disjoint_draws():
     w = _world()
     train = w.train_part(2)
     query, gallery = w.eval_parts(2, 1)
-    assert not np.array_equal(train.samples[0]["n"], query.samples[0]["n"])
-    assert not np.array_equal(train.samples[1]["n"], gallery.samples[0]["n"])
+    assert not np.array_equal(train.images[0, 0], query.images[0, 0])
+    assert not np.array_equal(train.images[0, 1], gallery.images[0, 0])
 
 
 def test_eval_split_keeps_cross_camera_positives():
@@ -101,7 +133,7 @@ def test_within_id_distances_shrink_as_rho_grows():
         dists = []
         for ident in range(6):
             idx = np.flatnonzero(data.ids == ident)
-            flat = np.stack([data.samples[i]["n"].ravel() for i in idx])
+            flat = data.images[0, idx].reshape(len(idx), -1)
             for i in range(len(idx)):
                 for j in range(i + 1, len(idx)):
                     dists.append(np.linalg.norm(flat[i] - flat[j]))

@@ -53,7 +53,8 @@ def test_sampler_pk_structure_and_determinism():
     s1, l1 = sample_batch(7, 0, data, cfg)
     s2, l2 = sample_batch(7, 0, data, cfg)
     assert np.array_equal(l1, l2)
-    assert all(np.array_equal(a["n"], b["n"]) for a, b in zip(s1, s2))
+    assert np.array_equal(s1, s2)
+    assert s1.shape == (3, 6) + data.images.shape[2:]
 
     assert len(l1) == 6
     ids, counts = np.unique(l1, return_counts=True)
@@ -223,12 +224,12 @@ def test_f32_step_stays_float32_end_to_end(monkeypatch):
         opt = Adam(model.named_params())
         world = build_world(cfg, seed=0)
         data = world.train_part(cfg.instances_per_id)
-        samples, labels = sample_batch(0, 0, data, cfg)
-        f_cls, f_ma = model.forward_batch(samples)
+        images, labels = sample_batch(0, 0, data, cfg)
+        f_cls, f_ma = model.forward_batch(images)
         loss, _ = total_loss(f_cls, f_ma, labels, model.heads, cfg)
         loss.backward()
         opt.step(lr_at(0, cfg))
-        model.eval().features(samples[:2])
+        model.eval().features(images[:, :2])
     finally:
         set_default_dtype(np.float64)
 
@@ -265,9 +266,9 @@ def test_toy_step_op_count_does_not_grow(monkeypatch):
     cfg = load_config(TOY_CFG)
     model = build_model(cfg, seed=3).train()
     data = build_world(cfg, seed=3).train_part(cfg.instances_per_id)
-    samples, labels = sample_batch(0, 3, data, cfg)
+    images, labels = sample_batch(0, 3, data, cfg)
     counts = _count_ops(monkeypatch)
-    f_cls, f_ma = model.forward_batch(samples)
+    f_cls, f_ma = model.forward_batch(images)
     total_loss(f_cls, f_ma, labels, model.heads, cfg)
     ops = sum(counts.values())
     assert ops <= TOY_STEP_OPS, (
@@ -297,11 +298,11 @@ def test_every_registered_op_runs_in_some_model_variant(monkeypatch):
         cfg = make_tiny_cfg(**toggles)
         model = build_model(cfg, seed=0).train()
         data = build_world(cfg, seed=0).train_part(cfg.instances_per_id)
-        samples, labels = sample_batch(0, 0, data, cfg)
-        loss, _ = total_loss(*model.forward_batch(samples), labels,
+        images, labels = sample_batch(0, 0, data, cfg)
+        loss, _ = total_loss(*model.forward_batch(images), labels,
                              model.heads, cfg)
         loss.backward()
-        model.eval().features(samples)
+        model.eval().features(images)
     expected = _ops_registered_in_tensor_py() | {"batch_norm"}
     assert len(expected) == 27
     assert expected <= set(counts), sorted(expected - set(counts))
@@ -432,7 +433,7 @@ cfg = dataclasses.replace(toy, num_ids=32, eval_instances_per_id=6,
 model = T.build_model(cfg, 1).eval()
 query, gallery = T.build_world(cfg, 1).eval_parts(6, 2)
 eval_pass = faults_per_call(
-    lambda i: (model.features(query.samples), model.features(gallery.samples)))
+    lambda i: (model.features(query.images), model.features(gallery.images)))
 
 cfg = dataclasses.replace(toy, image_h=64, image_w=32, patch=4)
 model = T.build_model(cfg, 1).train()
@@ -440,9 +441,9 @@ opt = T.Adam(model.named_params())
 data = T.build_world(cfg, 1).train_part(cfg.instances_per_id)
 
 def step(i):
-    samples, labels = T.sample_batch(i, 1, data, cfg)
+    images, labels = T.sample_batch(i, 1, data, cfg)
     opt.zero_grad()
-    loss, _ = total_loss(*model.forward_batch(samples), labels, model.heads, cfg)
+    loss, _ = total_loss(*model.forward_batch(images), labels, model.heads, cfg)
     loss.backward()
     opt.step(T.lr_at(i, cfg))
 
