@@ -312,8 +312,7 @@ def _build_primitive_cases() -> None:
 
     register_case("dwconv1d", dwconv_case, tol=1e-6)
 
-    register_case("selective_scan", _scan_case(
-        lambda *ops: T.selective_scan(*ops, chunk=4)), tol=1e-6)
+    register_case("selective_scan", _scan_case(T.selective_scan), tol=1e-6)
 
 
 def _build_module_cases() -> None:
@@ -428,15 +427,16 @@ def _build_module_cases() -> None:
                                    (3, 5)))
     register_case("psi", applied(lambda rng: LinearGate(3, rng=rng), (3, 5)))
 
-    def block(rng, dim=2, n=3):
-        return AggregationBlock(dim, d_state=2, dt_rank=2, kernel=3, rng=rng)
+    def block(rng, **stages):
+        return AggregationBlock(2, d_state=2, dt_rank=2, kernel=3, rng=rng,
+                                **stages)
 
     def streams(rng, dim, n):
         return Tensor(np.stack([rng.normal(size=(dim, n)) for _ in range(3)]),
                       requires_grad=True)
 
     def intra_case(rng):
-        blk = block(rng)
+        blk = block(rng, use_inter=False)
         blk.train()
         fs = streams(rng, 2, 3)
         return (lambda: _weighted_sum(blk.intra(fs), rng)), [fs] + blk.params()
@@ -444,7 +444,7 @@ def _build_module_cases() -> None:
     register_case("intra_ma", intra_case, spot=60)
 
     def inter_case(rng):
-        blk = block(rng)
+        blk = block(rng, use_intra=False)
         blk.train()
         fs = streams(rng, 2, 3)
         return (lambda: _weighted_sum(blk.inter(fs), rng)), [fs] + blk.params()

@@ -17,7 +17,7 @@ from typing import Callable, Iterator, NoReturn
 import numpy as np
 
 from .tensor import (
-    NonFiniteError, Param, Tensor, add, attention, attention_weights,
+    NonFiniteError, Param, Tensor, add, attention,
     _column, _unbroadcast, default_dtype, dwconv1d, finite_checks, gelu, linear,
     no_grad, norm_affine, register_differentiable, reshape, stack_shape,
 )
@@ -317,7 +317,7 @@ class MultiHeadSelfAttention(Module):
         self.wv = Linear(dim, dim, rng)
         self.wo = Linear(dim, dim, rng)
 
-    def __call__(self, x: Tensor, return_weights: bool = False):
+    def __call__(self, x: Tensor) -> Tensor:
         *lead, D, N = x.shape
         H = self.heads
         dh = D // H
@@ -325,11 +325,7 @@ class MultiHeadSelfAttention(Module):
         k = reshape(self.wk(x), (*lead, H, dh, N))
         v = reshape(self.wv(x), (*lead, H, dh, N))
         ctx = attention(q, k, v, dh ** -0.5)  # [..., H, dh, N]
-        out = self.wo(reshape(ctx, (*lead, D, N)))
-        if return_weights:
-            # [..., H, N, N]; rows (queries) are stochastic
-            return out, attention_weights(q, k, dh ** -0.5)
-        return out
+        return self.wo(reshape(ctx, (*lead, D, N)))
 
 
 class FeedForward(Module):

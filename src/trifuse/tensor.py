@@ -24,11 +24,13 @@ Conventions used throughout the package:
   default; ``finite_checks(False)`` turns them off for a block of code,
   as the training loop and ``FusionModel.features`` do, checking their
   results once instead
-* work that sweeps many lanes (batch times heads, or feature rows) goes
-  in blocks of lanes of at most ``_CACHE_ELEMS`` elements, so each block
-  stays in cache through all its passes: attention builds, uses and, with
-  no tape to keep it, drops its ``[N, N]`` probabilities block by block,
-  and the scan makes its token-major copies the same way
+* attention sweeps its lanes (batch times heads) in blocks of at most
+  ``_CACHE_ELEMS`` elements, so each block stays in cache through all its
+  passes: it builds, uses and, with no tape to keep it, drops its
+  ``[N, N]`` probabilities block by block
+* the scan builds its ``[..., D, S, K]``-sized arrays token-major, as
+  ``[K, ..., S, D]``: its sweep steps over whole contiguous rows, and its
+  sums over S or D are batched matmuls
 * importing this module fixes glibc's allocator thresholds for the
   process, so the arrays a step frees stay in the heap for the next step
   (``_keep_freed_memory``)
@@ -51,8 +53,7 @@ __all__ = [
     "sqrt", "softplus", "relu", "gelu", "silu",
     "tsum", "tmean", "tmax", "tmin", "reshape", "swapaxes",
     "concat", "narrow", "where_mask", "attention",
-    "attention_weights", "norm_affine", "dwconv1d", "selective_scan",
-    "stack_shape",
+    "norm_affine", "dwconv1d", "selective_scan", "stack_shape",
 ]
 
 
@@ -70,8 +71,8 @@ _DEFAULT_DTYPE = np.float64
 _GRAD_ENABLED = True
 _FINITE_CHECKS = True
 
-#: Elements in one block of lanes, small enough to stay in a core's cache
-#: (256 KB in float64)
+#: Elements in one block of attention lanes, small enough to stay in a
+#: core's cache (256 KB in float64)
 _CACHE_ELEMS = 1 << 15
 
 
@@ -843,13 +844,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     return Tensor._from_op(out.reshape(shape), (q, k, v), vjp, "attention")
 
 
-def attention_weights(q: Tensor, k: Tensor, scale: float) -> Tensor:
-    """The probabilities p that :func:`attention` mixes values with, as a
-    constant tensor ``[..., N, N]`` recorded on no tape."""
-    p = np.empty(q.shape[:-2] + (q.shape[-1], k.shape[-1]), dtype=q.dtype)
-    return Tensor(_attention_probs(p, q.data, k.data, scale))
-
-
 @_diffop("norm_affine")
 def norm_affine(x: Tensor, gain: Tensor, shift: Tensor, eps: float, axis: int) -> Tensor:
     """Normalize ``x`` to zero mean and unit variance along ``axis``, then
@@ -924,116 +918,86 @@ def dwconv1d(x: Tensor, kernels: Tensor) -> Tensor:
 # selective scan
 # ---------------------------------------------------------------------------
 
-def _copy_by_lanes(dst: np.ndarray, src: np.ndarray) -> None:
-    """``dst[...] = src`` in blocks of the leading (lane) axis that stay in
-    cache; one transposing copy of a few MB runs several times slower."""
-    step = max(1, _CACHE_ELEMS // max(1, src[0].size))
-    for m in range(0, len(src), step):
-        dst[m:m + step] = src[m:m + step]
+def _sweep(a: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Evaluate h[k] = a[k - 1] * h[k - 1] + h[k] down axis 0 of ``h`` in
+    place, for k = 1 .. K - 1, where ``a`` holds the K - 1 factors. Each
+    row is one contiguous block, so reversed views sweep just as fast."""
+    for a_k, h_prev, h_k in zip(a, h, h[1:]):
+        h_k += a_k * h_prev
+    return h
 
 
-def _token_major(x: np.ndarray, chunk: int, count: int, fill: float) -> np.ndarray:
-    """Copy ``x [..., K]`` to ``[chunk, ..., count]``, where token
-    ``c * chunk + j`` sits at ``[j, ..., c]``; positions past K hold ``fill``."""
-    K = x.shape[-1]
-    lanes = x.reshape(-1, K)
-    out = np.empty((chunk, len(lanes), count), dtype=x.dtype)
-    view = np.moveaxis(out, 0, -1)  # [lanes, count, chunk], writes land in out
-    full, rest = divmod(K, chunk)
-    _copy_by_lanes(view[:, :full, :],
-                   lanes[:, :full * chunk].reshape(len(lanes), full, chunk))
-    if rest:
-        _copy_by_lanes(view[:, full, :rest], lanes[:, full * chunk:])
-        view[:, full, rest:] = fill
-    return out.reshape((chunk,) + x.shape[:-1] + (count,))
+def _tokens_first(v: np.ndarray) -> np.ndarray:
+    """``v [..., K]`` laid out contiguous as ``[K, ...]``: a copy, or a view
+    of ``v`` when that layout is contiguous already."""
+    return np.ascontiguousarray(np.moveaxis(v, -1, 0))
 
 
-def _chunked_scan(a: np.ndarray, b: np.ndarray, chunk: int) -> np.ndarray:
-    """Evaluate h_k = a_k * h_{k-1} + b_k (h_0 = 0) along the last axis.
-
-    The K tokens split into the fewest chunks C of at most ``chunk`` tokens,
-    all of one length L (the last padded with a = 1, b = 0), laid out
-    token-major as ``[L, ..., C]``. One sweep over the L positions advances
-    every (lane, chunk) pair at once, giving each chunk's zero-initial-state
-    prefix and the running product of its a. C - 1 carry steps link the
-    chunks' last states, then chunk c adds its running product times the
-    last state of chunk c - 1. With a single chunk (K <= ``chunk``) this is
-    the plain sequential recurrence, bitwise.
-    """
-    K = a.shape[-1]
-    count = -(-K // chunk)
-    chunk = -(-K // count)  # equal lengths pad fewer than C tokens
-    # both are fresh copies, so the sweep may overwrite them: bt becomes the
-    # within-chunk prefix and at the running product of a
-    at = _token_major(a, chunk, count, 1.0)
-    bt = _token_major(b, chunk, count, 0.0)
-    for j in range(1, chunk):
-        bt[j] += at[j] * bt[j - 1]
-        if count > 1:
-            at[j] *= at[j - 1]
-    if count > 1:
-        # carry the chunks' last states in order, over the small [..., C]
-        # slice, then link every other position in one pass: a loop over
-        # chunks on the whole array would sweep all of it once per chunk
-        last = bt[-1]
-        for c in range(1, count):
-            last[..., c] += at[-1, ..., c] * last[..., c - 1]
-        bt[:-1, ..., 1:] += at[:-1, ..., 1:] * last[..., :-1]
-    h = np.empty(a.shape[:-1] + (count * chunk,), dtype=bt.dtype)
-    _copy_by_lanes(h.reshape(-1, count, chunk),
-                   np.moveaxis(bt.reshape(chunk, -1, count), 0, -1))
-    return h[..., :K]
+def _tokens_last(v: np.ndarray) -> np.ndarray:
+    """``v [K, ...]`` laid out contiguous as ``[..., K]``."""
+    return np.ascontiguousarray(np.moveaxis(v, 0, -1))
 
 
 @_diffop("selective_scan")
 def selective_scan(x: Tensor, delta: Tensor, a_log: Tensor, b: Tensor,
-                   c: Tensor, skip: Tensor, chunk: int = 128) -> Tensor:
+                   c: Tensor, skip: Tensor) -> Tensor:
     """The selective state space scan as one tape node: with a = -exp(a_log)
-    and h zero before the first token, the chunked sweep evaluates
+    and h zero before the first token, one sweep over the tokens evaluates
 
         h[d,s,k] = exp(delta[d,k] a[d,s]) h[d,s,k-1] + delta[d,k] b[s,k] x[d,k]
         y[d,k]   = sum_s c[s,k] h[d,s,k] + skip[d] x[d,k]
 
-    for x, delta ``[..., D, K]`` and b, c ``[..., S, K]``; ``a_log``
-    ``[(L,) D, S]`` and ``skip`` ``[(L,) D]`` line up by :func:`stack_shape`.
-    The VJP runs the adjoint recurrence through the same sweep. Besides its
-    operands the node keeps only h and the decays abar = exp(delta a)."""
-    xd, dd, bd, cd = x.data, delta.data, b.data, c.data
+    for x, delta ``[..., D, K]`` and b, c ``[..., S, K]`` on the same
+    leading axes; ``a_log`` ``[(L,) D, S]`` and ``skip`` ``[(L,) D]`` line
+    up by :func:`stack_shape`. Only the small operands are transposed:
+    the states are built token-major, ``[K, ..., S, D]``, so the sweep
+    steps over whole contiguous rows and every sum over S or D is a
+    batched matmul. The VJP runs the adjoint recurrence down the same rows
+    in reverse. Besides token-major copies of its small operands the node
+    keeps only h and the decays abar = exp(delta a)."""
+    xd = x.data
+    if (delta.shape != xd.shape or c.shape != b.shape
+            or b.shape[:-2] + b.shape[-1:] != xd.shape[:-2] + xd.shape[-1:]):
+        raise ValueError("selective_scan operands must share leading axes "
+                         "and token count")
+    xt, dt, bt, ct = (_tokens_first(v.data) for v in (x, delta, b, c))
     a = np.exp(a_log.data) * -1.0
-    a_col = a.reshape(stack_shape(a.shape, xd.ndim) + (1,))  # [(L,) D, S, 1]
-    d_col, x_col = dd[..., None, :], xd[..., None, :]        # [..., D, 1, K]
-    b_col, c_col = bd[..., None, :, :], cd[..., None, :, :]  # [..., 1, S, K]
-    abar = d_col * a_col
+    a_row = np.swapaxes(a, -1, -2)                       # [(L,) S, D]
+    a_row = a_row.reshape(stack_shape(a_row.shape, xd.ndim))
+    dx = dt * xt                                         # [K, ..., D]
+    abar = dt[..., None, :] * a_row                      # [K, ..., S, D]
     np.exp(abar, out=abar)
-    bbarx = x_col * b_col
-    np.multiply(d_col, bbarx, out=bbarx)
-    h = _chunked_scan(abar, bbarx, chunk)
-    del bbarx
+    h = _sweep(abar[1:], dx[..., None, :] * bt[..., None])
     skip_col = _column(skip.data, xd.ndim)
-    out = (h * c_col).sum(axis=-2)
-    out += skip_col * xd
+    out = skip_col * xd
+    out += np.moveaxis((ct[..., None, :] @ h)[..., 0, :], 0, -1)
     nx, ndelta, na, nb, nc, ns = _needs((x, delta, a_log, b, c, skip))
 
     def vjp(g):
-        g_col = g[..., None, :]
+        gt = _tokens_first(g)
         # adjoint recurrence: ghat_k = dL/dh_k + abar_{k+1} * ghat_{k+1}
-        ar = np.empty_like(abar)
-        ar[..., 0] = 1.0
-        ar[..., 1:] = abar[..., :0:-1]
-        ghat = _chunked_scan(ar, (g_col * c_col)[..., ::-1], chunk)[..., ::-1]
-        del ar
-        # dL/d(delta a) through abar = exp(delta a): ghat_k h_{k-1} abar_k
-        u = np.zeros_like(ghat)
-        np.multiply(ghat[..., 1:], h[..., :-1], out=u[..., 1:])
-        u *= abar
-        q = (ghat * b_col).sum(axis=-2)                      # dL/d(delta x)
-        gx = q * dd + g * skip_col if nx else None
-        gdelta = q * xd + (u * a_col).sum(axis=-2) if ndelta else None
-        ga = (_unbroadcast(u * d_col, a_col.shape).reshape(a.shape) * a
-              if na else None)
-        gb = (_unbroadcast((ghat * (dd * xd)[..., None, :]).sum(axis=-3),
-                           bd.shape) if nb else None)
-        gc = _unbroadcast((g_col * h).sum(axis=-3), cd.shape) if nc else None
+        ghat = ct[..., None] * gt[..., None, :]
+        _sweep(abar[:0:-1], ghat[::-1])
+        q = (bt[..., None, :] @ ghat)[..., 0, :]         # dL/d(delta x)
+        gb = _tokens_last((ghat @ dx[..., None])[..., 0]) if nb else None
+        gc = _tokens_last((h @ gt[..., None])[..., 0]) if nc else None
+        # dL/d(delta a) through abar = exp(delta a) is ghat_k h_{k-1} abar_k;
+        # times a, u holds each (d, s) share of dL/d delta and dL/da_log
+        u = ghat
+        u[0] = 0.0
+        u[1:] *= h[:-1]
+        u[1:] *= abar[1:]
+        u *= a_row
+        gx = _tokens_last(q * dt + gt * skip_col[..., 0]) if nx else None
+        gdelta = None
+        if ndelta:  # the sum over S as a matmul with a row of ones
+            ones = np.ones(u.shape[-2], dtype=u.dtype)
+            gdelta = _tokens_last(q * xt + ones @ u)
+        ga = None
+        if na:
+            ga = _unbroadcast(np.einsum("k...sd,k...d->...sd", u, dt),
+                              a_row.shape)
+            ga = np.swapaxes(ga, -1, -2).reshape(a.shape)
         gskip = (_unbroadcast(g * xd, skip_col.shape).reshape(skip.data.shape)
                  if ns else None)
         return gx, gdelta, ga, gb, gc, gskip

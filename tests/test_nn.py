@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trifuse import nn
+from trifuse import tensor as T
 from trifuse.tensor import Param, Tensor
 
 
@@ -89,8 +90,8 @@ def test_mhsa_single_token_is_value_projection():
 def test_mhsa_rows_stochastic_and_uniform_inputs():
     att = nn.MultiHeadSelfAttention(8, 4, rng())
     x = Tensor(np.ones((8, 5)))
-    _, weights = att(x, return_weights=True)
-    w = weights.data  # [heads, n, n]
+    q, k = (f(x).data.reshape(4, 2, 5) for f in (att.wq, att.wk))
+    w = T._attention_probs(np.empty((4, 5, 5)), q, k, 2 ** -0.5)  # [heads, n, n]
     assert np.abs(w.sum(axis=-1) - 1.0).max() < 1e-7
     assert np.abs(w - 1.0 / 5.0).max() < 1e-12  # identical tokens
 

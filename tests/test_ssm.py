@@ -11,17 +11,13 @@ from trifuse.ssm import (SelectiveScan, attention_flops, scan_sequential,
 from trifuse.tensor import Tensor, mul, no_grad, selective_scan, softplus, tsum
 
 
-def _fused(chunk=128):
-    return lambda *ops: selective_scan(*ops, chunk=chunk)
-
-
 def test_hand_unrolled_three_steps():
     # a = -1 and delta = ln 2 decay by 1/2; b = 1 / ln 2 makes each input 1
     ln2 = np.log(2.0)
     ops = [Tensor(np.ones((1, 3))), Tensor(np.full((1, 3), ln2)),
            Tensor(np.zeros((1, 1))), Tensor(np.full((1, 3), 1.0 / ln2)),
            Tensor(np.ones((1, 3))), Tensor(np.full(1, 0.5))]
-    for scan in (scan_sequential, _fused()):
+    for scan in (scan_sequential, selective_scan):
         assert np.allclose(scan(*ops).data.ravel(), [1.5, 2.0, 2.25],
                            atol=1e-15)
 
@@ -52,16 +48,17 @@ def test_fast_scan_matches_sequential_reference():
 
 
 @pytest.mark.parametrize("lead,stacked", [((3, 2), True), ((2,), False),
-                                          ((), False)])
+                                          ((), False), ((1, 2), False)])
 def test_fused_gradients_match_sequential_reference(lead, stacked):
-    # K = 13 spans four chunks of 4, so the carry between chunks is on the
-    # forward and the adjoint path
+    # the last layout is the inter scan's: one unstacked scan over a batch,
+    # lead (1, B); each layout runs three draws at K = 13 and one at
+    # K = 130, a long sequence like the inter scan's 3 x k tokens
     rng = np.random.default_rng(len(lead))
-    for _ in range(3):
-        values = _operands(rng, lead, 3, 4, 13, stacked)
+    for k in (13, 13, 13, 130):
+        values = _operands(rng, lead, 3, 4, k, stacked)
         w = Tensor(rng.normal(size=values[0].shape))
         got = []
-        for scan in (_fused(chunk=4), scan_sequential):
+        for scan in (selective_scan, scan_sequential):
             ops = [Tensor(v, requires_grad=True) for v in values]
             y = scan(*ops)
             tsum(mul(y, w)).backward()
@@ -70,6 +67,16 @@ def test_fused_gradients_match_sequential_reference(lead, stacked):
                                     "skip"), *got):
             gap = np.abs(fast - ref).max() / np.abs(ref).max()
             assert gap < 1e-10, name
+
+
+def test_scan_refuses_operands_on_other_leading_axes():
+    # the token-major states line up b and c with x by their leading axes
+    rng = np.random.default_rng(4)
+    x, delta, a_log, b, c, skip = _operands(rng, (2,), 3, 4, 5)
+    for bad in (b[0], b[..., :4]):
+        with pytest.raises(ValueError):
+            selective_scan(*(Tensor(v) for v in (x, delta, a_log, bad, bad,
+                                                 skip)))
 
 
 def test_discretize_shapes_and_decay_range():

@@ -172,10 +172,10 @@ def test_concat_axis_counts_from_the_end_and_is_range_checked():
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    """Row softmax of ``scores [M, N]`` through ``attention_weights``: with
+    """Row softmax of ``scores [M, N]`` through ``_attention_probs``: with
     q the identity, the scores qᵀk are k itself."""
-    eye = Tensor(np.eye(scores.shape[0]))
-    return T.attention_weights(eye, Tensor(scores), 1.0).data
+    return T._attention_probs(np.empty(scores.shape), np.eye(len(scores)),
+                              scores, 1.0)
 
 
 def test_softmax_rows_sum_to_one():
@@ -210,9 +210,10 @@ def test_attention_matches_the_unfused_chain():
     p = e / e.sum(axis=-1, keepdims=True)
     ctx = v.data @ np.swapaxes(p, -1, -2)
     assert np.abs(T.attention(q, k, v, scale).data - ctx).max() < 1e-12
-    w = T.attention_weights(q, k, scale)
-    assert not w.requires_grad
-    assert np.abs(w.data - p).max() < 1e-12
+    buf = np.empty_like(p)
+    w = T._attention_probs(buf, q.data, k.data, scale)
+    assert w is buf
+    assert np.abs(w - p).max() < 1e-12
     with pytest.raises(ValueError):
         T.attention(q, k, Tensor(np.ones((2, 3, 4, 5))), scale)
 
@@ -301,9 +302,10 @@ def test_default_dtype_switch():
 
 
 # -- the scan -----------------------------------------------------------
-# The linear recurrence h_k = a_k h_{k-1} + b_k is evaluated by the chunked
-# sweep ``_chunked_scan``; its adjoint runs inside the VJP of the one scan
-# op, ``selective_scan``, so that op carries the gradient check.
+# The linear recurrence h_k = a_k h_{k-1} + b_k is evaluated by ``_sweep``
+# down axis 0 of token-major arrays; the forward and the adjoint recurrence
+# of the one scan op, ``selective_scan``, both run through it, so that op
+# carries the gradient check.
 
 
 def _reference_recurrence(a, b):
@@ -315,42 +317,43 @@ def _reference_recurrence(a, b):
     return h
 
 
+def _swept(a, b):
+    """The recurrence over the last axis of ``a, b [..., K]`` by
+    ``_sweep``, on a token-major copy of b."""
+    h = T._sweep(np.moveaxis(a, -1, 0)[1:], np.moveaxis(b, -1, 0).copy())
+    return np.moveaxis(h, 0, -1)
+
+
 def test_linear_recurrence_hand_case():
-    h = T._chunked_scan(np.full((1, 1, 3), 0.5), np.ones((1, 1, 3)), 128)
+    h = _swept(np.full((1, 1, 3), 0.5), np.ones((1, 1, 3)))
     assert np.allclose(h.ravel(), [1.0, 1.5, 1.75], atol=1e-15)
 
 
-@pytest.mark.parametrize("shape,chunk", [
-    ((2, 3, 17), 4), ((1, 1, 1), 8), ((4, 2, 64), 64),
-    ((2, 2, 5), 128), ((3, 1, 33), 8),
+@pytest.mark.parametrize("shape,k", [
+    ((2, 3), 4), ((1, 1), 8), ((4, 2), 64), ((2, 2), 128), ((3, 1), 8),
+    ((2, 3), 17), ((2, 2), 5), ((1, 1), 1), ((3,), 4),
 ])
-def test_linear_recurrence_matches_loop(shape, chunk):
-    rng = np.random.default_rng(hash(shape) % 2**32)
-    a = rng.uniform(0.1, 0.99, size=shape)
-    b = rng.normal(size=shape)
-    h = T._chunked_scan(a, b, chunk)
-    assert np.max(np.abs(h - _reference_recurrence(a, b))) < 1e-12
-
-
-@pytest.mark.parametrize("shape,chunk", [
-    ((2, 3, 17), 17), ((2, 2, 5), 128), ((1, 1, 1), 8), ((3, 4), 64),
-])
-def test_linear_recurrence_in_one_chunk_is_the_loop_bitwise(shape, chunk):
-    rng = np.random.default_rng(7)
-    a = rng.uniform(0.1, 0.99, size=shape)
-    b = rng.normal(size=shape)
-    h = T._chunked_scan(a, b, chunk)
-    assert np.array_equal(h, _reference_recurrence(a, b))
+def test_linear_recurrence_matches_loop(shape, k):
+    # lanes ``shape`` over k tokens; the sweep makes the loop's calls
+    rng = np.random.default_rng(hash(shape + (k,)) % 2**32)
+    a = rng.uniform(0.1, 0.99, size=shape + (k,))
+    b = rng.normal(size=shape + (k,))
+    assert np.array_equal(_swept(a, b), _reference_recurrence(a, b))
 
 
 def test_linear_recurrence_does_not_mutate_inputs():
+    # the scan's operands and the upstream gradient survive the forward
+    # and the VJP, which sweep their own token-major copies in place
     rng = np.random.default_rng(5)
-    a = rng.uniform(0.2, 0.9, size=(2, 2, 6))
-    b = rng.normal(size=(2, 2, 6))
-    a_before, b_before = a.copy(), b.copy()
-    T._chunked_scan(a, b, 128)  # single chunk covers everything
-    assert np.array_equal(a, a_before)
-    assert np.array_equal(b, b_before)
+    values = [rng.normal(size=(2, 3, 6)), rng.uniform(0.2, 0.9, (2, 3, 6)),
+              rng.normal(size=(3, 4)), rng.normal(size=(2, 4, 6)),
+              rng.normal(size=(2, 4, 6)), rng.normal(size=3)]
+    g = rng.normal(size=(2, 3, 6))
+    before = [v.copy() for v in values + [g]]
+    ops = [Tensor(v, requires_grad=True) for v in values]
+    T.selective_scan(*ops).backward(g)
+    for v, was in zip([t.data for t in ops] + [g], before):
+        assert np.array_equal(v, was)
 
 
 def test_linear_recurrence_gradient_small():
@@ -364,7 +367,7 @@ def test_linear_recurrence_gradient_small():
     w = rng.normal(size=(2, 7))
     ops = [x, delta, a_log, b, c, skip]
     err = check_function(
-        lambda: T.tsum(T.mul(T.selective_scan(*ops, chunk=3), Tensor(w))),
+        lambda: T.tsum(T.mul(T.selective_scan(*ops), Tensor(w))),
         ops)
     assert err < 1e-8
 
