@@ -9,7 +9,7 @@ two switches that control recording: frozen parameters and no_grad.
 import numpy as np
 
 from trifuse.gradcheck import check_function
-from trifuse.tensor import Param, Tensor, gelu, matmul, mul, no_grad, sub, tsum
+from trifuse.tensor import Param, Tensor, matmul, mlp, mul, no_grad, sub, tsum
 
 rng = np.random.default_rng(0)
 
@@ -29,15 +29,20 @@ print("max |tape - by hand| ", np.abs(w.grad - by_hand).max())
 
 # -- and match finite differences on something less convenient ---------------
 
-w2 = Param(0.5 * rng.standard_normal((3, 3)))
+# linear -> gelu -> linear, 3 -> 4 -> 3, applied twice; each application is
+# one tape node with a hand-written backward pass
+w1 = Param(0.5 * rng.standard_normal((4, 3)))
+b1 = Param(0.1 * rng.standard_normal(4))
+w2 = Param(0.5 * rng.standard_normal((3, 4)))
+b2 = Param(0.1 * rng.standard_normal(3))
 
 
 def bent_chain():
-    return tsum(gelu(matmul(w2, gelu(matmul(w2, x)))))
+    return tsum(mlp(mlp(x, w1, b1, w2, b2), w1, b1, w2, b2))
 
 
-err = check_function(bent_chain, [w2])
-print("fd check on a gelu chain, max rel err", f"{err:.2e}")
+err = check_function(bent_chain, [w1, b1, w2, b2])
+print("fd check on an mlp chain, max rel err", f"{err:.2e}")
 
 # -- frozen parameters are constants to the tape -----------------------------
 

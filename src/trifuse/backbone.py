@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .adapter import ParallelAdapter, combine_branches
 from .config import RunConfig
-from .nn import (FeedForward, LayerNorm, Linear, Module,
+from .nn import (FeedForward, LayerNorm, Linear, Mlp, Module,
                  MultiHeadSelfAttention)
 from .tensor import Param, Tensor, add, concat
 
@@ -57,12 +56,10 @@ class EncoderLayer(Module):
         self.ffn = FeedForward(dim, rng, ratio=ffn_ratio)
 
     def __call__(self, x: Tensor,
-                 adapter: ParallelAdapter | None = None) -> Tensor:
+                 adapter: Mlp | None = None) -> Tensor:
         f = add(self.attn(self.norm1(x)), x)
-        ffn_out = self.ffn(self.norm2(f))
-        if adapter is None:
-            return add(ffn_out, f)
-        return combine_branches(ffn_out, f, adapter(f))
+        out = add(self.ffn(self.norm2(f)), f)
+        return out if adapter is None else add(out, adapter(f))
 
 
 class VisionBackbone(Module):

@@ -142,12 +142,7 @@ def cmd_eval(args) -> int:
         sys.exit(f"error: {ckpt} records no seed; pass --seed")
     cfg = load_config(cfg_path)
     model = build_model(cfg, seed)
-    try:
-        _restore(model, Adam(model.named_params()), ckpt, seed, cfg)
-    except (KeyError, ValueError) as err:
-        # another seed or config than the run's, or array names this model
-        # does not have (a checkpoint of an older layout)
-        sys.exit(f"error: {err.args[0]}")
+    _restore(model, Adam(model.named_params()), ckpt, seed, cfg)
     world = build_world(cfg, seed)
     query, gallery = world.eval_parts(cfg.eval_instances_per_id,
                                       cfg.eval_queries_per_id)
@@ -197,7 +192,12 @@ def main(argv: list[str] | None = None) -> int:
         import numpy as np
         from .tensor import set_default_dtype
         set_default_dtype(np.float32)
-    return _COMMANDS[args.command](args)
+    from .train import RestoreRefused
+    try:
+        return _COMMANDS[args.command](args)
+    except RestoreRefused as err:
+        # a checkpoint that train-toy --resume-from or eval may not load
+        sys.exit(f"error: {err}")
 
 
 if __name__ == "__main__":

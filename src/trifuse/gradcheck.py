@@ -208,7 +208,6 @@ def _build_primitive_cases() -> None:
     register_case("sqrt", simple(T.sqrt, positive=True), tol=1e-6)
     register_case("softplus", simple(T.softplus), tol=1e-6)
     register_case("relu", simple(T.relu, avoid_zero=True), tol=1e-6)
-    register_case("gelu", simple(T.gelu), tol=1e-6)
     register_case("silu", simple(T.silu), tol=1e-6)
 
     def linear_case(rng):
@@ -222,6 +221,23 @@ def _build_primitive_cases() -> None:
         return fn, [w, x, xb, b]
 
     register_case("linear", linear_case, tol=1e-6)
+
+    def mlp_case(rng):
+        """4 -> 8 -> 4 on a batch and, as in the frozen backbone (no hidden
+        output kept), with w2 and b2 frozen; the bank's maps stacked [3, 2]."""
+        def maps(lead, hidden, grad=True):
+            return [Tensor(rng.normal(size=lead + s), requires_grad=grad)
+                    for s in ((hidden, 4), (hidden,), (4, hidden), (4,))]
+        xb, x, xs = (Tensor(rng.normal(size=s), requires_grad=True)
+                     for s in ((2, 4, 3), (4, 5), (3, 1, 4, 2)))
+        trained, stacked, frozen = maps((), 8), maps((3, 2), 4), maps((), 8, False)
+        calls = [(xb, *trained), (x, *trained[:2], *frozen[2:]), (xs, *stacked)]
+        def fn():
+            a, b, c = (_weighted_sum(T.mlp(*args), rng) for args in calls)
+            return T.add(T.add(a, b), c)
+        return fn, [xb, x, xs] + trained + stacked
+
+    register_case("mlp", mlp_case, tol=1e-6)
 
     def binary(op):
         def build(rng):
@@ -320,11 +336,10 @@ def _build_module_cases() -> None:
     from . import losses as L
     from . import nn
     from . import ssm as S
-    from .adapter import ParallelAdapter, combine_branches
     from .aggregation import AggregationBlock, Aggregator, AggregationHead, ConvGate, LinearGate
     from .config import RunConfig
     from .model import FusionModel
-    from .prompts import PromptBank, PromptMlp
+    from .prompts import PromptBank
     from . import tensor as T
 
     def ln_case(rng):
@@ -370,25 +385,14 @@ def _build_module_cases() -> None:
 
     register_case("mhsa", applied(
         lambda rng: nn.MultiHeadSelfAttention(6, 2, rng), (6, 5)))
-    register_case("ffn", applied(
-        lambda rng: nn.FeedForward(4, rng, ratio=2), (4, 3)))
 
     register_case("scan_sequential", _scan_case(S.scan_sequential))
     register_case("ssm_apply", applied(
         lambda rng: S.SelectiveScan(2, d_state=3, dt_rank=2, rng=rng), (2, 4)))
-    register_case("pfa_apply", applied(
-        lambda rng: ParallelAdapter(4, 8, rng), (4, 3)))
-
-    def pfa_combine_case(rng):
-        parts = [Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-                 for _ in range(3)]
-        return (lambda: _weighted_sum(combine_branches(*parts), rng)), parts
-
-    register_case("pfa_combine", pfa_combine_case, tol=1e-6)
 
     # the bank's layout: six maps stacked [3, 2], one prompt per stream
     register_case("transfer", applied(lambda rng: nn.stack_modules(
-        lambda: PromptMlp(4, rng), (3, 2)), (3, 1, 4, 2)))
+        lambda: nn.Mlp(4, 4, rng), (3, 2)), (3, 1, 4, 2)))
 
     def bank(rng, dim=4, n_prompts=2, layers=2):
         return PromptBank(dim=dim, n_prompts=n_prompts, layers=layers, rng=rng)

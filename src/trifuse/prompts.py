@@ -21,8 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from .config import SRP_MODES
-from .nn import Linear, Module, stack_modules
-from .tensor import (Param, Tensor, add, concat, gelu, matmul, mul, narrow,
+from .nn import Mlp, Module, stack_modules
+from .tensor import (Param, Tensor, add, concat, matmul, mul, narrow,
                      register_differentiable, reshape, stack_shape, swapaxes,
                      tsum, where_mask)
 
@@ -32,18 +32,6 @@ register_differentiable("transfer")
 register_differentiable("residual_fuse")
 register_differentiable("assemble_layer_input")
 register_differentiable("harvest")
-
-
-class PromptMlp(Module):
-    """Linear, gelu, linear: both the cross-modal transfer map and the
-    refinement map of harvested groups."""
-
-    def __init__(self, dim: int, rng: np.random.Generator):
-        self.inner = Linear(dim, dim, rng)
-        self.outer = Linear(dim, dim, rng)
-
-    def __call__(self, p: Tensor) -> Tensor:
-        return self.outer(gelu(self.inner(p)))
 
 
 #: (src, dst) of the six transfers, source-major as the bank stacks them
@@ -75,8 +63,8 @@ class PromptBank(Module):
                             for _ in MODALITIES]))
             for _ in range(layers)
         ]
-        self.transfers = stack_modules(lambda: PromptMlp(dim, rng), (3, 2))
-        self.rp = stack_modules(lambda: PromptMlp(dim, rng),
+        self.transfers = stack_modules(lambda: Mlp(dim, dim, rng), (3, 2))
+        self.rp = stack_modules(lambda: Mlp(dim, dim, rng),
                                 (3,) if mode == "fusion" else (3, 3))
 
     # -- refinement ---------------------------------------------------

@@ -8,9 +8,9 @@ goes: each node drops its closure, parents and gradient once its VJP has
 run, so after ``backward`` only leaves hold a ``.grad`` (each its own
 array) and a second ``backward`` through the same graph raises
 ``RuntimeError``. There is no compilation and no GPU path; a few hot
-chains (``linear``, ``attention``, ``selective_scan``) are fused into
-single hand-written nodes. The point is a core small enough to verify
-against central finite differences and fast enough for toy models.
+chains (``linear``, ``mlp``, ``attention``, ``selective_scan``) are
+fused into single hand-written nodes. The point is a core small enough to
+verify against central finite differences and fast enough for toy models.
 
 Conventions used throughout the package:
 
@@ -50,7 +50,7 @@ __all__ = [
     "set_default_dtype", "default_dtype", "finite_checks",
     "register_differentiable", "DIFFERENTIABLE_OPS",
     "add", "sub", "mul", "neg", "matmul", "linear", "exp", "log",
-    "sqrt", "softplus", "relu", "gelu", "silu",
+    "sqrt", "softplus", "relu", "mlp", "silu",
     "tsum", "tmean", "tmax", "tmin", "reshape", "swapaxes",
     "concat", "narrow", "where_mask", "attention",
     "norm_affine", "dwconv1d", "selective_scan", "stack_shape",
@@ -479,29 +479,36 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(out, (a, b), vjp, "matmul")
 
 
+def _affine(w: Tensor, x: np.ndarray, b: Tensor | None, nx: bool):
+    """``w @ x + b[:, None]`` on an array x, lined up by :func:`stack_shape`,
+    and its VJP ``g -> (gw, gx, gb)``, which keeps x only if w trains."""
+    if x.shape[-2] != w.shape[-1]:
+        raise ValueError(f"expected {w.shape[-1]} features, got {x.shape[-2]}")
+    wv = w.data.reshape(stack_shape(w.data.shape, x.ndim))
+    out = wv @ x
+    if b is not None:
+        bv = _column(b.data, out.ndim)
+        out += bv
+    nw, nb = w.requires_grad, b is not None and b.requires_grad
+    kept, x_shape = (x if nw else None), x.shape
+
+    def vjp(g):
+        gw = (_unbroadcast(g @ np.swapaxes(kept, -1, -2), wv.shape)
+              .reshape(w.data.shape) if nw else None)
+        gx = _unbroadcast(np.swapaxes(wv, -1, -2) @ g, x_shape) if nx else None
+        gb = _unbroadcast(g, bv.shape).reshape(b.data.shape) if nb else None
+        return gw, gx, gb
+
+    return out, vjp
+
+
 @_diffop("linear")
 def linear(w: Tensor, x: Tensor, b: Tensor | None = None) -> Tensor:
     """Affine map ``w @ x + b[:, None]`` as one tape node: weight
     ``[out, in]``, input ``[..., in, N]``, optional bias ``[out]``; stacked
     ``[S, out, in]`` and ``[S, out]`` ones line up by :func:`stack_shape`."""
-    xd = x.data
-    wv = w.data.reshape(stack_shape(w.data.shape, xd.ndim))
-    out = wv @ xd
-    if b is not None:
-        bv = _column(b.data, out.ndim)
-        out += bv
-    parents = (w, x) if b is None else (w, x, b)
-    nw, nx = _needs((w, x))
-    nb = b is not None and b.requires_grad
-
-    def vjp(g):
-        gw = (_unbroadcast(g @ np.swapaxes(xd, -1, -2), wv.shape)
-              .reshape(w.data.shape) if nw else None)
-        gx = _unbroadcast(np.swapaxes(wv, -1, -2) @ g, xd.shape) if nx else None
-        gb = _unbroadcast(g, bv.shape).reshape(b.data.shape) if nb else None
-        return gw, gx, gb
-
-    return Tensor._from_op(out, parents, vjp, "linear")
+    out, vjp = _affine(w, x.data, b, x.requires_grad)
+    return Tensor._from_op(out, (w, x) if b is None else (w, x, b), vjp, "linear")
 
 
 # ---------------------------------------------------------------------------
@@ -570,41 +577,45 @@ def relu(a: Tensor) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-@_diffop("gelu")
-def gelu(a: Tensor) -> Tensor:
-    """GELU activation in its tanh approximation."""
-    x = a.data
-    # t = tanh(c * (x + 0.044715 * x**3)), built in one buffer; x ** 3 goes
-    # through pow(), about 50x slower than two multiplies on float64
-    t = x * x
-    t *= x
+@_diffop("mlp")
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``w2 @ gelu(w1 @ x + b1) + b2`` as one tape node, GELU in its tanh
+    form, weights and biases lined up as :func:`linear`'s. It keeps the
+    pre-activation and gelu's tanh, and the hidden output only if w2 trains."""
+    pre, first = _affine(w1, x.data, b1, x.requires_grad)
+    # t = tanh(c * (pre + 0.044715 * pre**3)) in one buffer, pre**3 as multiplies
+    t = pre * pre
+    t *= pre
     t *= 0.044715
-    t += x
+    t += pre
     t *= _GELU_C
     np.tanh(t, out=t)
-    out = t + 1.0
-    out *= x
-    out *= 0.5
+    h = t + 1.0
+    h *= pre
+    h *= 0.5
+    out, second = _affine(w2, h, b2, nx=True)
 
     def vjp(g):
-        # g * (0.5 (1 + t) + 0.5 x (1 - t²) c (1 + 3 · 0.044715 x²)) in three
-        # buffers, each product and sum in the order the formula reads
-        dinner = x * (3.0 * 0.044715)
-        dinner *= x
+        gw2, gh, gb2 = second(g)
+        # gh * (0.5 (1 + t) + 0.5 pre (1 - t²) c (1 + 3 · 0.044715 pre²)) in
+        # three buffers, each product and sum in the order the formula reads
+        dinner = pre * (3.0 * 0.044715)
+        dinner *= pre
         dinner += 1.0
         dinner *= _GELU_C
         d = t * t
         np.subtract(1.0, d, out=d)
-        rest = x * 0.5
+        rest = pre * 0.5
         rest *= d
         rest *= dinner
         np.add(t, 1.0, out=d)
         d *= 0.5
         d += rest
-        d *= g
-        return (d,)
+        d *= gh
+        gw1, gx, gb1 = first(d)
+        return gx, gw1, gb1, gw2, gb2
 
-    return Tensor._from_op(out, (a,), vjp, "gelu")
+    return Tensor._from_op(out, (x, w1, b1, w2, b2), vjp, "mlp")
 
 
 @_diffop("silu")

@@ -157,25 +157,34 @@ def _checkpoint_arrays(model: FusionModel, opt: Adam):
     return arrays
 
 
+class RestoreRefused(ValueError):
+    """A checkpoint missing, corrupt, or of another seed, config or layout."""
+
+
 def _restore(model: FusionModel, opt: Adam, directory: str, seed: int,
              cfg: RunConfig) -> int:
     """Load a checkpoint trained with ``seed`` and the config ``cfg``
     (compared by the sha256 of its ``config.cfg`` text); returns its
     step."""
-    arrays, meta = load_checkpoint(directory)
-    if meta.get("seed") != seed:
-        raise ValueError(f"{directory} was trained with seed "
-                         f"{meta.get('seed')}, not seed {seed}")
-    digest = config_digest(cfg)
-    if meta.get("config_sha256") != digest:
-        raise ValueError(f"{directory} was trained with config sha256 "
-                         f"{meta.get('config_sha256', '(none recorded)')}, "
-                         f"not {digest}")
-    state = {name[len("model."):]: entry for name, entry in arrays.items()
-             if name.startswith("model.")}
-    model.load_state_dict(state)
-    opt.load_state_arrays({k: v for k, (v, _) in arrays.items()
-                           if k.startswith("adam.")}, int(meta["adam_t"]))
+    try:
+        arrays, meta = load_checkpoint(directory)
+        if meta.get("seed") != seed:
+            raise ValueError(f"{directory} was trained with seed "
+                             f"{meta.get('seed')}, not seed {seed}")
+        digest = config_digest(cfg)
+        if meta.get("config_sha256") != digest:
+            raise ValueError(f"{directory} was trained with config sha256 "
+                             f"{meta.get('config_sha256', '(none recorded)')}, "
+                             f"not {digest}")
+        model.load_state_dict({name[len("model."):]: entry
+                               for name, entry in arrays.items()
+                               if name.startswith("model.")})
+        opt.load_state_arrays({k: v for k, (v, _) in arrays.items()
+                               if k.startswith("adam.")}, int(meta["adam_t"]))
+    except (KeyError, OSError, ValueError) as err:
+        # a KeyError's str() would quote its message
+        raise RestoreRefused(err.args[0] if isinstance(err, KeyError)
+                             else err) from err
     return int(meta["step"])
 
 
@@ -221,7 +230,7 @@ def train(cfg: RunConfig, seed: int, out_dir: str,
     statistics keep their values from before it.
 
     The checkpoint records the seed and the sha256 of ``config.cfg``;
-    ``resume_from`` refuses a checkpoint whose seed or config differs.
+    ``resume_from`` raises :class:`RestoreRefused` for one it may not load.
     """
     model = build_model(cfg, seed)
     model.train()

@@ -36,6 +36,11 @@ def _zero_linear(lin):
         lin.bias.data[:] = 0.0
 
 
+def _zero_mlp(mlp):
+    for p in (mlp.w1, mlp.b1, mlp.w2, mlp.b2):
+        p.data[:] = 0.0
+
+
 # -- 1: the fast scan is the reference scan ---------------------------------
 
 def test_fast_scan_matches_reference_on_random_battery():
@@ -167,8 +172,7 @@ def test_sequence_layout_slot_round_trip_and_frozen_params(tmp_path):
                       rng=np.random.default_rng(5))
     # markers 1, 2, 3 for streams n, r, t
     bank.prompts[0].data[:] = np.array([1.0, 2.0, 3.0])[:, None, None]
-    _zero_linear(bank.transfers.inner)
-    _zero_linear(bank.transfers.outer)
+    _zero_mlp(bank.transfers)
     # the three streams stacked on axis 0; stream r is row 1
     f_star = Tensor(np.random.default_rng(6).standard_normal((3, 4, 3)))
     seq = bank.assemble_layer_input(0, f_star, None)
@@ -207,8 +211,7 @@ def test_degenerate_configurations_reduce_exactly(tmp_path):
                      image_h=8, image_w=8, channels=1, n_prompts=0)
     layer = VisionBackbone(bcfg, np.random.default_rng(0)).blocks[0]
     adapter = ParallelAdapter(8, 16, np.random.default_rng(1))
-    _zero_linear(adapter.up)
-    _zero_linear(adapter.down)
+    _zero_mlp(adapter)
     x = Tensor(rng.standard_normal((8, 7)))
     assert np.array_equal(layer(x, adapter=adapter).data, layer(x).data)
 
@@ -230,8 +233,7 @@ def test_degenerate_configurations_reduce_exactly(tmp_path):
     model = build_model(cfg, seed=2)
     model.eval()
     for mlp in (model.bank.transfers, model.bank.rp):
-        _zero_linear(mlp.inner)
-        _zero_linear(mlp.outer)
+        _zero_mlp(mlp)
     images = build_world(cfg, 2).train_part(cfg.instances_per_id).images[:, :1]
     before, _ = model.forward_batch(images)
     d = cfg.embed_dim

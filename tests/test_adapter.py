@@ -2,32 +2,25 @@
 
 import numpy as np
 
-from trifuse.adapter import ParallelAdapter, combine_branches
+from trifuse.adapter import ParallelAdapter
+from trifuse.backbone import EncoderLayer
 from trifuse.tensor import Tensor
 
 
 def _zeroed(adapter):
-    adapter.up.weight.data[:] = 0.0
-    adapter.up.bias.data[:] = 0.0
-    adapter.down.weight.data[:] = 0.0
-    adapter.down.bias.data[:] = 0.0
+    adapter.w1.data[:] = 0.0
+    adapter.b1.data[:] = 0.0
+    adapter.w2.data[:] = 0.0
+    adapter.b2.data[:] = 0.0
     return adapter
 
 
 def test_zero_weights_contribute_exactly_nothing():
     rng = np.random.default_rng(0)
+    layer = EncoderLayer(6, 2, rng)
     adapter = _zeroed(ParallelAdapter(6, 3, rng))
-    ffn_out = Tensor(rng.normal(size=(6, 4)))
-    residual = Tensor(rng.normal(size=(6, 4)))
-    out = combine_branches(ffn_out, residual, adapter(Tensor(rng.normal(size=(6, 4)))))
-    assert np.array_equal(out.data, ffn_out.data + residual.data)
-
-
-def test_combine_is_three_way_sum():
-    rng = np.random.default_rng(1)
-    a, b, c = (Tensor(rng.normal(size=(3, 2))) for _ in range(3))
-    assert np.allclose(combine_branches(a, b, c).data,
-                       a.data + b.data + c.data, atol=1e-15)
+    x = Tensor(rng.normal(size=(6, 4)))
+    assert np.array_equal(layer(x, adapter=adapter).data, layer(x).data)
 
 
 def test_bottleneck_shapes_and_gradient_flow():
@@ -36,8 +29,8 @@ def test_bottleneck_shapes_and_gradient_flow():
     x = Tensor(rng.normal(size=(8, 5)))
     y = adapter(x)
     assert y.shape == (8, 5)
-    assert adapter.up.weight.shape == (2, 8)
-    assert adapter.down.weight.shape == (8, 2)
+    assert adapter.w1.shape == (2, 8)
+    assert adapter.w2.shape == (8, 2)
     y.sum().backward()
-    assert np.abs(adapter.up.weight.grad).sum() > 0
-    assert np.abs(adapter.down.weight.grad).sum() > 0
+    assert np.abs(adapter.w1.grad).sum() > 0
+    assert np.abs(adapter.w2.grad).sum() > 0

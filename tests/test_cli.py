@@ -188,6 +188,36 @@ def test_halt_and_resume_flags(tiny_cfg_path, tmp_path):
                        os.path.join(ref, "metrics.tsv"), shallow=False)
 
 
+def test_resume_refuses_a_different_seed_with_one_error_line(tiny_cfg_path,
+                                                            tmp_path):
+    out = str(tmp_path / "run")
+    main(_train_args(tiny_cfg_path, out, extra=["--halt-after", "2"]))
+    ckpt = os.path.join(out, "checkpoint")
+    resumed = str(tmp_path / "resumed")
+    with pytest.raises(SystemExit, match="^error: .*seed 5, not seed 6$"):
+        main(["--config", tiny_cfg_path, "--seed", "6", "--out", resumed,
+              "train-toy", "--resume-from", ckpt])
+    assert not os.path.exists(os.path.join(resumed, "metrics.tsv"))
+
+
+def test_resume_refuses_an_older_checkpoint_layout_with_one_error_line(
+        tiny_cfg_path, tmp_path):
+    # the adapters' arrays as they were named before the three MLPs became
+    # one module: the checkpoint is named, not traced
+    out = str(tmp_path / "run")
+    main(_train_args(tiny_cfg_path, out, extra=["--halt-after", "2"]))
+    ckpt = os.path.join(out, "checkpoint")
+    arrays, meta = load_checkpoint(ckpt)
+    arrays["model.adapters.0.up.weight"] = arrays.pop("model.adapters.0.w1")
+    save_checkpoint(ckpt, arrays, meta)
+    resumed = str(tmp_path / "resumed")
+    with pytest.raises(SystemExit) as exc:
+        main(_train_args(tiny_cfg_path, resumed, extra=["--resume-from", ckpt]))
+    assert str(exc.value.code) == (
+        "error: unexpected entry 'adapters.0.up.weight' in state")
+    assert not os.path.exists(os.path.join(resumed, "metrics.tsv"))
+
+
 def test_precision_flag_switches_dtype(tiny_cfg_path, tmp_path):
     out = str(tmp_path / "f32")
     try:

@@ -154,10 +154,10 @@ def test_frozen_backbone_keeps_zero_gradients():
 
 def test_nan_before_features_names_the_module_path():
     model = _model().eval()
-    dict(model.named_params())["adapters.1.up.weight"].data[0, 0] = np.nan
+    dict(model.named_params())["adapters.1.w1"].data[0, 0] = np.nan
     with pytest.raises(NonFiniteError,
-                       match=r"^op 'linear' produced non-finite values in "
-                             r"adapters\.1\.up at eval pass$"):
+                       match=r"^op 'mlp' produced non-finite values in "
+                             r"adapters\.1 at eval pass$"):
         model.features(_images(0, 1))
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from trifuse import nn
 from trifuse import tensor as T
+from trifuse.bench import held_bytes
 from trifuse.tensor import Param, Tensor
 
 
@@ -26,9 +27,10 @@ def test_linear_identity_and_affine():
 
 
 def test_linear_rejects_wrong_input_dim():
-    lin = nn.Linear(3, 2, rng())
-    with pytest.raises(ValueError):
-        lin(Tensor(np.ones((4, 5))))
+    # an Mlp's first map checks its input the same way
+    for mod in (nn.Linear(3, 2, rng()), nn.Mlp(3, 5, rng())):
+        with pytest.raises(ValueError, match="expected 3 features, got 4"):
+            mod(Tensor(np.ones((4, 5))))
 
 
 def test_layer_norm_column_statistics():
@@ -111,8 +113,25 @@ def test_ffn_zero_weights_give_zero():
 
 def test_ffn_hidden_ratio():
     ff = nn.FeedForward(6, rng(), ratio=4)
-    assert ff.lin1.weight.shape == (24, 6)
-    assert ff.lin2.weight.shape == (6, 24)
+    assert ff.w1.shape == (24, 6)
+    assert ff.w2.shape == (6, 24)
+
+
+def test_mlp_keeps_its_hidden_output_only_for_the_second_weight():
+    # the node keeps the pre-activation and gelu's tanh; the hidden output
+    # only while w2 needs a gradient, so a frozen w2 (as in the backbone)
+    # leaves one [hidden, N] array less held after the forward
+    n, hidden = 512, 64
+    held = []
+    for frozen in (False, True):
+        mlp = nn.Mlp(16, hidden, rng())
+        if frozen:
+            mlp.w2.freeze()
+            mlp.b2.freeze()
+        held.append(held_bytes(mlp, n, dim=16))
+    one_hidden = hidden * n * np.dtype(np.float64).itemsize
+    assert abs((held[0] - held[1]) - one_hidden) < 0.05 * one_hidden
+    assert held[1] > 2 * one_hidden  # the pre-activation and the tanh
 
 
 def test_module_traversal_and_state_roundtrip():

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import module_row
-from trifuse.prompts import MODALITIES, PromptBank, PromptMlp
+from trifuse.nn import Mlp
+from trifuse.prompts import MODALITIES, PromptBank
 from trifuse.tensor import Tensor
 
 
@@ -23,9 +24,9 @@ def _bank(mode="fusion", dim=4, n_prompts=2, layers=3, seed=0):
 
 
 def _map(stacked, index, p):
-    """The one map at ``index`` of a stacked PromptMlp, applied to ``p``."""
-    alone = module_row(stacked, PromptMlp(p.shape[0], np.random.default_rng(0)),
-                       index)
+    """The one map at ``index`` of a stacked Mlp, applied to ``p``."""
+    dim = p.shape[0]
+    alone = module_row(stacked, Mlp(dim, dim, np.random.default_rng(0)), index)
     return alone(Tensor(p)).data
 
 

@@ -12,8 +12,7 @@ import pytest
 
 from conftest import module_row
 from trifuse.aggregation import ConvGate, LinearGate
-from trifuse.nn import Linear, stack_modules
-from trifuse.prompts import PromptMlp
+from trifuse.nn import Linear, Mlp, stack_modules
 from trifuse.ssm import SelectiveScan
 from trifuse.tensor import Tensor
 
@@ -24,7 +23,7 @@ BUILDERS = {
     "ConvGate": lambda rng: ConvGate(DIM, 3, rng),
     "LinearGate": lambda rng: LinearGate(DIM, rng),
     "SelectiveScan": lambda rng: SelectiveScan(DIM, 3, 2, rng),
-    "PromptMlp": lambda rng: PromptMlp(DIM, rng),
+    "Mlp": lambda rng: Mlp(DIM, DIM, rng),
 }
 
 

@@ -132,10 +132,106 @@ def test_activation_values_match_references():
     assert np.allclose(T.softplus(t).data, np.log1p(np.exp(x)))
     assert np.allclose(T.silu(t).data, x / (1 + np.exp(-x)))
     assert np.allclose(T.relu(t).data, np.maximum(x, 0))
-    # the tanh form stays within 5e-3 of x * Phi(x) on [-3, 3]
+    # mlp's tanh form of gelu, through identity weights and zero biases,
+    # stays within 5e-3 of x * Phi(x) on [-3, 3]
     xs = np.linspace(-3, 3, 13)
     phi = 0.5 * (1.0 + np.array([math.erf(v / math.sqrt(2.0)) for v in xs]))
-    assert np.max(np.abs(T.gelu(Tensor(xs)).data - xs * phi)) < 5e-3
+    one, zero = Tensor(np.ones((1, 1))), Tensor(np.zeros(1))
+    gelu = T.mlp(Tensor(xs[None]), one, zero, one, zero).data[0]
+    assert np.max(np.abs(gelu - xs * phi)) < 5e-3
+
+
+# -- the fused mlp --------------------------------------------------------
+# ``mlp`` is one node for linear -> gelu -> linear. Its output and its five
+# gradients must be what that chain computes as three separate nodes, bit
+# for bit: ``_unfused`` is the chain on numpy arrays, each node's forward
+# and VJP written out op for op.
+
+_GELU_C = math.sqrt(2.0 / math.pi)
+
+
+def _linear_node(w, x, b):
+    wv = w.reshape(T.stack_shape(w.shape, x.ndim))
+    out = wv @ x
+    bv = T._column(b, out.ndim)
+    out += bv
+
+    def vjp(g):
+        return (T._unbroadcast(g @ np.swapaxes(x, -1, -2), wv.shape)
+                .reshape(w.shape),
+                T._unbroadcast(np.swapaxes(wv, -1, -2) @ g, x.shape),
+                T._unbroadcast(g, bv.shape).reshape(b.shape))
+
+    return out, vjp
+
+
+def _gelu_node(x):
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = t + 1.0
+    out *= x
+    out *= 0.5
+
+    def vjp(g):
+        dinner = x * (3.0 * 0.044715)
+        dinner *= x
+        dinner += 1.0
+        dinner *= _GELU_C
+        d = t * t
+        np.subtract(1.0, d, out=d)
+        rest = x * 0.5
+        rest *= d
+        rest *= dinner
+        np.add(t, 1.0, out=d)
+        d *= 0.5
+        d += rest
+        d *= g
+        return d
+
+    return out, vjp
+
+
+def _unfused(x, w1, b1, w2, b2, g):
+    """Output and gradients (x, w1, b1, w2, b2) of the three-node chain."""
+    pre, first = _linear_node(w1, x, b1)
+    h, act = _gelu_node(pre)
+    out, second = _linear_node(w2, h, b2)
+    gw2, gh, gb2 = second(g)
+    gw1, gx, gb1 = first(act(gh))
+    return out, (gx, gw1, gb1, gw2, gb2)
+
+
+#: input shape and lead axes of the stacked maps: a batch through one map,
+#: three streams through one map each, the prompt bank's [3, 2] maps
+MLP_LAYOUTS = {"batched": ((4, 4, 16), ()), "stacked": ((3, 2, 4, 16), (3,)),
+               "bank": ((3, 1, 4, 8), (3, 2))}
+
+
+@pytest.mark.parametrize("w2_frozen", [False, True], ids=["w2", "w2_frozen"])
+@pytest.mark.parametrize("layout", sorted(MLP_LAYOUTS))
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_mlp_is_the_unfused_chain_bitwise(dtype, layout, w2_frozen):
+    shape, lead = MLP_LAYOUTS[layout]
+    rng = np.random.default_rng(len(shape))
+    arrays = [rng.normal(size=s).astype(dtype)
+              for s in (shape, lead + (6, 4), lead + (6,), lead + (4, 6),
+                        lead + (4,))]
+    tensors = [Tensor(a, requires_grad=not (w2_frozen and i >= 3),
+                      dtype=dtype) for i, a in enumerate(arrays)]
+    out = T.mlp(*tensors)
+    seed = rng.normal(size=out.shape).astype(dtype)
+    want, grads = _unfused(*arrays, seed)
+    assert out.data.dtype == dtype and np.array_equal(out.data, want)
+    out.backward(seed)
+    for i, (t, gr) in enumerate(zip(tensors, grads)):
+        if w2_frozen and i >= 3:
+            assert t.grad is None
+        else:
+            assert t.grad.dtype == dtype and np.array_equal(t.grad, gr), i
 
 
 def test_reductions_and_argextremes():
