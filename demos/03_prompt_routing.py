@@ -68,15 +68,16 @@ model.eval()
 zero(model.bank.transfers)
 zero(model.bank.rp)
 
-before, _ = model.forward_batch(images)
+# row 0 of the [F, 3D, B] features is the class token, streams stacked
+before = model.forward_batch(images).data[0]
 for lay in range(cfg.layers):
     model.bank.prompts[lay].data[1] += 10.0                  # stream r
-after, _ = model.forward_batch(images)
+after = model.forward_batch(images).data[0]
 d = cfg.embed_dim
 print("stream n unmoved by a scrambled r bank:",
-      bool((after.data[:d] == before.data[:d]).all()))
+      bool((after[:d] == before[:d]).all()))
 print("stream r itself moved:",
-      bool((after.data[d:2 * d] != before.data[d:2 * d]).any()))
+      bool((after[d:2 * d] != before[d:2 * d]).any()))
 
 # -- refinement modes differ in parameter cost only where expected -----------
 

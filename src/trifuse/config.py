@@ -74,17 +74,21 @@ class RunConfig:
 
     def validate(self) -> None:
         """Raise ``ValueError`` naming the first key that breaks its rule."""
-        by_patch = f"must be divisible by patch = {self.patch}"
+        by_patch = f"must be a positive multiple of patch = {self.patch}"
         # rules run in order and lazily, so a divisor is known to be
         # positive before anything is taken modulo it
         for key, ok, rule in (
             *((key, lambda key=key: getattr(self, key) >= 1,
                "must be at least 1")
-              for key in ("embed_dim", "channels", "ffn_ratio", "dt_rank",
-                          "conv_kernel", "patch", "heads", "instances_per_id",
-                          "eval_queries_per_id")),
-            ("image_h", lambda: self.image_h % self.patch == 0, by_patch),
-            ("image_w", lambda: self.image_w % self.patch == 0, by_patch),
+              for key in ("embed_dim", "channels", "ffn_ratio", "d_state",
+                          "dt_rank", "conv_kernel", "patch", "heads",
+                          "instances_per_id", "eval_queries_per_id")),
+            *((key, lambda key=key: getattr(self, key) % self.patch == 0
+               and getattr(self, key) >= self.patch, by_patch)
+              for key in ("image_h", "image_w")),
+            ("n_prompts", lambda: self.n_prompts >= self.use_srp,
+             "must be at least 1 with use_srp, else at least 0"),
+            ("ma_blocks", lambda: self.ma_blocks >= 0, "must be at least 0"),
             ("embed_dim", lambda: self.embed_dim % self.heads == 0,
              f"must be divisible by heads = {self.heads}"),
             ("conv_kernel", lambda: self.conv_kernel % 2 == 1, "must be odd"),
@@ -104,6 +108,8 @@ class RunConfig:
             # a query's positives are gallery samples from other cameras
             ("num_cams", lambda: self.num_cams >= 2, "must be at least 2"),
             ("rho", lambda: 0.0 < self.rho <= 1.0, "must be in (0, 1]"),
+            ("smoothing", lambda: 0.0 <= self.smoothing < 1.0,
+             "must be in [0, 1)"),
         ):
             if not ok():
                 raise ValueError(f"{key} = {getattr(self, key)!r}: {rule}")

@@ -472,27 +472,31 @@ def _build_module_cases() -> None:
     def ce_case(rng):
         logits = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
         labels = rng.integers(0, 4, size=5)
-        return (lambda: L.ce_smooth(logits, labels, 0.1)), [logits]
+        rows = Tensor(rng.normal(size=(2, 4, 5)), requires_grad=True)
+        return (lambda: T.add(L.ce_smooth(logits, labels, 0.1), _weighted_sum(
+            L.ce_smooth(rows, labels, 0.1), rng))), [logits, rows]
 
     register_case("ce_smooth", ce_case, tol=1e-6)
 
     def triplet_case(rng):
         emb = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
         labels = np.array([0, 0, 1, 1, 2, 2])
-        return (lambda: L.triplet_batch_hard(emb, labels, margin=5.0)), [emb]
+        rows = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
+        return (lambda: T.add(L.triplet_batch_hard(emb, labels, 5.0),
+                              _weighted_sum(L.triplet_batch_hard(
+                                  rows, labels, 5.0), rng))), [emb, rows]
 
     register_case("triplet_batch_hard", triplet_case)
 
     def total_loss_case(rng):
-        heads = L.SupervisionHeads(feat_dim=6, num_ids=3, rng=rng, with_ma=True)
-        f_cls = Tensor(rng.normal(size=(6, 6)), requires_grad=True)
-        f_ma = Tensor(rng.normal(size=(6, 6)), requires_grad=True)
+        heads = nn.stack_modules(lambda: nn.Linear(6, 3, rng), (2,))
+        feats = Tensor(rng.normal(size=(2, 6, 6)), requires_grad=True)
         labels = np.array([0, 0, 1, 1, 2, 2])
         cfg = RunConfig(lambda_ce=0.25, lambda_tri=1.0, smoothing=0.1, margin=3.0)
         def fn():
-            total, _ = L.total_loss(f_cls, f_ma, labels, heads, cfg)
+            total, _ = L.total_loss(feats, labels, heads, cfg)
             return total
-        return fn, [f_cls, f_ma] + heads.params()
+        return fn, [feats] + heads.params()
 
     register_case("total_loss", total_loss_case)
 
@@ -508,8 +512,8 @@ def _build_module_cases() -> None:
         images = rng.normal(size=(4, 3, 1, 8, 8)).swapaxes(0, 1)
         labels = np.array([0, 0, 1, 1])
         def fn():
-            f_cls, f_ma = model.forward_batch(images)
-            total, _ = L.total_loss(f_cls, f_ma, labels, model.heads, cfg)
+            total, _ = L.total_loss(model.forward_batch(images), labels,
+                                    model.heads, cfg)
             return total
         return fn, model.trainable_params()
 

@@ -10,9 +10,10 @@ three streams share the frozen backbone and run through it as one
   use_ma   final patch tokens of all modalities aggregated into a fused
            vector by ``ma_blocks`` scan blocks (``ma_intra``, ``ma_inter``)
 
-The class-token feature (three streams stacked) always exists; the fused
-feature exists only with ``use_ma``. Identity heads for both live here too
-so an optimizer can reach everything trainable through one module. Each
+The supervised features are one ``[F, 3D, B]`` tensor: the class-token
+feature (three streams stacked) and, with ``use_ma``, the fused feature.
+Their identity head, a ``Linear`` stacked ``[F]``, lives here too so an
+optimizer can reach everything trainable through one module. Each
 per-modality map is a stacked module that serves all three streams at once.
 """
 
@@ -24,10 +25,10 @@ from .adapter import ParallelAdapter
 from .aggregation import AggregationBlock, AggregationHead, Aggregator
 from .backbone import VisionBackbone
 from .config import RunConfig
-from .losses import SupervisionHeads
-from .nn import Module, locate_non_finite
+from .nn import Linear, Module, locate_non_finite, stack_modules
 from .prompts import PromptBank
-from .tensor import Tensor, finite_checks, narrow, no_grad, reshape, swapaxes
+from .tensor import (Tensor, concat, finite_checks, narrow, no_grad, reshape,
+                     swapaxes)
 
 #: Samples times pixels per image in one eval chunk: 8 samples of 64x32,
 #: a whole 128-sample split of 16x8
@@ -61,8 +62,8 @@ class FusionModel(Module):
                       for _ in range(cfg.ma_blocks)]
             self.aggregator = Aggregator(blocks, AggregationHead(d, rng))
 
-        self.heads = SupervisionHeads(3 * d, cfg.num_ids, rng,
-                                      with_ma=cfg.use_ma)
+        self.heads = stack_modules(lambda: Linear(3 * d, cfg.num_ids, rng),
+                                   (2 if cfg.use_ma else 1,))
 
         #: sequence length seen at each layer (the same for all three
         #: streams), refreshed on every forward_batch
@@ -86,27 +87,30 @@ class FusionModel(Module):
                 x, harvested = self.bank.harvest(x, n_star)
         return self.backbone.norm(x)
 
-    def forward_batch(self, images: np.ndarray):
-        """Class-token and fused features of images ``[3, B, C, H, W]``,
-        ``[3D, B]`` each (fused is None without ``use_ma``). All 3B images
-        run as one stacked pass."""
+    def forward_batch(self, images: np.ndarray) -> Tensor:
+        """Supervised features ``[F, 3D, B]`` of images ``[3, B, C, H, W]``:
+        row 0 the class token, row 1 the fused feature with ``use_ma``. All
+        3B images run as one stacked pass."""
         tokens = self._run_streams(images)
-        f_cls = narrow(tokens, -1, 0, 1)
-        f_ma = None if self.aggregator is None else self.aggregator(
-            f_cls, narrow(tokens, -1, 1, tokens.shape[-1] - 1))
-        return _columns(f_cls), None if f_ma is None else _columns(f_ma)
+        feats = narrow(tokens, -1, 0, 1)
+        if self.aggregator is not None:
+            feats = concat([feats, self.aggregator(feats, narrow(
+                tokens, -1, 1, tokens.shape[-1] - 1))], axis=-1)
+        # [3, B, D, F] stream vectors as [F, 3D, B], one column per sample
+        return reshape(swapaxes(swapaxes(feats, 1, 3), 0, 1),
+                       (feats.shape[3], -1, feats.shape[1]))
 
     # -- inference -----------------------------------------------------
 
     def features(self, images: np.ndarray) -> np.ndarray:
         """Retrieval embedding of ``[3, B, C, H, W]`` images, one per column.
 
-        The class-token feature, with the fused feature stacked below it
-        when aggregation is enabled. The samples run in chunks of
-        ``_EVAL_CHUNK_PIXELS // (H * W)`` (at least one), so the pass's
-        working memory, the scans' ``[3, B, D, S, N]`` states above all,
-        does not grow with the split. Every column depends on its own
-        sample only, so the chunks give the one-pass matrix bitwise. The
+        ``forward_batch``'s rows stacked: the class-token feature, with the
+        fused feature below it when aggregation is enabled. The samples run
+        in chunks of ``_EVAL_CHUNK_PIXELS // (H * W)`` (at least one), so
+        the pass's working memory, the scans' ``[3, B, D, S, N]`` states
+        above all, does not grow with the split. Every column depends on its
+        own sample only, so the chunks give the one-pass matrix bitwise. The
         pass runs without per-op finite checks or numpy floating-point
         warnings and checks the returned matrix once; if that fails, the
         pass runs again with per-op checks to name the op and module at
@@ -115,21 +119,12 @@ class FusionModel(Module):
         _, b, _, h, w = images.shape
         step = max(1, _EVAL_CHUNK_PIXELS // (h * w))
         chunks = [images[:, m:m + step] for m in range(0, b, step)]
-        parts = []
         with no_grad(), finite_checks(False), np.errstate(all="ignore"):
-            for chunk in chunks:
-                f_cls, f_ma = self.forward_batch(chunk)
-                parts.append(f_cls.data if f_ma is None
-                             else np.concatenate([f_cls.data, f_ma.data]))
+            parts = [self.forward_batch(c).data.reshape(-1, c.shape[1])
+                     for c in chunks]
         out = np.concatenate(parts, axis=1)
         if not np.isfinite(out).all():
             locate_non_finite(self, lambda: [self.forward_batch(c)
                                              for c in chunks],
                               "eval pass", "non-finite features")
         return out
-
-
-def _columns(t: Tensor) -> Tensor:
-    """Stacked stream vectors ``[3, B, D, 1]`` as one ``[3D, B]`` matrix,
-    one column per sample."""
-    return reshape(swapaxes(t, 1, 3), (-1, t.shape[1]))

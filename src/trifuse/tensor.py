@@ -298,9 +298,10 @@ class Tensor:
                 if parent.grad is None:
                     # an intermediate grad is read once and never written
                     # in place, so it may alias the VJP's array (add hands
-                    # one g to both parents); a leaf gets its own copy
-                    parent.grad = (pg.copy() if parent._vjp is None
-                                   else np.ascontiguousarray(pg))
+                    # one g to both parents); a leaf gets its own copy. A
+                    # 0-d grad stays 0-d: ascontiguousarray would make it 1-d
+                    parent.grad = (pg.copy() if parent._vjp is None else
+                                   np.ascontiguousarray(pg) if pg.ndim else pg)
                 else:
                     parent.grad = parent.grad + pg
 

@@ -27,6 +27,9 @@ from .tensor import NonFiniteError, Param, finite_checks
 
 _MODEL_STREAM = 11
 _BATCH_STREAM = 17
+#: the loss columns of metrics.tsv, after step and lr; a model without
+#: aggregation logs nan for the fused feature's terms
+_LOSS_COLUMNS = ("total", "ce_cls", "tri_cls", "ce_ma", "tri_ma")
 
 
 class Adam:
@@ -250,7 +253,7 @@ def train(cfg: RunConfig, seed: int, out_dir: str,
     save_config(os.path.join(out_dir, "config.cfg"), cfg)
 
     metrics = _open_log(os.path.join(out_dir, "metrics.tsv"),
-                        "step\tlr\ttotal\tce_cls\ttri_cls\tce_ma\ttri_ma\n",
+                        "\t".join(("step", "lr") + _LOSS_COLUMNS) + "\n",
                         start_step)
     evals = _open_log(os.path.join(out_dir, "eval.tsv"),
                       "step\tmap\tcmc1\tcmc5\tqueries\n", start_step)
@@ -278,8 +281,8 @@ def train(cfg: RunConfig, seed: int, out_dir: str,
             # a non-finite value is reported by the checks below, not by
             # numpy warnings on its way through the unchecked pass
             with finite_checks(False), np.errstate(all="ignore"):
-                f_cls, f_ma = model.forward_batch(images)
-                loss, parts = total_loss(f_cls, f_ma, labels, model.heads, cfg)
+                loss, parts = total_loss(model.forward_batch(images), labels,
+                                         model.heads, cfg)
                 loss.backward()
             lr = lr_at(step, cfg)
             try:
@@ -291,16 +294,14 @@ def train(cfg: RunConfig, seed: int, out_dir: str,
                 # the running statistics a second time; both folds are undone
                 try:
                     locate_non_finite(model, lambda: total_loss(
-                        *model.forward_batch(images), labels, model.heads,
+                        model.forward_batch(images), labels, model.heads,
                         cfg), f"step {step + 1}", str(err))
                 finally:
                     for (m, attr), arr in zip(buffers, saved):
                         setattr(m, attr, arr)
-            metrics.write(
-                f"{step + 1}\t{lr:.17g}\t{parts['total']:.17g}"
-                f"\t{parts['ce_cls']:.17g}\t{parts['tri_cls']:.17g}"
-                f"\t{parts.get('ce_ma', float('nan')):.17g}"
-                f"\t{parts.get('tri_ma', float('nan')):.17g}\n")
+            row = [lr] + [parts.get(k, math.nan) for k in _LOSS_COLUMNS]
+            metrics.write(f"{step + 1}\t"
+                          + "\t".join(f"{v:.17g}" for v in row) + "\n")
             metrics.flush()
             if (step + 1) % cfg.eval_every == 0 or step + 1 == cfg.steps:
                 result = log_eval(step + 1)

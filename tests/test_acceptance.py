@@ -160,12 +160,12 @@ def test_sequence_layout_slot_round_trip_and_frozen_params(tmp_path):
     model.eval()
     world = build_world(cfg, seed=3)
     images = world.train_part(cfg.instances_per_id).images[:, :1]
-    f_cls, f_ma = model.forward_batch(images)
+    feats = model.forward_batch(images)
     n_patches = (cfg.image_h // cfg.patch) * (cfg.image_w // cfg.patch)
     expected = 1 + n_patches + 3 * cfg.n_prompts
     assert model.last_seq == [expected] * cfg.layers
-    assert f_ma.shape == (3 * cfg.embed_dim, 1)
-    assert f_cls.shape == (3 * cfg.embed_dim, 1)
+    # the class-token and fused features, one row each
+    assert feats.shape == (2, 3 * cfg.embed_dim, 1)
 
     # a constant marker written into a slot comes back from the same slot
     bank = PromptBank(dim=4, n_prompts=2, layers=2,
@@ -235,15 +235,15 @@ def test_degenerate_configurations_reduce_exactly(tmp_path):
     for mlp in (model.bank.transfers, model.bank.rp):
         _zero_mlp(mlp)
     images = build_world(cfg, 2).train_part(cfg.instances_per_id).images[:, :1]
-    before, _ = model.forward_batch(images)
+    before = model.forward_batch(images).data[0]
     d = cfg.embed_dim
-    stream_n = before.data[:d].copy()
+    stream_n = before[:d].copy()
     for lay in range(cfg.layers):
         model.bank.prompts[lay].data[1] += 3.7                # stream r
         model.bank.prompts[lay].data[2] -= 1.9                # stream t
-    after, _ = model.forward_batch(images)
-    assert np.array_equal(after.data[:d], stream_n)
-    assert not np.array_equal(after.data[d:2 * d], before.data[d:2 * d])
+    after = model.forward_batch(images).data[0]
+    assert np.array_equal(after[:d], stream_n)
+    assert not np.array_equal(after[d:2 * d], before[d:2 * d])
 
     # (d) zeroed merges make every block the identity, so the fused
     # feature is the bare head formula

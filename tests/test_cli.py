@@ -218,6 +218,27 @@ def test_resume_refuses_an_older_checkpoint_layout_with_one_error_line(
     assert not os.path.exists(os.path.join(resumed, "metrics.tsv"))
 
 
+def test_resume_refuses_a_checkpoint_with_two_heads_with_one_error_line(
+        tiny_cfg_path, tmp_path):
+    # the identity heads as they were saved before they became one head
+    # stacked [2]: the checkpoint is named, not traced
+    out = str(tmp_path / "run")
+    main(_train_args(tiny_cfg_path, out, extra=["--halt-after", "2"]))
+    ckpt = os.path.join(out, "checkpoint")
+    arrays, meta = load_checkpoint(ckpt)
+    for part in ("weight", "bias"):
+        arr, frozen = arrays.pop(f"model.heads.{part}")
+        for row, head in enumerate(("cls_head", "ma_head")):
+            arrays[f"model.heads.{head}.{part}"] = (arr[row], frozen)
+    save_checkpoint(ckpt, arrays, meta)
+    resumed = str(tmp_path / "resumed")
+    with pytest.raises(SystemExit) as exc:
+        main(_train_args(tiny_cfg_path, resumed, extra=["--resume-from", ckpt]))
+    assert str(exc.value.code) == (
+        "error: unexpected entry 'heads.cls_head.bias' in state")
+    assert not os.path.exists(os.path.join(resumed, "metrics.tsv"))
+
+
 def test_precision_flag_switches_dtype(tiny_cfg_path, tmp_path):
     out = str(tmp_path / "f32")
     try:

@@ -95,7 +95,9 @@ def test_base_config_overlay(tmp_path):
     ("dt_rank", 0), ("embed_dim", 0), ("ffn_ratio", 0), ("channels", 0),
     ("pfa_hidden_ratio", 0.0), ("num_cams", 0), ("conv_kernel", -1),
     ("num_ids", 1), ("eval_queries_per_id", 2), ("eval_queries_per_id", 0),
-    ("num_cams", 1), ("instances_per_id", 0),
+    ("num_cams", 1), ("instances_per_id", 0), ("image_h", 0), ("image_w", 0),
+    ("n_prompts", -1), ("n_prompts", 0), ("ma_blocks", -1), ("d_state", 0),
+    ("smoothing", 1.5),
 ])
 def test_bad_values_fail_at_load_naming_the_key(tmp_path, key, value):
     # the tiny config has patch 4 and heads 2

@@ -48,3 +48,14 @@ def test_check_function_requires_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ValueError):
         check_function(lambda: x * 2.0, [x])
+
+
+def test_loss_cases_differentiate_stacked_rows():
+    # the loss cases check a call on [2, ..., B] rows, as the train step
+    # makes, besides the 2-D call
+    names = ["ce_smooth", "triplet_batch_hard", "total_loss"]
+    assert all(r.ok for r in run_suite(seed=0, names=names))
+    rng = np.random.default_rng(0)
+    for name in names:
+        _, wrt = CASES[name].build(rng)
+        assert any(t.ndim == 3 for t in wrt), name

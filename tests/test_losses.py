@@ -5,9 +5,10 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from trifuse.config import RunConfig
-from trifuse.losses import (SupervisionHeads, ce_smooth,
-                            pairwise_sqdist, total_loss, triplet_batch_hard)
-from trifuse.tensor import Tensor
+from trifuse.losses import (ce_smooth, pairwise_sqdist, total_loss,
+                            triplet_batch_hard)
+from trifuse.nn import Linear, stack_modules
+from trifuse.tensor import Tensor, set_default_dtype, tsum
 
 
 # -- cross entropy ------------------------------------------------------
@@ -153,31 +154,73 @@ def test_triplet_gradient_matches_finite_differences():
             assert abs(emb.grad[i, j] - fd) < 1e-5
 
 
+# -- leading axes ---------------------------------------------------------
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("loss,width", [
+    (lambda x, labels: ce_smooth(x, labels, 0.1), 5),
+    (lambda x, labels: triplet_batch_hard(x, labels, 0.3), 3),
+], ids=["ce_smooth", "triplet_batch_hard"])
+def test_batched_rows_are_bitwise_the_2d_calls(loss, width, dtype):
+    # row i of one call on [2, ..., B] and its gradient are the call on
+    # row i alone, to the bit
+    labels = np.array([0, 0, 1, 1, 2, 2, 3, 3])
+    data = np.random.default_rng(9).normal(size=(2, width, 8)) * 3
+    set_default_dtype(dtype)
+    try:
+        rows = Tensor(data, requires_grad=True)
+        batched = loss(rows, labels)
+        tsum(batched).backward()
+        assert batched.shape == (2,) and batched.data.dtype == dtype
+        for i in range(2):
+            one = Tensor(data[i], requires_grad=True)
+            alone = loss(one, labels)
+            alone.backward()
+            assert np.array_equal(batched.data[i], alone.data)
+            assert np.array_equal(rows.grad[i], one.grad)
+    finally:
+        set_default_dtype(np.float64)
+
+
 # -- combined objective -------------------------------------------------
+
+def _heads(rows, feat_dim, num_ids, rng):
+    return stack_modules(lambda: Linear(feat_dim, num_ids, rng), (rows,))
+
 
 def test_total_loss_composition_and_parts():
     rng = np.random.default_rng(7)
     labels = np.array([0, 0, 1, 1])
-    f_cls = Tensor(rng.normal(size=(6, 4)))
-    f_ma = Tensor(rng.normal(size=(6, 4)))
-    heads = SupervisionHeads(6, 3, rng, with_ma=True)
+    feats = Tensor(rng.normal(size=(2, 6, 4)))
+    heads = _heads(2, 6, 3, rng)
     cfg = RunConfig(lambda_ce=0.25, lambda_tri=1.0, smoothing=0.1, margin=0.3)
 
-    total, parts = total_loss(f_cls, f_ma, labels, heads, cfg)
+    total, parts = total_loss(feats, labels, heads, cfg)
     want = (0.25 * parts["ce_cls"] + parts["tri_cls"]
             + 0.25 * parts["ce_ma"] + parts["tri_ma"])
     assert abs(total.item() - want) < 1e-12
     assert abs(parts["total"] - total.item()) < 1e-15
+    # each row is its feature through its own head
+    for i, name in enumerate(("cls", "ma")):
+        logits = Tensor(heads.weight.data[i] @ feats.data[i]
+                        + heads.bias.data[i][:, None])
+        assert parts[f"ce_{name}"] == ce_smooth(logits, labels, 0.1).item()
+        assert parts[f"tri_{name}"] == triplet_batch_hard(
+            Tensor(feats.data[i]), labels, 0.3).item()
 
-    only_cls, parts_cls = total_loss(f_cls, None, labels, heads, cfg)
+    only_cls = _heads(1, 6, 3, np.random.default_rng(7))
+    only_cls.weight.data[0] = heads.weight.data[0]
+    cls_total, parts_cls = total_loss(Tensor(feats.data[:1]), labels,
+                                      only_cls, cfg)
     assert set(parts_cls) == {"ce_cls", "tri_cls", "total"}
-    assert abs(only_cls.item()
+    assert abs(cls_total.item()
                - (0.25 * parts["ce_cls"] + parts["tri_cls"])) < 1e-12
 
 
 def test_total_loss_requires_matching_head():
+    # a head stacked [1] would broadcast silently onto both feature rows
     rng = np.random.default_rng(8)
-    heads = SupervisionHeads(4, 2, rng, with_ma=False)
-    f = Tensor(rng.normal(size=(4, 4)))
-    with pytest.raises(ValueError):
-        total_loss(f, f, np.array([0, 0, 1, 1]), heads, RunConfig())
+    feats = Tensor(rng.normal(size=(2, 4, 4)))
+    with pytest.raises(ValueError, match=r"^heads \(1, 2, 4\) for 2 feature rows$"):
+        total_loss(feats, np.array([0, 0, 1, 1]), _heads(1, 4, 2, rng),
+                   RunConfig())

@@ -35,9 +35,8 @@ def _images(*seeds):
 
 def test_forward_shapes_and_sequence_lengths():
     model = _model().eval()
-    f_cls, f_ma = model.forward_batch(_images())
-    assert f_cls.shape == (24, 1)
-    assert f_ma.shape == (24, 1)
+    feats = model.forward_batch(_images())
+    assert feats.shape == (2, 24, 1)
     want_len = 1 + N_PATCHES + 3 * 2
     assert model.last_seq == [want_len, want_len]
 
@@ -72,10 +71,10 @@ def test_prompts_differentiate_streams():
 def test_class_feature_stacks_stream_tokens():
     model = _model().eval()
     images = _images()
-    f_cls, _ = model.forward_batch(images)
+    f_cls = model.forward_batch(images).data[0]
     streams = model._run_streams(images[:, 0])
     for i in range(len(MODALITIES)):
-        assert np.allclose(f_cls.data[8 * i:8 * (i + 1), 0],
+        assert np.allclose(f_cls[8 * i:8 * (i + 1), 0],
                            streams.data[i, :, 0], atol=1e-14)
 
 
@@ -83,13 +82,17 @@ def test_toggles_control_feature_width_and_heads():
     with_ma = _model().eval()
     without = _model(use_ma=False).eval()
     assert without.aggregator is None
-    assert without.heads.ma_head is None
-    assert with_ma.heads.ma_head is not None
-
-    _, f_ma = without.forward_batch(_images())
-    assert f_ma is None
+    assert without.heads.weight.shape == (1, 4, 24)
+    assert without.heads.bias.shape == (1, 4)
+    assert with_ma.heads.weight.shape == (2, 4, 24)
+    assert with_ma.heads.bias.shape == (2, 4)
 
     images = _images(0, 1, 2)
+    for model, rows in ((with_ma, 2), (without, 1)):
+        feats = model.forward_batch(images)
+        assert feats.shape == (rows, 24, 3)
+        assert np.array_equal(model.features(images),
+                              feats.data.reshape(-1, 3))
     assert with_ma.features(images).shape == (48, 3)
     assert without.features(images).shape == (24, 3)
 
@@ -114,12 +117,10 @@ def test_disabled_aggregation_stage_builds_no_params():
 def test_batch_forward_concatenates_sample_columns():
     model = _model().eval()
     images = _images(0, 1)
-    f_cls, f_ma = model.forward_batch(images)
-    assert f_cls.shape == (24, 2)
-    assert f_ma.shape == (24, 2)
-    one_cls, one_ma = model.forward_batch(images[:, 1:])
-    assert np.array_equal(f_cls.data[:, 1:], one_cls.data)
-    assert np.array_equal(f_ma.data[:, 1:], one_ma.data)
+    feats = model.forward_batch(images)
+    assert feats.shape == (2, 24, 2)
+    one = model.forward_batch(images[:, 1:])
+    assert np.array_equal(feats.data[..., 1:], one.data)
 
 
 def test_train_batch_keeps_per_sequence_batch_norm():
@@ -128,11 +129,10 @@ def test_train_batch_keeps_per_sequence_batch_norm():
     # batch statistics would move both
     images = _images(0, 1, 2)
     batched, single = _model().train(), _model().train()
-    f_cls, f_ma = batched.forward_batch(images)
+    feats = batched.forward_batch(images)
     for i in range(images.shape[1]):
-        one_cls, one_ma = single.forward_batch(images[:, i:i + 1])
-        assert np.array_equal(f_cls.data[:, i:i + 1], one_cls.data)
-        assert np.array_equal(f_ma.data[:, i:i + 1], one_ma.data)
+        one = single.forward_batch(images[:, i:i + 1])
+        assert np.array_equal(feats.data[..., i:i + 1], one.data)
     one_by_one = dict(single.named_buffers())
     initial = dict(_model().named_buffers())
     assert one_by_one
@@ -144,8 +144,7 @@ def test_train_batch_keeps_per_sequence_batch_norm():
 def test_frozen_backbone_keeps_zero_gradients():
     model = _model()
     model.train()
-    f_cls, f_ma = model.forward_batch(_images())
-    (f_cls.sum() + f_ma.sum()).backward()
+    model.forward_batch(_images()).sum().backward()
     for name, p in model.backbone.named_params():
         assert np.all(p.grad == 0.0), f"backbone.{name} received gradient"
     moved = sum(np.abs(p.grad).sum() > 0 for p in model.trainable_params())
@@ -179,11 +178,11 @@ def test_chunked_features_are_bitwise_one_pass(dtype):
             dtype).swapaxes(0, 1)  # 8 + 8 + 4 samples
         feats = model.features(images)
         with no_grad():
-            f_cls, f_ma = model.forward_batch(images)
+            one_pass = model.forward_batch(images)
     finally:
         set_default_dtype(np.float64)
     assert feats.dtype == dtype
-    assert np.array_equal(feats, np.concatenate([f_cls.data, f_ma.data]))
+    assert np.array_equal(feats, one_pass.data.reshape(-1, 20))
 
 
 def test_eval_pass_memory_does_not_grow_with_the_split():

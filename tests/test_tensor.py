@@ -48,6 +48,14 @@ def test_backward_diamond_graph():
     assert np.allclose(x.grad, [60.0])
 
 
+def test_scalar_from_an_axis_reduction_backpropagates_through_later_ops():
+    # a 0-d intermediate keeps a 0-d gradient, so a mean over the one
+    # axis of a vector can feed further ops (a 2-D loss call does this)
+    x = Tensor(np.array([1.0, 2.0, 4.0]), requires_grad=True)
+    T.add(T.mul(T.tmean(x, axis=-1), 3.0), 1.0).backward()
+    assert np.array_equal(x.grad, np.ones(3))
+
+
 def test_backward_requires_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ValueError):

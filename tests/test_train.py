@@ -225,8 +225,8 @@ def test_f32_step_stays_float32_end_to_end(monkeypatch):
         world = build_world(cfg, seed=0)
         data = world.train_part(cfg.instances_per_id)
         images, labels = sample_batch(0, 0, data, cfg)
-        f_cls, f_ma = model.forward_batch(images)
-        loss, _ = total_loss(f_cls, f_ma, labels, model.heads, cfg)
+        loss, _ = total_loss(model.forward_batch(images), labels,
+                             model.heads, cfg)
         loss.backward()
         opt.step(lr_at(0, cfg))
         model.eval().features(images[:, :2])
@@ -246,7 +246,7 @@ def test_f32_step_stays_float32_end_to_end(monkeypatch):
 
 
 #: tape nodes one forward-plus-loss step of demos/toy.cfg records
-TOY_STEP_OPS = 190
+TOY_STEP_OPS = 154
 
 
 def _count_ops(monkeypatch) -> Counter:
@@ -268,8 +268,7 @@ def test_toy_step_op_count_does_not_grow(monkeypatch):
     data = build_world(cfg, seed=3).train_part(cfg.instances_per_id)
     images, labels = sample_batch(0, 3, data, cfg)
     counts = _count_ops(monkeypatch)
-    f_cls, f_ma = model.forward_batch(images)
-    total_loss(f_cls, f_ma, labels, model.heads, cfg)
+    total_loss(model.forward_batch(images), labels, model.heads, cfg)
     ops = sum(counts.values())
     assert ops <= TOY_STEP_OPS, (
         f"one toy step records {ops} ops, more than {TOY_STEP_OPS}: "
@@ -299,7 +298,7 @@ def test_every_registered_op_runs_in_some_model_variant(monkeypatch):
         model = build_model(cfg, seed=0).train()
         data = build_world(cfg, seed=0).train_part(cfg.instances_per_id)
         images, labels = sample_batch(0, 0, data, cfg)
-        loss, _ = total_loss(*model.forward_batch(images), labels,
+        loss, _ = total_loss(model.forward_batch(images), labels,
                              model.heads, cfg)
         loss.backward()
         model.eval().features(images)
@@ -399,15 +398,15 @@ def test_failed_step_restores_batch_norm_statistics(monkeypatch, tmp_path):
 
 def test_finite_forward_with_overflowing_gradient_names_the_param(
         monkeypatch, tmp_path):
-    def loss_with_steep_term(f_cls, f_ma, labels, heads, cfg):
-        loss, parts = total_loss(f_cls, f_ma, labels, heads, cfg)
+    def loss_with_steep_term(feats, labels, heads, cfg):
+        loss, parts = total_loss(feats, labels, heads, cfg)
         # zero while the bias is (it starts at zero), with slope 1e600
-        steep = T.tsum(T.mul(T.mul(heads.cls_head.bias, 1e300), 1e300))
+        steep = T.tsum(T.mul(T.mul(heads.bias, 1e300), 1e300))
         return T.add(loss, steep), parts
 
     monkeypatch.setattr(training, "total_loss", loss_with_steep_term)
     with pytest.raises(NonFiniteError,
-                       match=r"^non-finite gradient in heads\.cls_head\.bias "
+                       match=r"^non-finite gradient in heads\.bias "
                              r"at step 1$"):
         training.train(make_tiny_cfg(), 0, str(tmp_path), quiet=True)
 
@@ -444,7 +443,7 @@ data = T.build_world(cfg, 1).train_part(cfg.instances_per_id)
 def step(i):
     images, labels = T.sample_batch(i, 1, data, cfg)
     opt.zero_grad()
-    loss, _ = total_loss(*model.forward_batch(images), labels, model.heads, cfg)
+    loss, _ = total_loss(model.forward_batch(images), labels, model.heads, cfg)
     loss.backward()
     opt.step(T.lr_at(i, cfg))
 
