@@ -26,14 +26,7 @@ import numpy as np
 from .nn import (BatchNorm, DepthwiseConv1d, LayerNorm, Linear, Module,
                  stack_modules)
 from .ssm import SelectiveScan
-from .tensor import (Tensor, add, concat, mul, register_differentiable,
-                     reshape, silu, swapaxes, tmean)
-
-register_differentiable("theta")
-register_differentiable("psi")
-register_differentiable("intra_ma")
-register_differentiable("inter_ma")
-register_differentiable("ma_stack")
+from .tensor import Tensor, add, concat, moveaxis, mul, reshape, silu, tmean
 
 
 class ConvGate(Module):
@@ -89,12 +82,10 @@ class AggregationBlock(Module):
         return add(self.intra_merge(gated), fs)
 
     def inter(self, fs: Tensor) -> Tensor:
-        # streams [3, ..., D, k] as one [1, ..., D, 3 x k] sequence, n r t
-        k = fs.shape[-1]
-        joined = swapaxes(reshape(self.inter_conv(fs), fs.shape[:-1] + (1, k)),
-                          0, -2)
-        scanned = self.inter_ssm(reshape(joined, joined.shape[:-2] + (3 * k,)))
-        back = reshape(swapaxes(reshape(scanned, joined.shape), 0, -2), fs.shape)
+        # streams [3, ..., D, k] as one [..., D, 3 x k] sequence, n r t
+        joined = moveaxis(self.inter_conv(fs), 0, -2)         # [..., D, 3, k]
+        scanned = self.inter_ssm(reshape(joined, joined.shape[:-2] + (-1,)))
+        back = moveaxis(reshape(scanned, joined.shape), -2, 0)
         return add(self.inter_merge(mul(back, self.inter_gate(fs))), fs)
 
     def __call__(self, fs: Tensor) -> Tensor:

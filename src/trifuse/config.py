@@ -3,8 +3,10 @@
 One dataclass holds every knob for the toy experiments. Files are plain
 ``key = value`` lines; ``#`` starts a comment anywhere on a line, blank
 lines are skipped, and unknown keys are rejected rather than ignored so a
-typo cannot silently fall back to a default. Types come from the dataclass
-field declarations; ``RunConfig.validate`` names the key of a bad value.
+typo cannot silently fall back to a default, nor can a key given twice.
+Types come from the dataclass field declarations; a value that does not
+parse is refused with its file, line and key, and ``RunConfig.validate``
+names the key of a value that breaks a rule.
 The model, the synthetic world and the loss all read this one object.
 """
 
@@ -13,8 +15,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, fields, replace
 
-_TRUE = {"true", "1", "yes", "on"}
-_FALSE = {"false", "0", "no", "off"}
+#: the spellings of a boolean value, matched case-insensitively
+_BOOLS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
+          **dict.fromkeys(("false", "0", "no", "off"), False)}
 
 SRP_MODES = ("fusion", "separation")
 
@@ -115,28 +118,24 @@ class RunConfig:
                 raise ValueError(f"{key} = {getattr(self, key)!r}: {rule}")
 
 
-def _parse_value(raw: str, kind: type, key: str):
-    raw = raw.strip()
-    if kind is bool:
-        low = raw.lower()
-        if low in _TRUE:
-            return True
-        if low in _FALSE:
-            return False
-        raise ValueError(f"{key}: expected a boolean, got {raw!r}")
-    if kind is int:
-        return int(raw)
-    if kind is float:
-        return float(raw)
-    return raw
+#: field type -> (parser, what a bad value was expected to be)
+_PARSERS = {
+    "int": (int, "an int"),
+    "float": (float, "a float"),
+    "bool": (lambda raw: _BOOLS[raw.lower()], "a boolean"),
+    "str": (str, "a string"),
+}
 
 
 def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
-    """Read ``path`` over a copy of ``base`` (or the defaults), validated."""
+    """Read ``path`` over a copy of ``base`` (or the defaults), validated.
+
+    A malformed line, an unknown or repeated key and a value its field's
+    type cannot parse are refused with the file, the line and the key."""
     cfg = RunConfig() if base is None else replace(base)
-    types = {f.name: f.type for f in fields(RunConfig)}
     # dataclass field types are strings under from __future__ annotations
-    kinds = {"int": int, "float": float, "bool": bool, "str": str}
+    types = {f.name: f.type for f in fields(RunConfig)}
+    first_on: dict[str, int] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -147,7 +146,17 @@ def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
             key, raw = (part.strip() for part in line.split("=", 1))
             if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            setattr(cfg, key, _parse_value(raw, kinds[types[key]], key))
+            if key in first_on:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r} "
+                                 f"(first on line {first_on[key]})")
+            first_on[key] = lineno
+            parse, expected = _PARSERS[types[key]]
+            try:
+                value = parse(raw)
+            except (ValueError, KeyError):
+                raise ValueError(f"{path}:{lineno}: {key}: expected "
+                                 f"{expected}, got {raw!r}") from None
+            setattr(cfg, key, value)
     cfg.validate()
     return cfg
 

@@ -4,7 +4,9 @@ The tensor core keeps a registry of op names that claim differentiability
 (``trifuse.tensor.DIFFERENTIABLE_OPS``). This module owns a matching table
 of check cases. ``run_suite`` walks the registry, so an op registered
 without a case here fails the suite loudly; nothing is hand-listed at the
-call site.
+call site. The registry names tape nodes only; the table also holds
+cases for module paths built from them (``mhsa``, ``inter_ma``,
+``total_loss`` and so on), which the suite runs as well.
 
 A case builds a scalar-valued closure plus the tensors to differentiate
 with respect to. The analytic gradient comes from one backward pass, the
@@ -272,8 +274,9 @@ def _build_primitive_cases() -> None:
     register_case("min", extreme_case(T.tmin), tol=1e-6)
 
     register_case("reshape", simple(lambda x: T.reshape(x, (2, 6))), tol=1e-6)
-    register_case("swapaxes", simple(lambda x: T.swapaxes(x, 1, 2),
-                                     shape=(2, 3, 4)), tol=1e-6)
+    register_case("moveaxis", simple(lambda x: T.add(
+        T.moveaxis(x, 1, 2), T.moveaxis(x, (0, 2), (2, 1)).reshape(2, 4, 3)),
+        shape=(2, 3, 4)), tol=1e-6)
 
     def concat_case(rng):
         xs = [Tensor(rng.normal(size=(2, n)), requires_grad=True) for n in (1, 3, 2)]
@@ -296,9 +299,10 @@ def _build_primitive_cases() -> None:
     register_case("where", where_case, tol=1e-6)
 
     def attention_case(rng):
-        q, k, v = (Tensor(rng.normal(size=(2, 2, 3, 5)), requires_grad=True)
+        q, k, v = (Tensor(rng.normal(size=(2, 6, 5)), requires_grad=True)
                    for _ in range(3))
-        return (lambda: _weighted_sum(T.attention(q, k, v, 3 ** -0.5), rng)), [q, k, v]
+        return (lambda: _weighted_sum(T.attention(q, k, v, 2, 3 ** -0.5),
+                                      rng)), [q, k, v]
 
     register_case("attention", attention_case)
 
@@ -321,10 +325,11 @@ def _build_primitive_cases() -> None:
         x = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
         xb = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
         k = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=3), requires_grad=True)
         def fn():
-            return T.add(_weighted_sum(T.dwconv1d(x, k), rng),
-                         _weighted_sum(T.dwconv1d(xb, k), rng))
-        return fn, [x, xb, k]
+            return T.add(_weighted_sum(T.dwconv1d(x, k, b), rng),
+                         _weighted_sum(T.dwconv1d(xb, k, b), rng))
+        return fn, [x, xb, k, b]
 
     register_case("dwconv1d", dwconv_case, tol=1e-6)
 

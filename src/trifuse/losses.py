@@ -14,13 +14,8 @@ import numpy as np
 
 from .config import RunConfig
 from .nn import Linear
-from .tensor import (Tensor, add, exp, log, matmul, mul, neg,
-                     register_differentiable, relu, sqrt, sub, swapaxes,
-                     tmax, tmean, tmin, tsum, where_mask)
-
-register_differentiable("ce_smooth")
-register_differentiable("triplet_batch_hard")
-register_differentiable("total_loss")
+from .tensor import (Tensor, add, exp, log, matmul, moveaxis, mul, neg, relu,
+                     sqrt, sub, tmax, tmean, tmin, tsum, where_mask)
 
 _FAR = 1e9
 
@@ -44,9 +39,9 @@ def ce_smooth(logits: Tensor, labels: np.ndarray, smoothing: float) -> Tensor:
 def pairwise_sqdist(emb: Tensor) -> Tensor:
     """Squared Euclidean distances between columns: ``[..., F, B]`` gives
     ``[..., B, B]``."""
-    g = matmul(swapaxes(emb, -1, -2), emb)
+    g = matmul(moveaxis(emb, -1, -2), emb)
     sq = tsum(mul(emb, emb), axis=-2, keepdims=True)  # [..., 1, B]
-    d2 = sub(add(swapaxes(sq, -1, -2), sq), mul(g, 2.0))
+    d2 = sub(add(moveaxis(sq, -1, -2), sq), mul(g, 2.0))
     return relu(d2)  # clamp tiny negatives from cancellation
 
 

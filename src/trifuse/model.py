@@ -27,8 +27,8 @@ from .backbone import VisionBackbone
 from .config import RunConfig
 from .nn import Linear, Module, locate_non_finite, stack_modules
 from .prompts import PromptBank
-from .tensor import (Tensor, concat, finite_checks, narrow, no_grad, reshape,
-                     swapaxes)
+from .tensor import (Tensor, concat, finite_checks, moveaxis, narrow, no_grad,
+                     reshape)
 
 #: Samples times pixels per image in one eval chunk: 8 samples of 64x32,
 #: a whole 128-sample split of 16x8
@@ -97,7 +97,7 @@ class FusionModel(Module):
             feats = concat([feats, self.aggregator(feats, narrow(
                 tokens, -1, 1, tokens.shape[-1] - 1))], axis=-1)
         # [3, B, D, F] stream vectors as [F, 3D, B], one column per sample
-        return reshape(swapaxes(swapaxes(feats, 1, 3), 0, 1),
+        return reshape(moveaxis(feats, (3, 1), (0, 3)),
                        (feats.shape[3], -1, feats.shape[1]))
 
     # -- inference -----------------------------------------------------

@@ -17,14 +17,12 @@ from typing import Callable, Iterator, NoReturn
 import numpy as np
 
 from .tensor import (
-    NonFiniteError, Param, Tensor, add, attention,
-    _column, _unbroadcast, default_dtype, dwconv1d, finite_checks, linear, mlp,
-    no_grad, norm_affine, register_differentiable, reshape, stack_shape,
+    NonFiniteError, Param, Tensor, attention, _column, _unbroadcast,
+    default_dtype, dwconv1d, finite_checks, linear, mlp, no_grad, norm_affine,
+    register_differentiable,
 )
 
-register_differentiable("layer_norm")
 register_differentiable("batch_norm")
-register_differentiable("mhsa")
 
 
 class Module:
@@ -296,9 +294,7 @@ class DepthwiseConv1d(Module):
         self.bias = Param(np.zeros(dim))
 
     def __call__(self, x: Tensor) -> Tensor:
-        b = self.bias
-        return add(dwconv1d(x, self.kernels),
-                   reshape(b, stack_shape(b.shape + (1,), x.ndim)))
+        return dwconv1d(x, self.kernels, self.bias)
 
 
 class MultiHeadSelfAttention(Module):
@@ -314,14 +310,9 @@ class MultiHeadSelfAttention(Module):
         self.wo = Linear(dim, dim, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
-        *lead, D, N = x.shape
-        H = self.heads
-        dh = D // H
-        q = reshape(self.wq(x), (*lead, H, dh, N))
-        k = reshape(self.wk(x), (*lead, H, dh, N))
-        v = reshape(self.wv(x), (*lead, H, dh, N))
-        ctx = attention(q, k, v, dh ** -0.5)  # [..., H, dh, N]
-        return self.wo(reshape(ctx, (*lead, D, N)))
+        dh = x.shape[-2] // self.heads
+        return self.wo(attention(self.wq(x), self.wk(x), self.wv(x),
+                                 self.heads, dh ** -0.5))
 
 
 class Mlp(Module):

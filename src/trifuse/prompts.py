@@ -22,16 +22,10 @@ import numpy as np
 
 from .config import SRP_MODES
 from .nn import Mlp, Module, stack_modules
-from .tensor import (Param, Tensor, add, concat, matmul, mul, narrow,
-                     register_differentiable, reshape, stack_shape, swapaxes,
-                     tsum, where_mask)
+from .tensor import (Param, Tensor, add, concat, matmul, moveaxis, mul,
+                     narrow, reshape, stack_shape, tsum, where_mask)
 
 MODALITIES = ("n", "r", "t")
-
-register_differentiable("transfer")
-register_differentiable("residual_fuse")
-register_differentiable("assemble_layer_input")
-register_differentiable("harvest")
 
 
 #: (src, dst) of the six transfers, source-major as the bank stacks them
@@ -77,7 +71,7 @@ class PromptBank(Module):
             refined = self.rp(mul(tsum(by_slot, axis=-2), 1.0 / 3.0))
         else:
             # [3, ..., 3 slots, D, P] meets the [3, 3] stack of maps
-            parts = self.rp(swapaxes(by_slot, -3, -2))
+            parts = self.rp(moveaxis(by_slot, -3, -2))
             refined = mul(tsum(parts, axis=-3), 1.0 / 3.0)
         base = self.prompts[layer]
         return add(reshape(base, stack_shape(base.shape, harvested.ndim)),
@@ -91,20 +85,21 @@ class PromptBank(Module):
         ``[3, ..., D, N]``; bank-only slots broadcast over the batch axes."""
         fresh = self.prompts[layer]
         nd = f_star.ndim
+        d, p = fresh.shape[1:]
+        # each stream's own prompt [3, ..., D, 1, P], for slot src == dst
         if layer == 0 or harvested_prev is None:
-            own = reshape(fresh, stack_shape(fresh.shape, nd))
+            own = reshape(fresh, stack_shape((3, d, 1, p), nd + 1))
         else:
             own = self.residual_fuse(layer, harvested_prev)
-        d, p = fresh.shape[1:]
-        # the 3 x 3 slot grid, stream (dst) by slot (src): the transfers off
-        # the diagonal, placed by one 0/1 matmul, each stream's own prompt on
+            own = reshape(own, own.shape[:-1] + (1, p))
+        # the 3 x 3 slot grid [dst, ..., D, src, P]: the transfers off the
+        # diagonal, placed by one 0/1 matmul, each stream's own prompt on
         # it, picked by a mask
         moved = self.transfers(reshape(fresh, (3, 1, d, p)))
-        grid = matmul(Tensor(_SLOT_GRID), reshape(moved, (6, d * p)))
-        grid = swapaxes(reshape(grid, (3, 3, d, p)), 1, 2)     # [dst, D, src, P]
+        place = _SLOT_GRID.reshape(stack_shape((3, 1, 3, 6), nd + 1))
+        grid = matmul(Tensor(place), moveaxis(reshape(moved, (6, d, p)), 0, 1))
         own_slot = np.eye(3, dtype=bool).reshape(stack_shape((3, 1, 3, 1), nd + 1))
-        slots = where_mask(own_slot, reshape(own, own.shape[:-1] + (1, p)),
-                           reshape(grid, stack_shape(grid.shape, nd + 1)))
+        slots = where_mask(own_slot, own, grid)
         return concat([f_star, reshape(slots, slots.shape[:-2] + (3 * p,))],
                       axis=-1)
 

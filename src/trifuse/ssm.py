@@ -28,12 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 from .nn import Linear, Module
-from .tensor import (Param, Tensor, add, concat, exp, mul, narrow,
-                     register_differentiable, reshape, selective_scan,
-                     softplus, stack_shape, tsum)
-
-register_differentiable("scan_sequential")
-register_differentiable("ssm_apply")
+from .tensor import (Param, Tensor, add, concat, exp, mul, narrow, reshape,
+                     selective_scan, softplus, stack_shape, tsum)
 
 
 def scan_sequential(x: Tensor, delta: Tensor, a_log: Tensor, b: Tensor,

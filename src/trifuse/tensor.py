@@ -51,7 +51,7 @@ __all__ = [
     "register_differentiable", "DIFFERENTIABLE_OPS",
     "add", "sub", "mul", "neg", "matmul", "linear", "exp", "log",
     "sqrt", "softplus", "relu", "mlp", "silu",
-    "tsum", "tmean", "tmax", "tmin", "reshape", "swapaxes",
+    "tsum", "tmean", "tmax", "tmin", "reshape", "moveaxis",
     "concat", "narrow", "where_mask", "attention",
     "norm_affine", "dwconv1d", "selective_scan", "stack_shape",
 ]
@@ -104,7 +104,9 @@ def _keep_freed_memory() -> bool:
 
 _keep_freed_memory()
 
-#: Names of every op that claims differentiability. The gradient-check suite
+#: Names of every tape node, by the op name it records, that claims
+#: differentiability: this module's ops and the eval ``batch_norm`` node of
+#: :class:`~trifuse.nn.BatchNorm`. The gradient-check suite
 #: enumerates this registry and refuses to pass unless it has a case for each
 #: entry, so adding an op here without a check is a loud failure, not a gap.
 DIFFERENTIABLE_OPS: set[str] = set()
@@ -712,14 +714,16 @@ def reshape(a: Tensor, shape) -> Tensor:
     return Tensor._from_op(out, (a,), vjp, "reshape")
 
 
-@_diffop("swapaxes")
-def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
-    out = np.ascontiguousarray(np.swapaxes(a.data, ax1, ax2))
+@_diffop("moveaxis")
+def moveaxis(a: Tensor, source, destination) -> Tensor:
+    """``np.moveaxis`` (an int or a sequence of axes each), laid out
+    contiguous."""
+    out = np.ascontiguousarray(np.moveaxis(a.data, source, destination))
 
     def vjp(g):
-        return (np.swapaxes(g, ax1, ax2),)
+        return (np.moveaxis(g, destination, source),)
 
-    return Tensor._from_op(out, (a,), vjp, "swapaxes")
+    return Tensor._from_op(out, (a,), vjp, "moveaxis")
 
 
 @_diffop("concat")
@@ -799,13 +803,16 @@ def _attention_probs(p: np.ndarray, q: np.ndarray, k: np.ndarray,
 
 
 @_diffop("attention")
-def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
-    """Softmax attention as one tape node: ``v pᵀ`` with
-    p = softmax(qᵀk · scale) over the keys.
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+              scale: float) -> Tensor:
+    """Multi-head softmax attention as one tape node: per head, ``v pᵀ``
+    with p = softmax(qᵀk · scale) over the keys.
 
-    ``q``, ``k`` and ``v`` share one shape ``[..., d, N]`` (leading axes
-    are batch and heads); the output is ``[..., d, N]`` too. The leading
-    axes flatten to L lanes, which run in blocks of lanes whose ``[N, N]``
+    ``q``, ``k`` and ``v`` share one shape ``[..., D, N]`` (leading axes
+    are batch); the output is ``[..., D, N]`` too. D splits into
+    ``heads`` runs of ``D // heads`` features, one per head, and the
+    leading axes times the heads flatten to L lanes (views of the
+    contiguous operands). The lanes run in blocks whose ``[N, N]``
     probabilities fit ``_CACHE_ELEMS``: each block builds its p, uses it
     and moves on, so the softmax passes stay in cache. With a tape the
     node keeps the whole p (and nothing else besides its operands) and its
@@ -817,7 +824,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     if not q.data.shape == k.data.shape == v.data.shape:
         raise ValueError("attention operands must share a shape")
     shape = q.data.shape
-    d, n = shape[-2:]
+    D, n = shape[-2:]
+    if heads < 1 or D % heads:
+        raise ValueError(f"{heads} heads do not divide {D} features")
+    d = D // heads
     ql, kl, vl = (t.data.reshape(-1, d, n) for t in (q, k, v))
     step = max(1, _CACHE_ELEMS // (n * n))  # lanes per block
     blocks = [slice(m, m + step) for m in range(0, len(ql), step)]
@@ -888,9 +898,11 @@ def norm_affine(x: Tensor, gain: Tensor, shift: Tensor, eps: float, axis: int) -
 
 
 @_diffop("dwconv1d")
-def dwconv1d(x: Tensor, kernels: Tensor) -> Tensor:
+def dwconv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     """Depthwise 1-D convolution along the token axis, one kernel per channel,
-    with same-padding (output length N). Leading axes are batch.
+    with same-padding (output length N), plus a per-channel bias. Leading
+    axes are batch; stacked ``[S, D, k]`` kernels and ``[S, D]`` biases line
+    up by :func:`stack_shape`.
     """
     D, N = x.data.shape[-2:]
     Dk, k = kernels.data.shape[-2:]
@@ -905,7 +917,9 @@ def dwconv1d(x: Tensor, kernels: Tensor) -> Tensor:
     kv = kd.reshape(stack_shape(kd.shape, x.data.ndim))
     for j in range(k):
         out += kv[..., j:j + 1] * xp[..., j:j + N]
-    nx, nk = _needs((x, kernels))
+    bcol = _column(bias.data, out.ndim)
+    out += bcol
+    nx, nk, nb = _needs((x, kernels, bias))
 
     def vjp(g):
         gx = None
@@ -921,9 +935,10 @@ def dwconv1d(x: Tensor, kernels: Tensor) -> Tensor:
             for j in range(k):
                 gk[..., j] = _unbroadcast(xp[..., j:j + N] * g,
                                           tap).reshape(kd.shape[:-1])
-        return gx, gk
+        gb = _unbroadcast(g, bcol.shape).reshape(bias.shape) if nb else None
+        return gx, gk, gb
 
-    return Tensor._from_op(out, (x, kernels), vjp, "dwconv1d")
+    return Tensor._from_op(out, (x, kernels, bias), vjp, "dwconv1d")
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,28 @@ def test_bad_boolean_and_int_rejected(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("line,key,expected,raw", [
+    ("steps = 3.5", "steps", "an int", "3.5"),
+    ("lr = fast", "lr", "a float", "fast"),
+    ("use_ma = maybe", "use_ma", "a boolean", "maybe"),
+])
+def test_unparsable_value_names_file_line_and_key(tmp_path, line, key,
+                                                   expected, raw):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"# header\n{line}\n")
+    with pytest.raises(ValueError) as err:
+        load_config(str(path))
+    assert str(err.value) == f"{path}:2: {key}: expected {expected}, got '{raw}'"
+
+
+def test_repeated_key_refused_with_both_lines(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("steps = 10\nlr = 1e-3\nsteps = 20\n")
+    with pytest.raises(ValueError) as err:
+        load_config(str(path))
+    assert str(err.value) == f"{path}:3: duplicate key 'steps' (first on line 1)"
+
+
 def test_base_config_overlay(tmp_path):
     base = RunConfig(steps=50, lr=9e-4)
     path = tmp_path / "run.cfg"

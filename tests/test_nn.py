@@ -103,6 +103,29 @@ def test_mhsa_rejects_indivisible_heads():
         nn.MultiHeadSelfAttention(6, 4, rng())
 
 
+def _recorded_ops(monkeypatch, run) -> list[str]:
+    """The op names of the tape nodes ``run()`` records, in order."""
+    ops = []
+    from_op = Tensor._from_op.__func__
+
+    def recording(cls, data, parents, vjp, op):
+        ops.append(op)
+        return from_op(cls, data, parents, vjp, op)
+
+    monkeypatch.setattr(Tensor, "_from_op", classmethod(recording))
+    run()
+    return ops
+
+
+def test_attention_and_conv_modules_record_no_shape_nodes(monkeypatch):
+    x = Tensor(np.random.default_rng(2).normal(size=(3, 2, 8, 5)))
+    att = nn.MultiHeadSelfAttention(8, 2, rng())
+    conv = nn.DepthwiseConv1d(8, 3, rng())
+    assert _recorded_ops(monkeypatch, lambda: att(x)) == [
+        "linear", "linear", "linear", "attention", "linear"]
+    assert _recorded_ops(monkeypatch, lambda: conv(x)) == ["dwconv1d"]
+
+
 def test_ffn_zero_weights_give_zero():
     ff = nn.FeedForward(4, rng(), ratio=2)
     for p in ff.params():

@@ -313,13 +313,16 @@ def test_attention_matches_the_unfused_chain():
     e = np.exp(s - s.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
     ctx = v.data @ np.swapaxes(p, -1, -2)
-    assert np.abs(T.attention(q, k, v, scale).data - ctx).max() < 1e-12
+    # the three heads of [2, 12, 6] operands are the [2, 3, 4, 6] lanes
+    q12, k12, v12 = (Tensor(t.data.reshape(2, 12, 6)) for t in (q, k, v))
+    got = T.attention(q12, k12, v12, 3, scale).data
+    assert np.abs(got.reshape(ctx.shape) - ctx).max() < 1e-12
     buf = np.empty_like(p)
     w = T._attention_probs(buf, q.data, k.data, scale)
     assert w is buf
     assert np.abs(w - p).max() < 1e-12
     with pytest.raises(ValueError):
-        T.attention(q, k, Tensor(np.ones((2, 3, 4, 5))), scale)
+        T.attention(q12, k12, Tensor(np.ones((2, 12, 5))), 3, scale)
 
 
 def _attention_in_one_go(q, k, v, g, scale):
@@ -347,27 +350,30 @@ def test_blocked_attention_is_bitwise_the_one_go_formula(dtype):
     rng = np.random.default_rng(11)
     q0, k0, v0, g = (rng.normal(size=shape).astype(dtype) for _ in range(4))
     want = _attention_in_one_go(q0, k0, v0, g, 0.3)
-    q, k, v = (Tensor(a, requires_grad=True, dtype=dtype) for a in (q0, k0, v0))
-    out = T.attention(q, k, v, 0.3)
-    out.backward(g)
+    # the 5 heads of [4, 15, 64] operands are the [4, 5, 3, 64] lanes
+    merged = (4, 15, 64)
+    q, k, v = (Tensor(a.reshape(merged), requires_grad=True, dtype=dtype)
+               for a in (q0, k0, v0))
+    out = T.attention(q, k, v, 5, 0.3)
+    out.backward(g.reshape(merged))
     with no_grad():
-        free = T.attention(*(Tensor(a, dtype=dtype) for a in (q0, k0, v0)),
-                           0.3)
+        free = T.attention(*(Tensor(a.reshape(merged), dtype=dtype)
+                             for a in (q0, k0, v0)), 5, 0.3)
     for got, ref in zip((out.data, q.grad, k.grad, v.grad, free.data),
                         want + (want[0],)):
         assert got.dtype == dtype
-        assert np.array_equal(got, ref)
+        assert np.array_equal(got.reshape(shape), ref)
 
 
 def test_attention_without_a_tape_builds_no_whole_probability_array():
     # [216, 135, 135] float64 probabilities would be 31.5 MB; one block is
     # one lane, 146 KB, and the output 1.9 MB
     rng = np.random.default_rng(12)
-    q, k, v = (Tensor(rng.normal(size=(108, 2, 8, 135))) for _ in range(3))
+    q, k, v = (Tensor(rng.normal(size=(108, 16, 135))) for _ in range(3))
     with no_grad():
         tracemalloc.start()
         try:
-            T.attention(q, k, v, 8 ** -0.5)
+            T.attention(q, k, v, 2, 8 ** -0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -382,9 +388,36 @@ def test_attention_gradient_over_several_lane_blocks(monkeypatch):
     ops = [Tensor(rng.normal(size=(7, 3, 5)), requires_grad=True)
            for _ in range(3)]
     w = Tensor(rng.normal(size=(7, 3, 5)))
-    err = check_function(lambda: T.tsum(T.mul(T.attention(*ops, 0.6), w)),
+    err = check_function(lambda: T.tsum(T.mul(T.attention(*ops, 1, 0.6), w)),
                          ops)
     assert err < 1e-8
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_heads_split_inside_attention_bitwise_as_one_head_views(dtype):
+    # [2, 3, 12, 7] with 4 heads is [2, 3, 4, 3, 7] with one head each
+    rng = np.random.default_rng(14)
+    q0, k0, v0, g = (rng.normal(size=(2, 3, 12, 7)).astype(dtype)
+                     for _ in range(4))
+    split = (2, 3, 4, 3, 7)
+    q, k, v = (Tensor(a, requires_grad=True, dtype=dtype) for a in (q0, k0, v0))
+    out = T.attention(q, k, v, 4, 0.7)
+    out.backward(g)
+    qs, ks, vs = (Tensor(a.reshape(split), requires_grad=True, dtype=dtype)
+                  for a in (q0, k0, v0))
+    ref = T.attention(qs, ks, vs, 1, 0.7)
+    ref.backward(g.reshape(split))
+    for got, want in ((out.data, ref.data), (q.grad, qs.grad),
+                      (k.grad, ks.grad), (v.grad, vs.grad)):
+        assert got.dtype == dtype
+        assert np.array_equal(got, want.reshape(got.shape))
+
+
+def test_attention_refuses_heads_that_do_not_divide_the_features():
+    q = Tensor(np.ones((2, 6, 4)))
+    for heads in (4, 0):
+        with pytest.raises(ValueError, match="heads"):
+            T.attention(q, q, q, heads, 1.0)
 
 
 def test_finite_checks_raise_and_can_be_disabled():
@@ -478,12 +511,52 @@ def test_linear_recurrence_gradient_small():
 
 def test_dwconv_same_padding():
     x = Tensor(np.array([[0.0, 3.0, 0.0]]))
+    zero = Tensor(np.zeros(1))
     k_id = Tensor(np.array([[0.0, 1.0, 0.0]]))
-    assert np.allclose(T.dwconv1d(x, k_id).data, x.data)
+    assert np.allclose(T.dwconv1d(x, k_id, zero).data, x.data)
     k_avg = Tensor(np.array([[1.0, 1.0, 1.0]]) / 3.0)
-    assert np.allclose(T.dwconv1d(x, k_avg).data, [[1.0, 1.0, 1.0]])
+    assert np.allclose(T.dwconv1d(x, k_avg, zero).data, [[1.0, 1.0, 1.0]])
     with pytest.raises(ValueError):
-        T.dwconv1d(x, Tensor(np.ones((1, 4))))  # even kernel
+        T.dwconv1d(x, Tensor(np.ones((1, 4))), zero)  # even kernel
+
+
+def test_dwconv_with_bias_is_the_numpy_formula():
+    # kernels [S, D, k] and bias [S, D] stacked on a [S, B, D, N] input
+    rng = np.random.default_rng(15)
+    s, b, d, n, k = 3, 2, 4, 6, 3
+    x0, g = rng.normal(size=(s, b, d, n)), rng.normal(size=(s, b, d, n))
+    kern0, bias0 = rng.normal(size=(s, d, k)), rng.normal(size=(s, d))
+    x, kern, bias = (Tensor(a, requires_grad=True) for a in (x0, kern0, bias0))
+    out = T.dwconv1d(x, kern, bias)
+    out.backward(g)
+
+    xp = np.pad(x0, ((0, 0),) * 3 + ((1, 1),))
+    taps = np.stack([xp[..., j:j + n] for j in range(k)], axis=-1)
+    want = np.einsum("sbdnj,sdj->sbdn", taps, kern0) + bias0[:, None, :, None]
+    gp = np.pad(g, ((0, 0),) * 3 + ((1, 1),))
+    gx = np.einsum("sbdnj,sdj->sbdn",
+                   np.stack([gp[..., k - 1 - j:k - 1 - j + n]
+                             for j in range(k)], axis=-1), kern0)
+    gk = np.einsum("sbdnj,sbdn->sdj", taps, g)
+    for got, ref in ((out.data, want), (x.grad, gx), (kern.grad, gk),
+                     (bias.grad, g.sum(axis=(1, 3)))):
+        assert got.shape == ref.shape
+        assert np.allclose(got, ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("source,destination", [
+    (1, -1), ((3, 1), (0, 3)), ((0, 2), (2, 1))])
+def test_moveaxis_is_numpys_forward_and_back(source, destination):
+    rng = np.random.default_rng(16)
+    x0 = rng.normal(size=(2, 3, 4, 5))
+    x = Tensor(x0, requires_grad=True)
+    out = T.moveaxis(x, source, destination)
+    want = np.moveaxis(x0, source, destination)
+    assert np.array_equal(out.data, want)
+    assert out.data.flags.c_contiguous
+    g = rng.normal(size=want.shape)
+    out.backward(g)
+    assert np.array_equal(x.grad, np.moveaxis(g, destination, source))
 
 
 def test_norm_affine_axis_semantics():

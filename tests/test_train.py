@@ -12,7 +12,7 @@ from conftest import make_tiny_cfg, run_pinned_script
 from trifuse import tensor as T
 from trifuse import train as training
 from trifuse.cli import ABLATE_GRID
-from trifuse.config import load_config
+from trifuse.config import RunConfig, load_config
 from trifuse.losses import total_loss
 from trifuse.tensor import NonFiniteError, Param, Tensor, set_default_dtype
 from trifuse.train import (Adam, build_model, build_world, evaluate_model,
@@ -246,7 +246,9 @@ def test_f32_step_stays_float32_end_to_end(monkeypatch):
 
 
 #: tape nodes one forward-plus-loss step of demos/toy.cfg records
-TOY_STEP_OPS = 154
+TOY_STEP_OPS = 133
+#: the same at the default RunConfig
+DEFAULT_STEP_OPS = 225
 
 
 def _count_ops(monkeypatch) -> Counter:
@@ -262,17 +264,24 @@ def _count_ops(monkeypatch) -> Counter:
     return counts
 
 
-def test_toy_step_op_count_does_not_grow(monkeypatch):
-    cfg = load_config(TOY_CFG)
+def _assert_step_ops_at_most(monkeypatch, cfg, limit):
     model = build_model(cfg, seed=3).train()
     data = build_world(cfg, seed=3).train_part(cfg.instances_per_id)
     images, labels = sample_batch(0, 3, data, cfg)
     counts = _count_ops(monkeypatch)
     total_loss(model.forward_batch(images), labels, model.heads, cfg)
     ops = sum(counts.values())
-    assert ops <= TOY_STEP_OPS, (
-        f"one toy step records {ops} ops, more than {TOY_STEP_OPS}: "
+    assert ops <= limit, (
+        f"one step records {ops} ops, more than {limit}: "
         f"{dict(counts.most_common(8))}")
+
+
+def test_toy_step_op_count_does_not_grow(monkeypatch):
+    _assert_step_ops_at_most(monkeypatch, load_config(TOY_CFG), TOY_STEP_OPS)
+
+
+def test_default_step_op_count_does_not_grow(monkeypatch):
+    _assert_step_ops_at_most(monkeypatch, RunConfig(), DEFAULT_STEP_OPS)
 
 
 def _ops_registered_in_tensor_py() -> set[str]:
@@ -284,6 +293,12 @@ def _ops_registered_in_tensor_py() -> set[str]:
             for dec in node.decorator_list
             if isinstance(dec, ast.Call)
             and getattr(dec.func, "id", None) == "_diffop"}
+
+
+def test_registry_names_tape_ops_only():
+    # modules and loss functions have gradcheck cases, not registry entries
+    assert T.DIFFERENTIABLE_OPS == (_ops_registered_in_tensor_py()
+                                    | {"batch_norm"})
 
 
 def test_every_registered_op_runs_in_some_model_variant(monkeypatch):
@@ -416,7 +431,7 @@ def test_finite_forward_with_overflowing_gradient_names_the_param(
 _FAULTS_CHILD = """
 import dataclasses, json, resource, sys
 from trifuse import train as T
-from trifuse.config import load_config
+from trifuse.config import RunConfig, load_config
 from trifuse.losses import total_loss
 
 def faults_per_call(run, warmup=2, calls=3):
