@@ -8,7 +8,7 @@ one-thread BLAS pool: a larger pool can switch kernels partway through the
 length range and bend the curves. So does the memory one forward call
 leaves on the tape, which numpy reports to tracemalloc the same way on any
 machine: it doubles for the scan when the tokens double, and roughly
-quadruples for attention, whose node keeps its [N, N] probabilities.
+quadruples for attention, whose node keeps its [N, N] softmax exponentials.
 """
 
 import os

@@ -38,6 +38,16 @@ ABLATE_GRID = (
 )
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _shared_flags(parser: argparse.ArgumentParser,
                   repeated: bool = False) -> None:
     """Attach the flags every subcommand understands.
@@ -57,7 +67,7 @@ def _shared_flags(parser: argparse.ArgumentParser,
                         help="output directory")
     parser.add_argument("--precision", choices=("f32", "f64"),
                         default=default("f64"), help="default tensor dtype")
-    parser.add_argument("--threads", type=int, default=default(None),
+    parser.add_argument("--threads", type=_positive_int, default=default(None),
                         help="BLAS/OpenMP thread count, set before numpy loads")
 
 

@@ -10,9 +10,12 @@ left without a single valid match are skipped.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
+
+from .dump import write_atomic
 
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -41,8 +44,11 @@ class RetrievalResult:
     num_skipped: int
 
     def cmc_at(self, k: int) -> float:
-        k = min(k, len(self.cmc))
-        return float(self.cmc[k - 1])
+        """The fraction of queries hit within the top k; a k deeper than
+        the gallery reads the last rank."""
+        if k < 1:
+            raise ValueError(f"cmc_at needs k >= 1, got k={k}")
+        return float(self.cmc[min(k, len(self.cmc)) - 1])
 
 
 def evaluate(query: np.ndarray, query_ids: np.ndarray, query_cams: np.ndarray,
@@ -91,11 +97,14 @@ def format_table(result: RetrievalResult, topk=(1, 5, 10)) -> str:
 
 
 def write_csv(path: str, result: RetrievalResult, topk=(1, 5, 10)) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "value"])
-        writer.writerow(["mAP", f"{result.mean_ap:.17g}"])
-        for k in topk:
-            writer.writerow([f"cmc@{k}", f"{result.cmc_at(k):.17g}"])
-        writer.writerow(["queries", result.num_queries])
-        writer.writerow(["skipped", result.num_skipped])
+    """Write the report as CSV through :func:`~trifuse.dump.write_atomic`:
+    a failed write leaves the previous report whole."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["metric", "value"])
+    writer.writerow(["mAP", f"{result.mean_ap:.17g}"])
+    for k in topk:
+        writer.writerow([f"cmc@{k}", f"{result.cmc_at(k):.17g}"])
+    writer.writerow(["queries", result.num_queries])
+    writer.writerow(["skipped", result.num_skipped])
+    write_atomic(path, [buf.getvalue().encode()])

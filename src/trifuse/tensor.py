@@ -24,10 +24,12 @@ Conventions used throughout the package:
   default; ``finite_checks(False)`` turns them off for a block of code,
   as the training loop and ``FusionModel.features`` do, checking their
   results once instead
-* attention sweeps its lanes (batch times heads) in blocks of at most
-  ``_CACHE_ELEMS`` elements, so each block stays in cache through all its
-  passes: it builds, uses and, with no tape to keep it, drops its
-  ``[N, N]`` probabilities block by block
+* attention builds its softmax key-major, as ``[M, N]`` exponentials
+  with the keys on rows, and normalizes the small ``[d, N]`` output
+  instead of the ``[M, N]`` block; it sweeps its lanes (batch times
+  heads) in blocks of at most ``_CACHE_ELEMS`` elements, so each block
+  stays in cache through all its passes: it builds, uses and, with no
+  tape to keep it, drops its exponentials block by block
 * the scan builds its ``[..., D, S, K]``-sized arrays token-major, as
   ``[K, ..., S, D]``: its sweep steps over whole contiguous rows, and its
   sums over S or D are batched matmuls
@@ -549,16 +551,33 @@ def sqrt(a: Tensor) -> Tensor:
     return Tensor._from_op(out, (a,), vjp, "sqrt")
 
 
+def _exp_neg_abs(x: np.ndarray) -> np.ndarray:
+    """exp(-|x|) in one new buffer: in (0, 1], it never overflows."""
+    e = np.abs(x)
+    np.negative(e, out=e)
+    return np.exp(e, out=e)
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # e = exp(-|x|) never overflows: 1 / (1 + e) for x >= 0, e / (1 + e) below
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    # e = exp(-|x|): 1 / (1 + e) for x >= 0, e / (1 + e) below, the
+    # numerator exp(min(x, 0)) being exactly 1 or e
+    e = _exp_neg_abs(x)
+    e += 1.0
+    s = np.minimum(x, 0.0)
+    np.exp(s, out=s)
+    s /= e
+    return s
 
 
 @_diffop("softplus")
 def softplus(a: Tensor) -> Tensor:
-    out = np.logaddexp(0.0, a.data)
+    # log(1 + exp(x)) = max(x, 0) + log1p(exp(-|x|)), as np.logaddexp(0, x)
+    # takes it, in vectorised passes
     ad = a.data
+    t = _exp_neg_abs(ad)
+    np.log1p(t, out=t)
+    out = np.maximum(ad, 0.0)
+    out += t
 
     def vjp(g):
         return (g * _sigmoid(ad),)
@@ -789,37 +808,40 @@ def where_mask(mask: np.ndarray, a: Tensor, b) -> Tensor:
 # normalization and attention building blocks
 # ---------------------------------------------------------------------------
 
-def _attention_probs(p: np.ndarray, q: np.ndarray, k: np.ndarray,
-                     scale: float) -> np.ndarray:
-    """Write p = softmax(qᵀk · scale) over the key axis into ``p [..., N, M]``
-    for ``q [..., d, N]`` and ``k [..., d, M]``; rows (queries) are
-    stochastic."""
-    np.matmul(np.swapaxes(q, -1, -2), k, out=p)
-    p *= scale
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    return p
+def _attention_exp(e: np.ndarray, q: np.ndarray, k: np.ndarray,
+                   scale: float) -> np.ndarray:
+    """Write the key-major softmax numerators e = exp(kᵀ(q · scale) − column
+    max) into ``e [..., M, N]`` for ``q [..., d, N]`` and ``k [..., d, M]``:
+    column n over the M keys is query n's, and ``e / e.sum(axis=-2)`` its
+    probabilities."""
+    np.matmul(np.swapaxes(k, -1, -2), q * scale, out=e)
+    e -= e.max(axis=-2, keepdims=True)
+    return np.exp(e, out=e)
 
 
 @_diffop("attention")
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
               scale: float) -> Tensor:
-    """Multi-head softmax attention as one tape node: per head, ``v pᵀ``
-    with p = softmax(qᵀk · scale) over the keys.
+    """Multi-head softmax attention as one tape node: per head, ``v p``
+    with p = softmax(kᵀq · scale) over the keys, key-major ``[M, N]``.
 
     ``q``, ``k`` and ``v`` share one shape ``[..., D, N]`` (leading axes
     are batch); the output is ``[..., D, N]`` too. D splits into
     ``heads`` runs of ``D // heads`` features, one per head, and the
     leading axes times the heads flatten to L lanes (views of the
-    contiguous operands). The lanes run in blocks whose ``[N, N]``
-    probabilities fit ``_CACHE_ELEMS``: each block builds its p, uses it
-    and moves on, so the softmax passes stay in cache. With a tape the
-    node keeps the whole p (and nothing else besides its operands) and its
-    VJP walks the same blocks; without one, one block's buffer is reused
-    and no ``[L, N, N]`` array is ever built. Every row goes through the
-    same numpy calls whatever the block, so the block size never changes
-    a bit of the output or the gradients.
+    contiguous operands). Each lane builds its softmax numerators e
+    (:func:`_attention_exp`) with the keys on rows, so every reduction
+    and broadcast runs along whole contiguous rows, and normalizes late:
+    the output is ``(v @ e) / s`` with s the ``[1, N]`` column sums of e,
+    a division of the small ``[d, N]`` result, not of e. The lanes run in
+    blocks whose ``[N, N]`` numerators fit ``_CACHE_ELEMS``: each block
+    builds its e, uses it and moves on, so the softmax passes stay in
+    cache. With a tape the node keeps the whole e and the ``[L, 1, N]``
+    sums (and nothing else besides its operands) and its VJP walks the
+    same blocks; without one, one block's buffers are reused and no
+    ``[L, N, N]`` array is ever built. Every lane goes through the same
+    numpy calls whatever the block, so the block size never changes a bit
+    of the output or the gradients.
     """
     if not q.data.shape == k.data.shape == v.data.shape:
         raise ValueError("attention operands must share a shape")
@@ -833,33 +855,42 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     blocks = [slice(m, m + step) for m in range(0, len(ql), step)]
     nq, nk, nv = _needs((q, k, v))
     tape = _GRAD_ENABLED and (nq or nk or nv)  # as _from_op decides
-    p = np.empty((len(ql) if tape else min(len(ql), step), n, n),
-                 dtype=ql.dtype)
+    lanes = len(ql) if tape else min(len(ql), step)
+    e = np.empty((lanes, n, n), dtype=ql.dtype)
+    sums = np.empty((lanes, 1, n), dtype=ql.dtype)
     out = np.empty(ql.shape, dtype=ql.dtype)
     for s in blocks:
-        pb = p[s] if tape else p[:len(ql[s])]
-        _attention_probs(pb, ql[s], kl[s], scale)
-        np.matmul(vl[s], np.swapaxes(pb, -1, -2), out=out[s])
+        b = s if tape else slice(len(ql[s]))
+        _attention_exp(e[b], ql[s], kl[s], scale)
+        np.sum(e[b], axis=-2, keepdims=True, out=sums[b])
+        ob = np.matmul(vl[s], e[b], out=out[s])
+        ob /= sums[b]
 
     def vjp(g):
         gl = g.reshape(-1, d, n)
         gq, gk, gv = (np.empty_like(ql) if need else None
                       for need in (nq, nk, nv))
-        gs = np.empty_like(p[:step]) if nq or nk else None
+        gz = np.empty_like(e[:step]) if nq or nk else None
         for s in blocks:
-            pb = p[s]
+            eb = e[s]
+            gn = gl[s] / sums[s]  # g through the normalization
             if nv:
-                np.matmul(gl[s], pb, out=gv[s])
+                np.matmul(gn, np.swapaxes(eb, -1, -2), out=gv[s])
             if nq or nk:
-                gsb = np.matmul(np.swapaxes(gl[s], -1, -2), vl[s],
-                                out=gs[:len(pb)])  # d/dp
-                gsb -= (gsb * pb).sum(axis=-1, keepdims=True)
-                gsb *= pb
-                gsb *= scale  # d/d(qᵀk)
+                # d/d(kᵀq · scale) = e (vᵀgn − Σ_keys e vᵀgn / s)
+                gzb = np.matmul(np.swapaxes(vl[s], -1, -2), gn,
+                                out=gz[:len(eb)])
+                dot = np.einsum("...mn,...mn->...n", gzb, eb)
+                dot /= sums[s][:, 0]
+                gzb -= dot[:, None]
+                gzb *= eb
                 if nq:
-                    np.matmul(kl[s], np.swapaxes(gsb, -1, -2), out=gq[s])
+                    gqb = np.matmul(kl[s], gzb, out=gq[s])
+                    gqb *= scale
                 if nk:
-                    np.matmul(ql[s], gsb, out=gk[s])
+                    gkb = np.matmul(ql[s], np.swapaxes(gzb, -1, -2),
+                                    out=gk[s])
+                    gkb *= scale
         return tuple(None if a is None else a.reshape(shape)
                      for a in (gq, gk, gv))
 

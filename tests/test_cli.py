@@ -267,6 +267,20 @@ def test_threads_flag_sets_environment(tiny_cfg_path, tmp_path, capsys):
                 os.environ[key] = value
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_threads_below_one_is_refused_at_parse_time(value, capsys,
+                                                    monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", value, "gradcheck"])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error:" in line]
+    assert errors == [f"trifuse: error: argument --threads: must be at "
+                      f"least 1, got {value}"]
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+
 @pytest.mark.slow
 def test_ablate_grid_structure(tiny_cfg_path, tmp_path):
     out = str(tmp_path / "grid")

@@ -93,8 +93,9 @@ def test_mhsa_rows_stochastic_and_uniform_inputs():
     att = nn.MultiHeadSelfAttention(8, 4, rng())
     x = Tensor(np.ones((8, 5)))
     q, k = (f(x).data.reshape(4, 2, 5) for f in (att.wq, att.wk))
-    w = T._attention_probs(np.empty((4, 5, 5)), q, k, 2 ** -0.5)  # [heads, n, n]
-    assert np.abs(w.sum(axis=-1) - 1.0).max() < 1e-7
+    e = T._attention_exp(np.empty((4, 5, 5)), q, k, 2 ** -0.5)  # [heads, keys, n]
+    w = e / e.sum(axis=-2, keepdims=True)
+    assert np.abs(w.sum(axis=-2) - 1.0).max() < 1e-7
     assert np.abs(w - 1.0 / 5.0).max() < 1e-12  # identical tokens
 
 

@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+import trifuse.dump as dump
 from trifuse.retrieval import (average_precision, evaluate,
                                format_table, pairwise_distances, write_csv)
 
@@ -49,6 +50,14 @@ def test_evaluate_hand_case():
     assert res.num_skipped == 0
     assert res.cmc_at(1) == pytest.approx(0.5)
     assert res.cmc_at(2) == pytest.approx(1.0)
+
+
+def test_cmc_at_reads_the_last_rank_past_the_end_and_refuses_k_below_one():
+    res = evaluate(*_hand_case())
+    assert res.cmc_at(len(res.cmc) + 5) == float(res.cmc[-1])
+    for k in (0, -1):
+        with pytest.raises(ValueError, match=f"k={k}"):
+            res.cmc_at(k)
 
 
 def test_same_camera_exclusion_changes_ranking():
@@ -138,3 +147,22 @@ def test_report_serialization_round_trip(tmp_path):
     assert float(rows["mAP"]) == res.mean_ap
     assert float(rows["cmc@1"]) == res.cmc_at(1)
     assert int(rows["queries"]) == 2
+
+
+def test_report_write_failing_midway_keeps_the_previous_report(tmp_path,
+                                                               monkeypatch):
+    res = evaluate(*_hand_case())
+    path = tmp_path / "report.csv"
+    write_csv(str(path), res)
+    before = path.read_bytes()
+    assert before.startswith(b"metric,value\r\nmAP,")
+
+    def fail(fd):
+        raise OSError("no space left on device")
+
+    # the new bytes are written, then syncing them fails
+    monkeypatch.setattr(dump.os, "fsync", fail)
+    res.mean_ap = 0.25
+    with pytest.raises(OSError):
+        write_csv(str(path), res)
+    assert path.read_bytes() == before

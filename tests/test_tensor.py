@@ -275,17 +275,19 @@ def test_concat_axis_counts_from_the_end_and_is_range_checked():
             T.concat([a, b], axis=axis)
 
 
-def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    """Row softmax of ``scores [M, N]`` through ``_attention_probs``: with
-    q the identity, the scores qᵀk are k itself."""
-    return T._attention_probs(np.empty(scores.shape), np.eye(len(scores)),
-                              scores, 1.0)
+def _softmax_columns(scores: np.ndarray) -> np.ndarray:
+    """Key-major softmax of ``scores [M, N]`` over the M keys (axis -2)
+    through ``_attention_exp``: with k the identity, the scores kᵀq are q
+    itself."""
+    e = T._attention_exp(np.empty(scores.shape), scores,
+                         np.eye(len(scores)), 1.0)
+    return e / e.sum(axis=-2, keepdims=True)
 
 
-def test_softmax_rows_sum_to_one():
-    s = _softmax_rows(np.random.default_rng(1).normal(size=(4, 6)) * 3)
-    assert s.shape == (4, 6)
-    assert np.allclose(s.sum(axis=-1), 1.0, atol=1e-12)
+def test_softmax_columns_sum_to_one():
+    s = _softmax_columns(np.random.default_rng(1).normal(size=(6, 4)) * 3)
+    assert s.shape == (6, 4)
+    assert np.allclose(s.sum(axis=-2), 1.0, atol=1e-12)
     assert s.min() > 0
 
 
@@ -298,11 +300,39 @@ def test_sigmoid_and_softmax_stay_finite_at_extremes():
     y = T.silu(x).data  # x * sigmoid(x)
     assert np.isfinite(y).all()
     assert (y[0], y[2], y[4]) == (0.0, 0.0, 800.0)
-    spread = np.array([[1.0], [10.0], [100.0]])
-    scores = 1e3 + spread * np.random.default_rng(2).normal(size=(3, 6))
-    p = _softmax_rows(scores)
+    spread = np.array([1.0, 10.0, 100.0])  # one per query column
+    scores = 1e3 + spread * np.random.default_rng(2).normal(size=(6, 3))
+    p = _softmax_columns(scores)
     assert np.isfinite(p).all()
-    assert np.allclose(p.sum(axis=-1), 1.0, atol=1e-12)
+    assert np.allclose(p.sum(axis=-2), 1.0, atol=1e-12)
+
+
+def _gate_grid(dtype) -> np.ndarray:
+    edges = [800.0, 40.0, 0.0, 1e-300]  # 1e-300 is ±0 in float32
+    normals = np.random.default_rng(3).normal(size=100_000) * 5
+    return np.concatenate([edges, np.negative(edges), normals]).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_sigmoid_is_bitwise_the_where_formula(dtype):
+    x = _gate_grid(dtype)
+    e = np.exp(-np.abs(x))
+    want = np.where(x >= 0, 1.0, e) / (1.0 + e)
+    got = T._sigmoid(x)
+    assert got.dtype == dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype, ulps", [(np.float64, 2), (np.float32, 3)])
+def test_softplus_is_within_a_few_ulp_of_logaddexp(dtype, ulps):
+    # float32 allows 3: numpy's float32 exp and log1p each err by up to
+    # about 2 ulp, and logaddexp's own float32 result by up to 1.4
+    x = _gate_grid(dtype)
+    got = T.softplus(Tensor(x, dtype=dtype)).data
+    want = np.logaddexp(0.0, x)
+    assert got.dtype == dtype
+    assert np.all(np.abs(got - want) <= ulps * np.finfo(dtype).eps * want)
+    assert np.array_equal(got[:8], want[:8])  # the edges exactly
 
 
 def test_attention_matches_the_unfused_chain():
@@ -318,9 +348,10 @@ def test_attention_matches_the_unfused_chain():
     got = T.attention(q12, k12, v12, 3, scale).data
     assert np.abs(got.reshape(ctx.shape) - ctx).max() < 1e-12
     buf = np.empty_like(p)
-    w = T._attention_probs(buf, q.data, k.data, scale)
-    assert w is buf
-    assert np.abs(w - p).max() < 1e-12
+    e = T._attention_exp(buf, q.data, k.data, scale)  # key-major: pᵀ
+    assert e is buf
+    assert np.abs(e / e.sum(axis=-2, keepdims=True)
+                  - np.swapaxes(p, -1, -2)).max() < 1e-12
     with pytest.raises(ValueError):
         T.attention(q12, k12, Tensor(np.ones((2, 12, 5))), 3, scale)
 
@@ -328,18 +359,24 @@ def test_attention_matches_the_unfused_chain():
 def _attention_in_one_go(q, k, v, g, scale):
     """Output and gq, gk, gv of softmax attention over all lanes at once,
     in the numpy calls the blocked op makes on each block."""
-    p = np.swapaxes(q, -1, -2) @ k
-    p *= scale
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    out = v @ np.swapaxes(p, -1, -2)
-    gv = g @ p
-    gs = np.swapaxes(g, -1, -2) @ v
-    gs -= (gs * p).sum(axis=-1, keepdims=True)
-    gs *= p
-    gs *= scale
-    return out, k @ np.swapaxes(gs, -1, -2), q @ gs, gv
+    e = np.swapaxes(k, -1, -2) @ (q * scale)
+    e -= e.max(axis=-2, keepdims=True)
+    np.exp(e, out=e)
+    sums = e.sum(axis=-2, keepdims=True)
+    out = v @ e
+    out /= sums
+    gn = g / sums
+    gv = gn @ np.swapaxes(e, -1, -2)
+    gz = np.swapaxes(v, -1, -2) @ gn
+    dot = np.einsum("...mn,...mn->...n", gz, e)
+    dot /= sums[..., 0, :]
+    gz -= dot[..., None, :]
+    gz *= e
+    gq = k @ gz
+    gq *= scale
+    gk = q @ np.swapaxes(gz, -1, -2)
+    gk *= scale
+    return out, gq, gk, gv
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
