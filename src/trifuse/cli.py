@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "train-toy":
             p.add_argument("--resume-from",
                            help="checkpoint directory to continue from")
-            p.add_argument("--halt-after", type=int, default=None,
+            p.add_argument("--halt-after", type=_positive_int, default=None,
                            help="checkpoint and stop after this many steps")
     return parser
 
@@ -109,14 +109,14 @@ def _load_config(args):
 
 
 def cmd_gradcheck(args) -> int:
+    from .dump import write_atomic
     from .gradcheck import format_report, run_suite
     results = run_suite(seed=args.seed)
     report = format_report(results)
     print(report, end="")
     if args.out:
         _require_out(args)
-        with open(os.path.join(args.out, "gradcheck.tsv"), "w") as fh:
-            fh.write(report)
+        write_atomic(os.path.join(args.out, "gradcheck.tsv"), [report.encode()])
     return 0 if all(r.ok for r in results) else 1
 
 
@@ -164,6 +164,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     from dataclasses import replace
+    from .dump import write_atomic
     from .train import train
     out = _require_out(args)
     cfg = _load_config(args)
@@ -175,8 +176,8 @@ def cmd_ablate(args) -> int:
         lines.append(f"{name}\t{summary['map']:.17g}"
                      f"\t{summary['cmc1']:.17g}\t{summary['trainable']}")
         print(lines[-1])
-    with open(os.path.join(out, "ablation.tsv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(os.path.join(out, "ablation.tsv"),
+                 [("\n".join(lines) + "\n").encode()])
     return 0
 
 

@@ -26,7 +26,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor import DIFFERENTIABLE_OPS, Param, Tensor, no_grad
+from . import losses as L
+from . import nn
+from . import ssm as S
+from . import tensor as T
+from .aggregation import (AggregationBlock, Aggregator, AggregationHead,
+                          ConvGate, LinearGate)
+from .config import RunConfig
+from .model import FusionModel
+from .prompts import PromptBank
+from .tensor import DIFFERENTIABLE_OPS, Tensor, mul, no_grad, tsum
 
 DEFAULT_H = 1e-5
 DEFAULT_TOL = 1e-4
@@ -50,14 +59,19 @@ class Case:
     spot: int | None = None  # limit FD to this many coordinates per tensor
 
 
-#: op name -> Case. Populated at import time below; tests may add entries
-#: (e.g. a deliberately broken case) to exercise the failure path.
+#: op name -> Case, filled at import by the two builders at the end of this
+#: module, which only define closures: no model is built until a case runs.
+#: Tests may add entries (e.g. a deliberately broken case) to exercise the
+#: failure path.
 CASES: dict[str, Case] = {}
 
 
 def register_case(name: str, build, tol: float = DEFAULT_TOL,
                   spot: int | None = None) -> None:
-    CASES[name] = Case(build=build, tol=tol, spot=spot)
+    """``build(rng, weigh)`` draws a case's tensors from ``rng`` and returns
+    its scalar closure and the tensors to differentiate; ``weigh`` is its own."""
+    CASES[name] = Case(build=lambda rng: build(rng, _weights(rng)), tol=tol,
+                       spot=spot)
 
 
 def _coords(t: Tensor, spot: int | None, rng: np.random.Generator) -> np.ndarray:
@@ -105,7 +119,6 @@ def run_suite(seed: int = 0, names: Sequence[str] | None = None) -> list[CheckRe
     Ops present in the registry but lacking a case are reported as failures
     with an infinite error, so coverage gaps cannot pass silently.
     """
-    _ensure_cases()
     target = sorted(DIFFERENTIABLE_OPS | set(CASES)) if names is None else list(names)
     results = []
     for name in target:
@@ -146,62 +159,43 @@ def _pair(rng):
     return a, b
 
 
-# Case closures get re-evaluated many times under finite differences, so a
-# weighting drawn inside the closure must come out identical call to call.
-# Weights are cached per (generator, shape): drawn once on first use, then
-# reused for the lifetime of the case. The generator itself is kept in the
-# cache entry so its id cannot be recycled.
-_WEIGHT_CACHE: dict[int, tuple[np.random.Generator, dict]] = {}
+def _weights(rng) -> Callable[[Tensor], Tensor]:
+    """A case's weighted sum ``t -> sum(t * w)``, one per build: its closure
+    runs again at every finite-difference step, so each shape's weights are
+    drawn from ``rng`` on first use, reused after, and go with the closure."""
+    drawn: dict[tuple[int, ...], np.ndarray] = {}
 
-
-def _weighted_sum(t: Tensor, rng) -> Tensor:
-    from .tensor import mul, tsum
-    entry = _WEIGHT_CACHE.get(id(rng))
-    if entry is None or entry[0] is not rng:
-        entry = (rng, {})
-        _WEIGHT_CACHE[id(rng)] = entry
-    per_rng = entry[1]
-    w = per_rng.get(t.shape)
-    if w is None:
-        w = per_rng[t.shape] = rng.normal(size=t.shape)
-    return tsum(mul(t, Tensor(w)))
+    def weigh(t: Tensor) -> Tensor:
+        w = drawn.get(t.shape)
+        if w is None:
+            w = drawn[t.shape] = rng.normal(size=t.shape)
+        return tsum(mul(t, Tensor(w)))
+    return weigh
 
 
 def _scan_case(scan):
     """A case of ``scan`` on the six operands of three stacked selective
     scans over K = 7 tokens (steps delta > 0, as softplus makes them)."""
-    def build(rng):
+    def build(rng, weigh):
         shapes = ((3, 2, 3, 7), (3, 2, 3, 7), (3, 3, 2), (3, 2, 2, 7),
                   (3, 2, 2, 7), (3, 3))
         ops = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
         ops[1].data = np.abs(ops[1].data) + 0.1
-        return (lambda: _weighted_sum(scan(*ops), rng)), ops
+        return (lambda: weigh(scan(*ops))), ops
     return build
 
 
-def _ensure_cases() -> None:
-    if _CASES_BUILT[0]:
-        return
-    _CASES_BUILT[0] = True
-    _build_primitive_cases()
-    _build_module_cases()
-
-
-_CASES_BUILT = [False]
-
-
 def _build_primitive_cases() -> None:
-    from . import tensor as T
 
     def simple(op, positive=False, avoid_zero=False, shape=(3, 4)):
-        def build(rng):
+        def build(rng, weigh):
             data = rng.normal(size=shape)
             if positive:
                 data = np.abs(data) + 0.5
             if avoid_zero:
                 data = _away_from(data, 0.0, 0.05)
             x = Tensor(data, requires_grad=True)
-            return (lambda: _weighted_sum(op(x), rng)), [x]
+            return (lambda: weigh(op(x))), [x]
         return build
 
     register_case("neg", simple(T.neg))
@@ -212,19 +206,19 @@ def _build_primitive_cases() -> None:
     register_case("relu", simple(T.relu, avoid_zero=True), tol=1e-6)
     register_case("silu", simple(T.silu), tol=1e-6)
 
-    def linear_case(rng):
+    def linear_case(rng, weigh):
         w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         xb = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
         b = Tensor(rng.normal(size=4), requires_grad=True)
         def fn():
-            return T.add(_weighted_sum(T.linear(w, x, b), rng),
-                         _weighted_sum(T.linear(w, xb), rng))
+            return T.add(weigh(T.linear(w, x, b)),
+                         weigh(T.linear(w, xb)))
         return fn, [w, x, xb, b]
 
     register_case("linear", linear_case, tol=1e-6)
 
-    def mlp_case(rng):
+    def mlp_case(rng, weigh):
         """4 -> 8 -> 4 on a batch and, as in the frozen backbone (no hidden
         output kept), with w2 and b2 frozen; the bank's maps stacked [3, 2]."""
         def maps(lead, hidden, grad=True):
@@ -235,26 +229,26 @@ def _build_primitive_cases() -> None:
         trained, stacked, frozen = maps((), 8), maps((3, 2), 4), maps((), 8, False)
         calls = [(xb, *trained), (x, *trained[:2], *frozen[2:]), (xs, *stacked)]
         def fn():
-            a, b, c = (_weighted_sum(T.mlp(*args), rng) for args in calls)
+            a, b, c = (weigh(T.mlp(*args)) for args in calls)
             return T.add(T.add(a, b), c)
         return fn, [xb, x, xs] + trained + stacked
 
     register_case("mlp", mlp_case, tol=1e-6)
 
     def binary(op):
-        def build(rng):
+        def build(rng, weigh):
             a, b = _pair(rng)
-            return (lambda: _weighted_sum(op(a, b), rng)), [a, b]
+            return (lambda: weigh(op(a, b))), [a, b]
         return build
 
     register_case("add", binary(T.add), tol=1e-6)
     register_case("sub", binary(T.sub), tol=1e-6)
     register_case("mul", binary(T.mul), tol=1e-6)
 
-    def matmul_case(rng):
+    def matmul_case(rng, weigh):
         a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=(4, 5)), requires_grad=True)  # broadcast batch
-        return (lambda: _weighted_sum(T.matmul(a, b), rng)), [a, b]
+        return (lambda: weigh(T.matmul(a, b))), [a, b]
 
     register_case("matmul", matmul_case, tol=1e-6)
 
@@ -263,11 +257,11 @@ def _build_primitive_cases() -> None:
                   tol=1e-6)
 
     def extreme_case(op):
-        def build(rng):
+        def build(rng, weigh):
             # distinct values so the argextreme is stable under the FD step
             base = rng.permutation(12).astype(float).reshape(3, 4)
             x = Tensor(base + 0.1 * rng.normal(size=(3, 4)), requires_grad=True)
-            return (lambda: _weighted_sum(op(x, axis=1), rng)), [x]
+            return (lambda: weigh(op(x, axis=1))), [x]
         return build
 
     register_case("max", extreme_case(T.tmax), tol=1e-6)
@@ -278,35 +272,33 @@ def _build_primitive_cases() -> None:
         T.moveaxis(x, 1, 2), T.moveaxis(x, (0, 2), (2, 1)).reshape(2, 4, 3)),
         shape=(2, 3, 4)), tol=1e-6)
 
-    def concat_case(rng):
+    def concat_case(rng, weigh):
         xs = [Tensor(rng.normal(size=(2, n)), requires_grad=True) for n in (1, 3, 2)]
         # a [2, 1] piece joins a [3, 2, 4] batch, broadcast over its batch axis
         ys = [Tensor(rng.normal(size=s), requires_grad=True) for s in ((2, 1), (3, 2, 4))]
-        return (lambda: T.add(_weighted_sum(T.concat(xs, axis=1), rng),
-                              _weighted_sum(T.concat(ys, axis=-1), rng))), xs + ys
+        return (lambda: T.add(weigh(T.concat(xs, axis=1)),
+                              weigh(T.concat(ys, axis=-1)))), xs + ys
 
     register_case("concat", concat_case, tol=1e-6)
 
     register_case("narrow", simple(lambda x: T.narrow(x, 1, 2, 3), shape=(3, 6)),
                   tol=1e-6)
 
-    def where_case(rng):
+    def where_case(rng, weigh):
         a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         mask = rng.random((3, 4)) > 0.5
-        return (lambda: _weighted_sum(T.where_mask(mask, a, b), rng)), [a, b]
+        return (lambda: weigh(T.where_mask(mask, a, b))), [a, b]
 
     register_case("where", where_case, tol=1e-6)
 
-    def attention_case(rng):
-        q, k, v = (Tensor(rng.normal(size=(2, 6, 5)), requires_grad=True)
-                   for _ in range(3))
-        return (lambda: _weighted_sum(T.attention(q, k, v, 2, 3 ** -0.5),
-                                      rng)), [q, k, v]
+    def attention_case(rng, weigh):
+        qkv = Tensor(rng.normal(size=(2, 18, 5)), requires_grad=True)
+        return (lambda: weigh(T.attention(qkv, 2, 3 ** -0.5))), [qkv]
 
     register_case("attention", attention_case)
 
-    def norm_affine_case(rng):
+    def norm_affine_case(rng, weigh):
         x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
         xb = Tensor(rng.normal(size=(2, 4, 5)), requires_grad=True)
         gain = Tensor(rng.normal(size=4) + 1.0, requires_grad=True)
@@ -316,19 +308,19 @@ def _build_primitive_cases() -> None:
             y1 = T.norm_affine(x, gain, shift, 1e-5, axis=1)
             yb = T.add(T.norm_affine(xb, gain, shift, 1e-5, axis=-2),
                        T.norm_affine(xb, gain, shift, 1e-5, axis=-1))
-            return T.add(_weighted_sum(T.add(y0, y1), rng), _weighted_sum(yb, rng))
+            return T.add(weigh(T.add(y0, y1)), weigh(yb))
         return fn, [x, xb, gain, shift]
 
     register_case("norm_affine", norm_affine_case)
 
-    def dwconv_case(rng):
+    def dwconv_case(rng, weigh):
         x = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
         xb = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
         k = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=3), requires_grad=True)
         def fn():
-            return T.add(_weighted_sum(T.dwconv1d(x, k, b), rng),
-                         _weighted_sum(T.dwconv1d(xb, k, b), rng))
+            return T.add(weigh(T.dwconv1d(x, k, b)),
+                         weigh(T.dwconv1d(xb, k, b)))
         return fn, [x, xb, k, b]
 
     register_case("dwconv1d", dwconv_case, tol=1e-6)
@@ -338,25 +330,17 @@ def _build_primitive_cases() -> None:
 
 def _build_module_cases() -> None:
     """Cases for composite ops living in the other modules."""
-    from . import losses as L
-    from . import nn
-    from . import ssm as S
-    from .aggregation import AggregationBlock, Aggregator, AggregationHead, ConvGate, LinearGate
-    from .config import RunConfig
-    from .model import FusionModel
-    from .prompts import PromptBank
-    from . import tensor as T
 
-    def ln_case(rng):
+    def ln_case(rng, weigh):
         ln = nn.LayerNorm(4)
         ln.gain.data = rng.normal(size=4) + 1.0
         ln.shift.data = rng.normal(size=4)
         x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-        return (lambda: _weighted_sum(ln(x), rng)), [x, ln.gain, ln.shift]
+        return (lambda: weigh(ln(x))), [x, ln.gain, ln.shift]
 
     register_case("layer_norm", ln_case)
 
-    def bn_case(rng):
+    def bn_case(rng, weigh):
         bn = nn.BatchNorm(4)
         bn.gain.data = rng.normal(size=4) + 1.0
         bn.shift.data = rng.normal(size=4)
@@ -375,17 +359,17 @@ def _build_module_cases() -> None:
             bn.running_var = var0.copy()
             z = bn(x)
             bn.train()
-            return _weighted_sum(T.add(y, z), rng)
+            return weigh(T.add(y, z))
         return fn, [x, bn.gain, bn.shift]
 
     register_case("batch_norm", bn_case)
 
     def applied(make, shape):
         """A case of the module ``make(rng)`` on one input of ``shape``."""
-        def build(rng):
+        def build(rng, weigh):
             mod = make(rng)
             x = Tensor(rng.normal(size=shape), requires_grad=True)
-            return (lambda: _weighted_sum(mod(x), rng)), [x] + mod.params()
+            return (lambda: weigh(mod(x))), [x] + mod.params()
         return build
 
     register_case("mhsa", applied(
@@ -402,31 +386,31 @@ def _build_module_cases() -> None:
     def bank(rng, dim=4, n_prompts=2, layers=2):
         return PromptBank(dim=dim, n_prompts=n_prompts, layers=layers, rng=rng)
 
-    def residual_fuse_case(rng):
+    def residual_fuse_case(rng, weigh):
         pb = bank(rng)
         harvested = Tensor(rng.normal(size=(3, 4, 3 * 2)), requires_grad=True)
         def fn():
-            return _weighted_sum(pb.residual_fuse(1, harvested), rng)
+            return weigh(pb.residual_fuse(1, harvested))
         return fn, [harvested] + pb.rp.params() + [pb.prompts[1]]
 
     register_case("residual_fuse", residual_fuse_case)
 
-    def assemble_case(rng):
+    def assemble_case(rng, weigh):
         pb = bank(rng)
         f_star = Tensor(rng.normal(size=(3, 4, 3)), requires_grad=True)
         def fn():
             seq = pb.assemble_layer_input(0, f_star, harvested_prev=None)
-            return _weighted_sum(seq, rng)
+            return weigh(seq)
         return fn, [f_star] + pb.params()
 
     register_case("assemble_layer_input", assemble_case)
 
-    def harvest_case(rng):
+    def harvest_case(rng, weigh):
         pb = bank(rng)
         x = Tensor(rng.normal(size=(3, 4, 3 + 3 * 2)), requires_grad=True)
         def fn():
             f_star, slots = pb.harvest(x, n_star=3)
-            return T.add(_weighted_sum(f_star, rng), _weighted_sum(slots, rng))
+            return T.add(weigh(f_star), weigh(slots))
         return fn, [x]
 
     register_case("harvest", harvest_case, tol=1e-6)
@@ -444,23 +428,23 @@ def _build_module_cases() -> None:
         return Tensor(np.stack([rng.normal(size=(dim, n)) for _ in range(3)]),
                       requires_grad=True)
 
-    def intra_case(rng):
+    def intra_case(rng, weigh):
         blk = block(rng, use_inter=False)
         blk.train()
         fs = streams(rng, 2, 3)
-        return (lambda: _weighted_sum(blk.intra(fs), rng)), [fs] + blk.params()
+        return (lambda: weigh(blk.intra(fs))), [fs] + blk.params()
 
     register_case("intra_ma", intra_case, spot=60)
 
-    def inter_case(rng):
+    def inter_case(rng, weigh):
         blk = block(rng, use_intra=False)
         blk.train()
         fs = streams(rng, 2, 3)
-        return (lambda: _weighted_sum(blk.inter(fs), rng)), [fs] + blk.params()
+        return (lambda: weigh(blk.inter(fs))), [fs] + blk.params()
 
     register_case("inter_ma", inter_case, spot=60)
 
-    def stack_case(rng):
+    def stack_case(rng, weigh):
         dim = 2
         blocks = [AggregationBlock(dim, d_state=2, dt_rank=2, kernel=3, rng=rng)]
         head = AggregationHead(dim, rng)
@@ -469,31 +453,31 @@ def _build_module_cases() -> None:
         tokens = streams(rng, dim, 4)
         def fn():
             cls = T.narrow(tokens, -1, 0, 1)
-            return _weighted_sum(agg(cls, T.narrow(tokens, -1, 1, 3)), rng)
+            return weigh(agg(cls, T.narrow(tokens, -1, 1, 3)))
         return fn, [tokens] + agg.params()
 
     register_case("ma_stack", stack_case, spot=60)
 
-    def ce_case(rng):
+    def ce_case(rng, weigh):
         logits = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
         labels = rng.integers(0, 4, size=5)
         rows = Tensor(rng.normal(size=(2, 4, 5)), requires_grad=True)
-        return (lambda: T.add(L.ce_smooth(logits, labels, 0.1), _weighted_sum(
-            L.ce_smooth(rows, labels, 0.1), rng))), [logits, rows]
+        return (lambda: T.add(L.ce_smooth(logits, labels, 0.1), weigh(
+            L.ce_smooth(rows, labels, 0.1)))), [logits, rows]
 
     register_case("ce_smooth", ce_case, tol=1e-6)
 
-    def triplet_case(rng):
+    def triplet_case(rng, weigh):
         emb = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
         labels = np.array([0, 0, 1, 1, 2, 2])
         rows = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
         return (lambda: T.add(L.triplet_batch_hard(emb, labels, 5.0),
-                              _weighted_sum(L.triplet_batch_hard(
-                                  rows, labels, 5.0), rng))), [emb, rows]
+                              weigh(L.triplet_batch_hard(
+                                  rows, labels, 5.0)))), [emb, rows]
 
     register_case("triplet_batch_hard", triplet_case)
 
-    def total_loss_case(rng):
+    def total_loss_case(rng, weigh):
         heads = nn.stack_modules(lambda: nn.Linear(6, 3, rng), (2,))
         feats = Tensor(rng.normal(size=(2, 6, 6)), requires_grad=True)
         labels = np.array([0, 0, 1, 1, 2, 2])
@@ -505,7 +489,7 @@ def _build_module_cases() -> None:
 
     register_case("total_loss", total_loss_case)
 
-    def composed_case(rng):
+    def composed_case(rng, weigh):
         cfg = RunConfig(embed_dim=8, layers=2, heads=2, patch=4,
                         image_h=8, image_w=8, channels=1, n_prompts=2,
                         d_state=2, dt_rank=2, ma_blocks=1, num_ids=2,
@@ -523,3 +507,7 @@ def _build_module_cases() -> None:
         return fn, model.trainable_params()
 
     register_case("model.composed_path", composed_case, spot=4)
+
+
+_build_primitive_cases()
+_build_module_cases()

@@ -17,7 +17,7 @@ from typing import Callable, Iterator, NoReturn
 import numpy as np
 
 from .tensor import (
-    NonFiniteError, Param, Tensor, attention, _column, _unbroadcast,
+    NonFiniteError, Param, Tensor, attention, _column, _qkv_rows, _unbroadcast,
     default_dtype, dwconv1d, finite_checks, linear, mlp, no_grad, norm_affine,
     register_differentiable,
 )
@@ -298,21 +298,26 @@ class DepthwiseConv1d(Module):
 
 
 class MultiHeadSelfAttention(Module):
-    """Full softmax attention over all tokens, heads split along features."""
+    """Full softmax attention over all tokens, heads split along features.
+
+    ``wqkv`` is one in-projection ``[3·dim, dim]``, as CLIP keeps it: the q,
+    k and v maps of three ``Linear(dim, dim)`` drawn in that order, their
+    rows laid out per head as :func:`~trifuse.tensor.attention` reads them."""
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator):
         if dim % heads != 0:
             raise ValueError("feature dim must be divisible by head count")
         self.heads = heads
-        self.wq = Linear(dim, dim, rng)
-        self.wk = Linear(dim, dim, rng)
-        self.wv = Linear(dim, dim, rng)
+        maps = [Linear(dim, dim, rng) for _ in range(3)]
+        self.wqkv = maps[0]
+        for name in ("weight", "bias"):
+            rows = np.concatenate([getattr(m, name).data for m in maps])
+            setattr(self.wqkv, name, Param(rows[_qkv_rows(heads, dim)]))
         self.wo = Linear(dim, dim, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         dh = x.shape[-2] // self.heads
-        return self.wo(attention(self.wq(x), self.wk(x), self.wv(x),
-                                 self.heads, dh ** -0.5))
+        return self.wo(attention(self.wqkv(x), self.heads, dh ** -0.5))
 
 
 class Mlp(Module):

@@ -24,12 +24,15 @@ Conventions used throughout the package:
   default; ``finite_checks(False)`` turns them off for a block of code,
   as the training loop and ``FusionModel.features`` do, checking their
   results once instead
-* attention builds its softmax key-major, as ``[M, N]`` exponentials
-  with the keys on rows, and normalizes the small ``[d, N]`` output
-  instead of the ``[M, N]`` block; it sweeps its lanes (batch times
-  heads) in blocks of at most ``_CACHE_ELEMS`` elements, so each block
-  stays in cache through all its passes: it builds, uses and, with no
-  tape to keep it, drops its exponentials block by block
+* attention reads one ``[..., 3D, N]`` in-projection whose rows run per
+  head (head 0's query, key and value rows, then head 1's, and so on),
+  so each lane's q, k and v are views of one reshape and its gradient
+  is one array; it builds its softmax key-major, as ``[M, N]``
+  exponentials with the keys on rows, and normalizes the small
+  ``[d, N]`` output instead of the ``[M, N]`` block; it sweeps its lanes
+  (batch times heads) in blocks of at most ``_CACHE_ELEMS`` elements, so
+  each block stays in cache through all its passes: it builds, uses and,
+  with no tape to keep it, drops its exponentials block by block
 * the scan builds its ``[..., D, S, K]``-sized arrays token-major, as
   ``[K, ..., S, D]``: its sweep steps over whole contiguous rows, and its
   sums over S or D are batched matmuls
@@ -819,46 +822,51 @@ def _attention_exp(e: np.ndarray, q: np.ndarray, k: np.ndarray,
     return np.exp(e, out=e)
 
 
+def _qkv_rows(heads: int, dim: int) -> np.ndarray:
+    """Row r of :func:`attention`'s ``[..., 3·dim, N]`` operand is row
+    ``_qkv_rows(heads, dim)[r]`` of the q, k and v maps stacked in that
+    order: head 0's q, k and v rows, then head 1's, and so on."""
+    return np.arange(3 * dim).reshape(3, heads, -1).swapaxes(0, 1).ravel()
+
+
 @_diffop("attention")
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
-              scale: float) -> Tensor:
+def attention(qkv: Tensor, heads: int, scale: float) -> Tensor:
     """Multi-head softmax attention as one tape node: per head, ``v p``
     with p = softmax(kᵀq · scale) over the keys, key-major ``[M, N]``.
 
-    ``q``, ``k`` and ``v`` share one shape ``[..., D, N]`` (leading axes
-    are batch); the output is ``[..., D, N]`` too. D splits into
-    ``heads`` runs of ``D // heads`` features, one per head, and the
-    leading axes times the heads flatten to L lanes (views of the
-    contiguous operands). Each lane builds its softmax numerators e
-    (:func:`_attention_exp`) with the keys on rows, so every reduction
-    and broadcast runs along whole contiguous rows, and normalizes late:
-    the output is ``(v @ e) / s`` with s the ``[1, N]`` column sums of e,
-    a division of the small ``[d, N]`` result, not of e. The lanes run in
-    blocks whose ``[N, N]`` numerators fit ``_CACHE_ELEMS``: each block
-    builds its e, uses it and moves on, so the softmax passes stay in
-    cache. With a tape the node keeps the whole e and the ``[L, 1, N]``
-    sums (and nothing else besides its operands) and its VJP walks the
-    same blocks; without one, one block's buffers are reused and no
-    ``[L, N, N]`` array is ever built. Every lane goes through the same
-    numpy calls whatever the block, so the block size never changes a bit
-    of the output or the gradients.
+    ``qkv`` ``[..., 3D, N]`` (leading axes are batch) holds, per head, its
+    d = D / heads query rows, then key rows, then value rows
+    (:func:`_qkv_rows`); the output is ``[..., D, N]``. The leading axes
+    times the heads flatten to L lanes whose q, k and v are views of one
+    ``[L, 3, d, N]`` reshape of the operand. Each lane builds its softmax
+    numerators e (:func:`_attention_exp`) with the keys on rows, so every
+    reduction and broadcast runs along whole contiguous rows, and
+    normalizes late: the output is ``(v @ e) / s`` with s the ``[1, N]``
+    column sums of e, a division of the small ``[d, N]`` result, not of
+    e. The lanes run in blocks whose ``[N, N]`` numerators fit
+    ``_CACHE_ELEMS``: each block builds its e, uses it and moves on, so
+    the softmax passes stay in cache. With a tape the node keeps the
+    whole e and the ``[L, 1, N]`` sums (and nothing else besides its
+    operand) and its VJP walks the same blocks, writing the gradients of
+    q, k and v into one ``[L, 3, d, N]`` array; without one, one block's
+    buffers are reused and no ``[L, N, N]`` array is ever built. Every
+    lane goes through the same numpy calls whatever the block, so the
+    block size never changes a bit of the output or the gradient.
     """
-    if not q.data.shape == k.data.shape == v.data.shape:
-        raise ValueError("attention operands must share a shape")
-    shape = q.data.shape
-    D, n = shape[-2:]
-    if heads < 1 or D % heads:
-        raise ValueError(f"{heads} heads do not divide {D} features")
-    d = D // heads
-    ql, kl, vl = (t.data.reshape(-1, d, n) for t in (q, k, v))
+    shape = qkv.data.shape
+    rows, n = shape[-2:]
+    if heads < 1 or rows % (3 * heads):
+        raise ValueError(f"{rows} rows do not split into 3 x {heads} heads")
+    d = rows // (3 * heads)
+    lanes = qkv.data.reshape(-1, 3, d, n)
+    ql, kl, vl = lanes[:, 0], lanes[:, 1], lanes[:, 2]
     step = max(1, _CACHE_ELEMS // (n * n))  # lanes per block
-    blocks = [slice(m, m + step) for m in range(0, len(ql), step)]
-    nq, nk, nv = _needs((q, k, v))
-    tape = _GRAD_ENABLED and (nq or nk or nv)  # as _from_op decides
-    lanes = len(ql) if tape else min(len(ql), step)
-    e = np.empty((lanes, n, n), dtype=ql.dtype)
-    sums = np.empty((lanes, 1, n), dtype=ql.dtype)
-    out = np.empty(ql.shape, dtype=ql.dtype)
+    blocks = [slice(m, m + step) for m in range(0, len(lanes), step)]
+    tape = _GRAD_ENABLED and qkv.requires_grad  # as _from_op decides
+    e = np.empty((len(lanes) if tape else min(len(lanes), step), n, n),
+                 dtype=lanes.dtype)
+    sums = np.empty((len(e), 1, n), dtype=lanes.dtype)
+    out = np.empty((len(lanes), d, n), dtype=lanes.dtype)
     for s in blocks:
         b = s if tape else slice(len(ql[s]))
         _attention_exp(e[b], ql[s], kl[s], scale)
@@ -868,33 +876,26 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
 
     def vjp(g):
         gl = g.reshape(-1, d, n)
-        gq, gk, gv = (np.empty_like(ql) if need else None
-                      for need in (nq, nk, nv))
-        gz = np.empty_like(e[:step]) if nq or nk else None
+        grad = np.empty_like(lanes)
+        gz = np.empty_like(e[:step])
         for s in blocks:
             eb = e[s]
             gn = gl[s] / sums[s]  # g through the normalization
-            if nv:
-                np.matmul(gn, np.swapaxes(eb, -1, -2), out=gv[s])
-            if nq or nk:
-                # d/d(kᵀq · scale) = e (vᵀgn − Σ_keys e vᵀgn / s)
-                gzb = np.matmul(np.swapaxes(vl[s], -1, -2), gn,
-                                out=gz[:len(eb)])
-                dot = np.einsum("...mn,...mn->...n", gzb, eb)
-                dot /= sums[s][:, 0]
-                gzb -= dot[:, None]
-                gzb *= eb
-                if nq:
-                    gqb = np.matmul(kl[s], gzb, out=gq[s])
-                    gqb *= scale
-                if nk:
-                    gkb = np.matmul(ql[s], np.swapaxes(gzb, -1, -2),
-                                    out=gk[s])
-                    gkb *= scale
-        return tuple(None if a is None else a.reshape(shape)
-                     for a in (gq, gk, gv))
+            np.matmul(gn, np.swapaxes(eb, -1, -2), out=grad[s, 2])
+            # d/d(kᵀq · scale) = e (vᵀgn − Σ_keys e vᵀgn / s)
+            gzb = np.matmul(np.swapaxes(vl[s], -1, -2), gn, out=gz[:len(eb)])
+            dot = np.einsum("...mn,...mn->...n", gzb, eb)
+            dot /= sums[s][:, 0]
+            gzb -= dot[:, None]
+            gzb *= eb
+            gqb = np.matmul(kl[s], gzb, out=grad[s, 0])
+            gqb *= scale
+            gkb = np.matmul(ql[s], np.swapaxes(gzb, -1, -2), out=grad[s, 1])
+            gkb *= scale
+        return (grad.reshape(shape),)
 
-    return Tensor._from_op(out.reshape(shape), (q, k, v), vjp, "attention")
+    return Tensor._from_op(out.reshape(shape[:-2] + (rows // 3, n)), (qkv,),
+                           vjp, "attention")
 
 
 @_diffop("norm_affine")

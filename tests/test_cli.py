@@ -239,6 +239,75 @@ def test_resume_refuses_a_checkpoint_with_two_heads_with_one_error_line(
     assert not os.path.exists(os.path.join(resumed, "metrics.tsv"))
 
 
+def _split_in_projections(ckpt, heads):
+    """Rewrite a checkpoint as it was saved before attention's q, k and v
+    maps became one in-projection: ``attn.wq``, ``attn.wk`` and
+    ``attn.wv`` in place of each ``attn.wqkv``."""
+    arrays, meta = load_checkpoint(ckpt)
+    for name in [n for n in arrays if ".attn.wqkv." in n]:
+        arr, frozen = arrays.pop(name)
+        per_head = arr.reshape((heads, 3, -1) + arr.shape[1:])
+        for i, part in enumerate(("wq", "wk", "wv")):
+            arrays[name.replace("wqkv", part)] = (
+                per_head[:, i].reshape((-1,) + arr.shape[1:]), frozen)
+    save_checkpoint(ckpt, arrays, meta)
+
+
+@pytest.mark.parametrize("command", ["eval", "resume"])
+def test_a_checkpoint_with_separate_q_k_v_maps_is_refused_with_one_error_line(
+        tiny_cfg_path, tmp_path, command):
+    out = str(tmp_path / "run")
+    main(_train_args(tiny_cfg_path, out, extra=["--halt-after", "2"]))
+    ckpt = os.path.join(out, "checkpoint")
+    _split_in_projections(ckpt, heads=2)
+    resumed = str(tmp_path / "resumed")
+    argv = (["--out", out, "eval"] if command == "eval" else
+            _train_args(tiny_cfg_path, resumed, extra=["--resume-from", ckpt]))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert str(exc.value.code) == (
+        "error: unexpected entry 'backbone.blocks.0.attn.wk.bias' in state")
+    assert not os.path.exists(os.path.join(out, "eval_report.csv"))
+    assert not os.path.exists(os.path.join(resumed, "metrics.tsv"))
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_halt_after_below_one_is_refused_at_parse_time(value, tmp_path,
+                                                       capsys):
+    out = str(tmp_path / "run")
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", out, "train-toy", "--halt-after", value])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error:" in line]
+    assert errors == [f"trifuse train-toy: error: argument --halt-after: "
+                      f"must be at least 1, got {value}"]
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command, name", [("gradcheck", "gradcheck.tsv"),
+                                           ("ablate", "ablation.tsv")])
+def test_a_report_write_that_fails_midway_keeps_the_previous_file(
+        command, name, tmp_path, monkeypatch):
+    from trifuse import dump, gradcheck, train
+    suite = gradcheck.run_suite
+    monkeypatch.setattr(gradcheck, "run_suite",
+                        lambda seed: suite(seed, names=["relu"]))
+    monkeypatch.setattr(train, "train", lambda cfg, **kwargs: dict(
+        map=0.5, cmc1=0.5, trainable=1))
+    path = tmp_path / name
+    path.write_bytes(b"previous report\n")
+
+    def fail(fd):
+        raise OSError("no space left on device")
+
+    # the new bytes are written, then syncing them fails
+    monkeypatch.setattr(dump.os, "fsync", fail)
+    with pytest.raises(OSError):
+        main(["--out", str(tmp_path), command])
+    assert path.read_bytes() == b"previous report\n"
+
+
 def test_precision_flag_switches_dtype(tiny_cfg_path, tmp_path):
     out = str(tmp_path / "f32")
     try:

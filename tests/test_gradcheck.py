@@ -5,7 +5,7 @@ import pytest
 
 from trifuse.gradcheck import (CASES, check_function, format_report,
                                run_suite)
-from trifuse.tensor import Tensor, tsum
+from trifuse.tensor import DIFFERENTIABLE_OPS, Tensor, tsum
 
 
 def test_subset_run_passes():
@@ -39,9 +39,22 @@ def test_checker_detects_a_wrong_gradient():
 
 
 def test_case_registry_covers_itself():
-    # every op the suite currently knows about carries a buildable case
+    # the table is built at import, so it is whole before any run: every
+    # registered op has a case, and the first five build and run
+    assert DIFFERENTIABLE_OPS <= set(CASES)
     results = run_suite(seed=0, names=sorted(CASES)[:5])
+    assert len(results) == 5
     assert all(np.isfinite(r.max_err) for r in results)
+
+
+def test_a_case_draws_its_weights_once_from_its_own_generator():
+    # a closure re-run under finite differences sees the same weights,
+    # and a second build from an equal generator draws the same ones
+    first, _ = CASES["exp"].build(np.random.default_rng(5))
+    again = float(first().data)
+    assert float(first().data) == again
+    second, _ = CASES["exp"].build(np.random.default_rng(5))
+    assert float(second().data) == again
 
 
 def test_check_function_requires_scalar():

@@ -84,15 +84,34 @@ def test_mhsa_single_token_is_value_projection():
     att = nn.MultiHeadSelfAttention(8, 2, rng())
     x = Tensor(np.random.default_rng(1).normal(size=(8, 1)))
     got = att(x).data
-    v = att.wv(x)
-    want = att.wo(v).data
+    # the value rows of each head's run of q, k and v rows
+    v = att.wqkv(x).data.reshape(2, 3, 4, 1)[:, 2].reshape(8, 1)
+    want = att.wo(Tensor(v)).data
     assert np.allclose(got, want, atol=1e-12)
+
+
+def test_mhsa_in_projection_holds_the_q_k_v_draws_per_head():
+    # init is that of three Linear(dim, dim) maps q, k, v and then wo,
+    # drawn in that order, with the three laid out per head
+    att = nn.MultiHeadSelfAttention(8, 2, np.random.default_rng(7))
+    again = np.random.default_rng(7)
+    q, k, v, o = (nn.Linear(8, 8, again) for _ in range(4))
+    assert att.wqkv.weight.shape == (24, 8) and att.wqkv.bias.shape == (24,)
+    weight = att.wqkv.weight.data.reshape(2, 3, 4, 8)  # [head, qkv, d, in]
+    bias = att.wqkv.bias.data.reshape(2, 3, 4)
+    for i, m in enumerate((q, k, v)):
+        assert np.array_equal(weight[:, i], m.weight.data.reshape(2, 4, 8))
+        assert np.array_equal(bias[:, i], m.bias.data.reshape(2, 4))
+    assert np.array_equal(att.wo.weight.data, o.weight.data)
+    assert [name for name, _ in att.named_params()] == [
+        "wqkv.weight", "wqkv.bias", "wo.weight", "wo.bias"]
 
 
 def test_mhsa_rows_stochastic_and_uniform_inputs():
     att = nn.MultiHeadSelfAttention(8, 4, rng())
     x = Tensor(np.ones((8, 5)))
-    q, k = (f(x).data.reshape(4, 2, 5) for f in (att.wq, att.wk))
+    qkv = att.wqkv(x).data.reshape(4, 3, 2, 5)  # [head, qkv, d, n]
+    q, k = qkv[:, 0], qkv[:, 1]
     e = T._attention_exp(np.empty((4, 5, 5)), q, k, 2 ** -0.5)  # [heads, keys, n]
     w = e / e.sum(axis=-2, keepdims=True)
     assert np.abs(w.sum(axis=-2) - 1.0).max() < 1e-7
@@ -123,7 +142,7 @@ def test_attention_and_conv_modules_record_no_shape_nodes(monkeypatch):
     att = nn.MultiHeadSelfAttention(8, 2, rng())
     conv = nn.DepthwiseConv1d(8, 3, rng())
     assert _recorded_ops(monkeypatch, lambda: att(x)) == [
-        "linear", "linear", "linear", "attention", "linear"]
+        "linear", "attention", "linear"]
     assert _recorded_ops(monkeypatch, lambda: conv(x)) == ["dwconv1d"]
 
 

@@ -335,25 +335,36 @@ def test_softplus_is_within_a_few_ulp_of_logaddexp(dtype, ulps):
     assert np.array_equal(got[:8], want[:8])  # the edges exactly
 
 
+def _packed(q, k, v):
+    """Lanes q, k and v ``[..., H, d, N]`` as one attention operand
+    ``[..., 3Hd, N]``: head 0's q, k and v rows, then head 1's, and so on."""
+    lanes = np.stack([q, k, v], axis=-3)  # [..., H, 3, d, N]
+    return lanes.reshape(lanes.shape[:-4] + (-1, lanes.shape[-1]))
+
+
+def _unpacked(qkv, heads):
+    """The q, k and v lanes ``[..., H, d, N]`` of a packed operand."""
+    lanes = qkv.reshape(qkv.shape[:-2] + (heads, 3, -1, qkv.shape[-1]))
+    return lanes[..., 0, :, :], lanes[..., 1, :, :], lanes[..., 2, :, :]
+
+
 def test_attention_matches_the_unfused_chain():
     rng = np.random.default_rng(4)
-    q, k, v = (Tensor(rng.normal(size=(2, 3, 4, 6))) for _ in range(3))
+    q, k, v = (rng.normal(size=(2, 3, 4, 6)) for _ in range(3))
     scale = 0.5
-    s = np.swapaxes(q.data, -1, -2) @ k.data * scale
+    s = np.swapaxes(q, -1, -2) @ k * scale
     e = np.exp(s - s.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
-    ctx = v.data @ np.swapaxes(p, -1, -2)
-    # the three heads of [2, 12, 6] operands are the [2, 3, 4, 6] lanes
-    q12, k12, v12 = (Tensor(t.data.reshape(2, 12, 6)) for t in (q, k, v))
-    got = T.attention(q12, k12, v12, 3, scale).data
+    ctx = v @ np.swapaxes(p, -1, -2)
+    # the three heads of a [2, 36, 6] operand are the [2, 3, 4, 6] lanes
+    got = T.attention(Tensor(_packed(q, k, v)), 3, scale).data
+    assert got.shape == (2, 12, 6)
     assert np.abs(got.reshape(ctx.shape) - ctx).max() < 1e-12
     buf = np.empty_like(p)
-    e = T._attention_exp(buf, q.data, k.data, scale)  # key-major: pᵀ
+    e = T._attention_exp(buf, q, k, scale)  # key-major: pᵀ
     assert e is buf
     assert np.abs(e / e.sum(axis=-2, keepdims=True)
                   - np.swapaxes(p, -1, -2)).max() < 1e-12
-    with pytest.raises(ValueError):
-        T.attention(q12, k12, Tensor(np.ones((2, 12, 5))), 3, scale)
 
 
 def _attention_in_one_go(q, k, v, g, scale):
@@ -387,16 +398,14 @@ def test_blocked_attention_is_bitwise_the_one_go_formula(dtype):
     rng = np.random.default_rng(11)
     q0, k0, v0, g = (rng.normal(size=shape).astype(dtype) for _ in range(4))
     want = _attention_in_one_go(q0, k0, v0, g, 0.3)
-    # the 5 heads of [4, 15, 64] operands are the [4, 5, 3, 64] lanes
-    merged = (4, 15, 64)
-    q, k, v = (Tensor(a.reshape(merged), requires_grad=True, dtype=dtype)
-               for a in (q0, k0, v0))
-    out = T.attention(q, k, v, 5, 0.3)
-    out.backward(g.reshape(merged))
+    # the 5 heads of a [4, 45, 64] operand are the [4, 5, 3, 64] lanes
+    qkv = Tensor(_packed(q0, k0, v0), requires_grad=True, dtype=dtype)
+    out = T.attention(qkv, 5, 0.3)
+    out.backward(g.reshape(4, 15, 64))
     with no_grad():
-        free = T.attention(*(Tensor(a.reshape(merged), dtype=dtype)
-                             for a in (q0, k0, v0)), 5, 0.3)
-    for got, ref in zip((out.data, q.grad, k.grad, v.grad, free.data),
+        free = T.attention(Tensor(_packed(q0, k0, v0), dtype=dtype), 5, 0.3)
+    assert qkv.grad.dtype == dtype
+    for got, ref in zip((out.data, *_unpacked(qkv.grad, 5), free.data),
                         want + (want[0],)):
         assert got.dtype == dtype
         assert np.array_equal(got.reshape(shape), ref)
@@ -406,11 +415,11 @@ def test_attention_without_a_tape_builds_no_whole_probability_array():
     # [216, 135, 135] float64 probabilities would be 31.5 MB; one block is
     # one lane, 146 KB, and the output 1.9 MB
     rng = np.random.default_rng(12)
-    q, k, v = (Tensor(rng.normal(size=(108, 16, 135))) for _ in range(3))
+    qkv = Tensor(rng.normal(size=(108, 48, 135)))
     with no_grad():
         tracemalloc.start()
         try:
-            T.attention(q, k, v, 2, 8 ** -0.5)
+            T.attention(qkv, 2, 8 ** -0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -422,39 +431,35 @@ def test_attention_gradient_over_several_lane_blocks(monkeypatch):
     # taped pass and in the no-grad passes of the central differences
     monkeypatch.setattr(T, "_CACHE_ELEMS", 2 * 5 * 5)
     rng = np.random.default_rng(13)
-    ops = [Tensor(rng.normal(size=(7, 3, 5)), requires_grad=True)
-           for _ in range(3)]
+    qkv = Tensor(rng.normal(size=(7, 9, 5)), requires_grad=True)
     w = Tensor(rng.normal(size=(7, 3, 5)))
-    err = check_function(lambda: T.tsum(T.mul(T.attention(*ops, 1, 0.6), w)),
-                         ops)
+    err = check_function(lambda: T.tsum(T.mul(T.attention(qkv, 1, 0.6), w)),
+                         [qkv])
     assert err < 1e-8
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_heads_split_inside_attention_bitwise_as_one_head_views(dtype):
-    # [2, 3, 12, 7] with 4 heads is [2, 3, 4, 3, 7] with one head each
+    # [2, 3, 36, 7] with 4 heads is [2, 3, 4, 9, 7] with one head each
     rng = np.random.default_rng(14)
-    q0, k0, v0, g = (rng.normal(size=(2, 3, 12, 7)).astype(dtype)
-                     for _ in range(4))
-    split = (2, 3, 4, 3, 7)
-    q, k, v = (Tensor(a, requires_grad=True, dtype=dtype) for a in (q0, k0, v0))
-    out = T.attention(q, k, v, 4, 0.7)
+    qkv0 = rng.normal(size=(2, 3, 36, 7)).astype(dtype)
+    g = rng.normal(size=(2, 3, 12, 7)).astype(dtype)
+    qkv = Tensor(qkv0, requires_grad=True, dtype=dtype)
+    out = T.attention(qkv, 4, 0.7)
     out.backward(g)
-    qs, ks, vs = (Tensor(a.reshape(split), requires_grad=True, dtype=dtype)
-                  for a in (q0, k0, v0))
-    ref = T.attention(qs, ks, vs, 1, 0.7)
-    ref.backward(g.reshape(split))
-    for got, want in ((out.data, ref.data), (q.grad, qs.grad),
-                      (k.grad, ks.grad), (v.grad, vs.grad)):
+    split = Tensor(qkv0.reshape(2, 3, 4, 9, 7), requires_grad=True, dtype=dtype)
+    ref = T.attention(split, 1, 0.7)
+    ref.backward(g.reshape(2, 3, 4, 3, 7))
+    for got, want in ((out.data, ref.data), (qkv.grad, split.grad)):
         assert got.dtype == dtype
         assert np.array_equal(got, want.reshape(got.shape))
 
 
 def test_attention_refuses_heads_that_do_not_divide_the_features():
-    q = Tensor(np.ones((2, 6, 4)))
-    for heads in (4, 0):
+    # the rows must split into q, k and v runs of equal length per head
+    for rows, heads in ((18, 4), (18, 0), (8, 1), (12, 3)):
         with pytest.raises(ValueError, match="heads"):
-            T.attention(q, q, q, heads, 1.0)
+            T.attention(Tensor(np.ones((2, rows, 4))), heads, 1.0)
 
 
 def test_finite_checks_raise_and_can_be_disabled():

@@ -246,9 +246,9 @@ def test_f32_step_stays_float32_end_to_end(monkeypatch):
 
 
 #: tape nodes one forward-plus-loss step of demos/toy.cfg records
-TOY_STEP_OPS = 133
+TOY_STEP_OPS = 129
 #: the same at the default RunConfig
-DEFAULT_STEP_OPS = 225
+DEFAULT_STEP_OPS = 217
 
 
 def _count_ops(monkeypatch) -> Counter:
@@ -302,8 +302,10 @@ def test_registry_names_tape_ops_only():
 
 
 def test_every_registered_op_runs_in_some_model_variant(monkeypatch):
-    # no registered op is dead code: each one is recorded by a train step
-    # (forward, loss, backward) or an eval features pass of some variant
+    # no registered op is dead code and no recorded op goes unregistered
+    # (so without a gradcheck case): the ops a train step (forward, loss,
+    # backward) or an eval features pass of some variant records are
+    # exactly the registered ones
     variants = [toggles for _, toggles in ABLATE_GRID] + [
         dict(srp_mode="separation"), dict(ma_intra=False),
         dict(ma_inter=False)]
@@ -319,7 +321,7 @@ def test_every_registered_op_runs_in_some_model_variant(monkeypatch):
         model.eval().features(images)
     expected = _ops_registered_in_tensor_py() | {"batch_norm"}
     assert len(expected) == 27
-    assert expected <= set(counts), sorted(expected - set(counts))
+    assert set(counts) == expected, sorted(set(counts) ^ expected)
 
 
 # -- finite checks ------------------------------------------------------------
