@@ -1,14 +1,15 @@
 """Why scan, not attend.
 
 The aggregation stage exists to mix long concatenated token sequences, and
-the scan is what keeps that affordable. Three views of the same fact here.
-The operation-count models say the scan grows linearly with tokens while
-attention grows quadratically. The wall clock agrees, timed on a
-one-thread BLAS pool: a larger pool can switch kernels partway through the
-length range and bend the curves. So does the memory one forward call
-leaves on the tape, which numpy reports to tracemalloc the same way on any
-machine: it doubles for the scan when the tokens double, and roughly
-quadruples for attention, whose node keeps its [N, N] softmax exponentials.
+the scan is what keeps that affordable. The operation-count models say the
+scan grows linearly with tokens while attention grows quadratically. The
+wall clock agrees, timed on a one-thread BLAS pool: a larger pool can
+switch kernels partway through the length range and bend the curves. The
+memory one forward call leaves on the tape, which numpy reports to
+tracemalloc the same way on any machine, doubles when the tokens double
+for both: attention's node keeps only its softmax shift and column sums,
+and its backward pass rebuilds the [N, N] exponentials, so attention pays
+for long sequences in time, not in held memory.
 """
 
 import os
@@ -47,7 +48,8 @@ att = bench_attention([512, 1024], reps=3, warmup=1, seed=0)
 print(f"\nattention doubling ratio t(1024)/t(512) = "
       f"{att[1].seconds / att[0].seconds:.2f} (a linear op would give 2)")
 
-print("\nheld tape memory of one forward call, ratio per doubling of tokens")
+print("\nheld tape memory of one forward call, ratio per doubling of tokens"
+      " (both linear: attention keeps no [N, N] array)")
 for label, module in (
         ("scan", SelectiveScan(16, d_state=16, dt_rank=16,
                                rng=np.random.default_rng(1))),

@@ -38,14 +38,23 @@ ABLATE_GRID = (
 )
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than ``low``, refused at parse
+    time with one ``error:`` line otherwise."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
 
 
 def _shared_flags(parser: argparse.ArgumentParser,
@@ -61,7 +70,7 @@ def _shared_flags(parser: argparse.ArgumentParser,
 
     parser.add_argument("--config", default=default(None),
                         help="key=value config file")
-    parser.add_argument("--seed", type=int, default=default(None),
+    parser.add_argument("--seed", type=_nonnegative_int, default=default(None),
                         help="run seed (default 0; eval: the checkpoint's)")
     parser.add_argument("--out", default=default(None),
                         help="output directory")

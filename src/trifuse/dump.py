@@ -11,6 +11,7 @@ The header has one tab-separated line per entry, arrays sorted by name:
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -27,13 +28,19 @@ _CODES = {dtype: code for code, dtype in _DTYPES.items()}
 
 def write_atomic(path: str, chunks) -> None:
     """Write the bytes-like ``chunks`` to ``path`` atomically: a reader or a
-    crash sees the old file or the new one, never a mix."""
+    crash sees the old file or the new one, never a mix. A write that
+    fails removes its temp file and re-raises."""
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.writelines(chunks)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
     fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
     try:
         os.fsync(fd)  # makes the rename itself durable

@@ -110,6 +110,6 @@ def attention_flops(dim: int, heads: int, k: int) -> int:
     """
     proj = 8 * dim * dim * k                  # q, k, v, o projections
     scores = 2 * k * k * dim                  # qk^T across heads
-    soft = 5 * heads * k * k                  # exp, sum, divide
+    soft = 5 * heads * k * k                  # exp, shift row, sums row
     ctx = 2 * k * k * dim                     # attention-weighted values
     return proj + scores + soft + ctx

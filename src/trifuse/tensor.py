@@ -26,13 +26,13 @@ Conventions used throughout the package:
   results once instead
 * attention reads one ``[..., 3D, N]`` in-projection whose rows run per
   head (head 0's query, key and value rows, then head 1's, and so on),
-  so each lane's q, k and v are views of one reshape and its gradient
-  is one array; it builds its softmax key-major, as ``[M, N]``
-  exponentials with the keys on rows, and normalizes the small
-  ``[d, N]`` output instead of the ``[M, N]`` block; it sweeps its lanes
-  (batch times heads) in blocks of at most ``_CACHE_ELEMS`` elements, so
-  each block stays in cache through all its passes: it builds, uses and,
-  with no tape to keep it, drops its exponentials block by block
+  so each lane is one reshape of it and its gradient is one array; it
+  sweeps its lanes (batch times heads) in blocks of at most
+  ``_CACHE_ELEMS`` elements, copying each block's q, k and v into one
+  contiguous buffer with a row of ones (or the softmax shift) added, so
+  its key-major ``[M, N]`` exponentials are one GEMM and one ``exp`` and
+  the output and its column sums one more GEMM; its tape keeps no
+  ``[N, N]`` array, and the VJP rebuilds the exponentials block by block
 * the scan builds its ``[..., D, S, K]``-sized arrays token-major, as
   ``[K, ..., S, D]``: its sweep steps over whole contiguous rows, and its
   sums over S or D are batched matmuls
@@ -811,22 +811,40 @@ def where_mask(mask: np.ndarray, a: Tensor, b) -> Tensor:
 # normalization and attention building blocks
 # ---------------------------------------------------------------------------
 
-def _attention_exp(e: np.ndarray, q: np.ndarray, k: np.ndarray,
-                   scale: float) -> np.ndarray:
-    """Write the key-major softmax numerators e = exp(kᵀ(q · scale) − column
-    max) into ``e [..., M, N]`` for ``q [..., d, N]`` and ``k [..., d, M]``:
-    column n over the M keys is query n's, and ``e / e.sum(axis=-2)`` its
-    probabilities."""
-    np.matmul(np.swapaxes(k, -1, -2), q * scale, out=e)
-    e -= e.max(axis=-2, keepdims=True)
-    return np.exp(e, out=e)
-
-
 def _qkv_rows(heads: int, dim: int) -> np.ndarray:
     """Row r of :func:`attention`'s ``[..., 3·dim, N]`` operand is row
     ``_qkv_rows(heads, dim)[r]`` of the q, k and v maps stacked in that
     order: head 0's q, k and v rows, then head 1's, and so on."""
     return np.arange(3 * dim).reshape(3, heads, -1).swapaxes(0, 1).ravel()
+
+
+def _attention_blocks(lanes: np.ndarray, scale: float, shift: np.ndarray,
+                      exact: bool = False):
+    """Yield ``(s, buf, e)`` for each block of the ``[L, 3, d, N]`` lanes:
+    the lane slice s, the block's contiguous ``[nb, 3, d+1, N]`` copy of
+    ``[q·scale; −shift]``, ``[k; 1]`` and ``[v; 1]``, and its key-major
+    softmax numerators ``e = exp([k; 1]ᵀ[q·scale; −shift])`` ``[nb, M, N]``,
+    one GEMM and one ``exp``. With ``exact`` the block first writes its
+    exact column maxima of kᵀ(q·scale) into ``shift[s]``. The buffers are
+    reused from block to block."""
+    n_lanes, _, d, n = lanes.shape
+    step = max(1, _CACHE_ELEMS // (n * n))  # lanes per block
+    buf = np.empty((min(n_lanes, step), 3, d + 1, n), dtype=lanes.dtype)
+    buf[:, 1:, d] = 1.0
+    e = np.empty((len(buf), n, n), dtype=lanes.dtype)
+    for m in range(0, n_lanes, step):
+        s = slice(m, m + step)
+        nb = min(step, n_lanes - m)
+        bb, eb = buf[:nb], e[:nb]
+        np.multiply(lanes[s, 0], scale, out=bb[:, 0, :d])
+        bb[:, 1:, :d] = lanes[s, 1:]
+        keys = np.swapaxes(bb[:, 1], -1, -2)
+        if exact:
+            bb[:, 0, d] = 0.0
+            np.matmul(keys, bb[:, 0], out=eb).max(axis=-2, out=shift[s])
+        np.negative(shift[s], out=bb[:, 0, d])
+        np.exp(np.matmul(keys, bb[:, 0], out=eb), out=eb)
+        yield s, bb, eb
 
 
 @_diffop("attention")
@@ -837,21 +855,26 @@ def attention(qkv: Tensor, heads: int, scale: float) -> Tensor:
     ``qkv`` ``[..., 3D, N]`` (leading axes are batch) holds, per head, its
     d = D / heads query rows, then key rows, then value rows
     (:func:`_qkv_rows`); the output is ``[..., D, N]``. The leading axes
-    times the heads flatten to L lanes whose q, k and v are views of one
-    ``[L, 3, d, N]`` reshape of the operand. Each lane builds its softmax
-    numerators e (:func:`_attention_exp`) with the keys on rows, so every
-    reduction and broadcast runs along whole contiguous rows, and
-    normalizes late: the output is ``(v @ e) / s`` with s the ``[1, N]``
-    column sums of e, a division of the small ``[d, N]`` result, not of
-    e. The lanes run in blocks whose ``[N, N]`` numerators fit
-    ``_CACHE_ELEMS``: each block builds its e, uses it and moves on, so
-    the softmax passes stay in cache. With a tape the node keeps the
-    whole e and the ``[L, 1, N]`` sums (and nothing else besides its
-    operand) and its VJP walks the same blocks, writing the gradients of
-    q, k and v into one ``[L, 3, d, N]`` array; without one, one block's
-    buffers are reused and no ``[L, N, N]`` array is ever built. Every
-    lane goes through the same numpy calls whatever the block, so the
-    block size never changes a bit of the output or the gradient.
+    times the heads flatten to L lanes, ``[L, 3, d, N]``, swept in blocks
+    whose ``[N, N]`` numerators fit ``_CACHE_ELEMS``
+    (:func:`_attention_blocks`). Each block copies ``[q·scale; −c]``,
+    ``[k; 1]`` and ``[v; 1]`` into one contiguous buffer, so the softmax
+    shift rides in the score GEMM and ``[v; 1] @ e`` gives the unnormalized
+    output and its ``[1, N]`` column sums s in one more GEMM; the output is
+    ``(v e) / s``. The shift is the Cauchy–Schwarz bound
+    c_n = scale·‖q_n‖·max_m‖k_m‖ ≥ every score of column n, so no
+    exponential overflows; a lane with a column sum below
+    ``N·tiny/eps``, where the bound overshot so far that the largest
+    exponential lost precision, runs again with its exact column maxima
+    as the shift. The node keeps its operand, the ``[L, N]`` shifts and
+    the ``[L, 1, N]`` sums, no ``[N, N]`` array; its VJP rebuilds each
+    block's e with the forward's own calls, bitwise, forms
+    ``[g/s; −δ]`` with δ = colsum(g ∘ out)/s for all lanes at once, and
+    gets the score gradient ``([v; 1]ᵀ[g/s; −δ]) ∘ e`` from one GEMM and
+    one multiply, writing the gradients of q, k and v into one
+    ``[L, 3, d, N]`` array. Every lane goes through the same numpy calls
+    whatever the block, so the block size never changes a bit of the
+    output or the gradient.
     """
     shape = qkv.data.shape
     rows, n = shape[-2:]
@@ -859,42 +882,47 @@ def attention(qkv: Tensor, heads: int, scale: float) -> Tensor:
         raise ValueError(f"{rows} rows do not split into 3 x {heads} heads")
     d = rows // (3 * heads)
     lanes = qkv.data.reshape(-1, 3, d, n)
-    ql, kl, vl = lanes[:, 0], lanes[:, 1], lanes[:, 2]
-    step = max(1, _CACHE_ELEMS // (n * n))  # lanes per block
-    blocks = [slice(m, m + step) for m in range(0, len(lanes), step)]
-    tape = _GRAD_ENABLED and qkv.requires_grad  # as _from_op decides
-    e = np.empty((len(lanes) if tape else min(len(lanes), step), n, n),
-                 dtype=lanes.dtype)
-    sums = np.empty((len(e), 1, n), dtype=lanes.dtype)
-    out = np.empty((len(lanes), d, n), dtype=lanes.dtype)
-    for s in blocks:
-        b = s if tape else slice(len(ql[s]))
-        _attention_exp(e[b], ql[s], kl[s], scale)
-        np.sum(e[b], axis=-2, keepdims=True, out=sums[b])
-        ob = np.matmul(vl[s], e[b], out=out[s])
-        ob /= sums[b]
+    sq = np.einsum("lidn,lidn->lin", lanes[:, :2], lanes[:, :2])  # ‖q‖², ‖k‖²
+    k2 = sq[:, 1].max(axis=-1, keepdims=True)
+    k2 *= scale * scale
+    shift = sq[:, 0] * k2
+    np.sqrt(shift, out=shift)
+
+    def sweep(lanes, shift, exact=False):  # (v e) / s and s
+        y = np.empty((len(lanes), d, n), dtype=lanes.dtype)
+        sums = np.empty((len(lanes), 1, n), dtype=lanes.dtype)
+        for s, buf, e in _attention_blocks(lanes, scale, shift, exact):
+            acc = np.matmul(buf[:, 2], e)  # [v; 1] @ e
+            sums[s] = acc[:, d:]
+            np.divide(acc[:, :d], sums[s], out=y[s])
+        return y, sums
+
+    with np.errstate(divide="ignore", invalid="ignore"):  # bad lanes rerun
+        y, sums = sweep(lanes, shift)
+    fi = np.finfo(lanes.dtype)
+    low = n * fi.tiny / fi.eps
+    if sums.min() < low:
+        bad = np.flatnonzero(sums.min(axis=-1) < low)
+        exact = np.empty((len(bad), n), dtype=lanes.dtype)
+        y[bad], sums[bad] = sweep(lanes[bad], exact, exact=True)
+        shift[bad] = exact
 
     def vjp(g):
-        gl = g.reshape(-1, d, n)
+        gd = np.empty((len(lanes), d + 1, n), dtype=lanes.dtype)  # [g/s; −δ]
+        gn = np.divide(g.reshape(-1, d, n), sums, out=gd[:, :d])
+        np.einsum("ldn,ldn->ln", gn, y, out=gd[:, d])
+        np.negative(gd[:, d], out=gd[:, d])
         grad = np.empty_like(lanes)
-        gz = np.empty_like(e[:step])
-        for s in blocks:
-            eb = e[s]
-            gn = gl[s] / sums[s]  # g through the normalization
-            np.matmul(gn, np.swapaxes(eb, -1, -2), out=grad[s, 2])
-            # d/d(kᵀq · scale) = e (vᵀgn − Σ_keys e vᵀgn / s)
-            gzb = np.matmul(np.swapaxes(vl[s], -1, -2), gn, out=gz[:len(eb)])
-            dot = np.einsum("...mn,...mn->...n", gzb, eb)
-            dot /= sums[s][:, 0]
-            gzb -= dot[:, None]
-            gzb *= eb
-            gqb = np.matmul(kl[s], gzb, out=grad[s, 0])
-            gqb *= scale
-            gkb = np.matmul(ql[s], np.swapaxes(gzb, -1, -2), out=grad[s, 1])
-            gkb *= scale
+        for s, buf, e in _attention_blocks(lanes, scale, shift):
+            np.matmul(gd[s, :d], np.swapaxes(e, -1, -2), out=grad[s, 2])
+            gz = np.matmul(np.swapaxes(buf[:, 2], -1, -2), gd[s])
+            gz *= e  # d/d(kᵀq · scale)
+            np.matmul(buf[:, 1, :d], gz, out=grad[s, 0])
+            np.matmul(buf[:, 0, :d], np.swapaxes(gz, -1, -2), out=grad[s, 1])
+        grad[:, 0] *= scale
         return (grad.reshape(shape),)
 
-    return Tensor._from_op(out.reshape(shape[:-2] + (rows // 3, n)), (qkv,),
+    return Tensor._from_op(y.reshape(shape[:-2] + (rows // 3, n)), (qkv,),
                            vjp, "attention")
 
 

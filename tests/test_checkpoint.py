@@ -169,6 +169,21 @@ def test_a_save_that_fails_midway_keeps_the_previous_checkpoint(
     assert load_checkpoint(ckpt)[1] == {"step": 2}
 
 
+def test_a_write_whose_sync_fails_leaves_the_old_file_and_no_temp(
+        tmp_path, monkeypatch):
+    path = tmp_path / "x.tsv"
+    path.write_bytes(b"old bytes\n")
+
+    def fail(fd):
+        raise OSError("sync failed")
+
+    monkeypatch.setattr(dump.os, "fsync", fail)
+    with pytest.raises(OSError, match="sync failed"):
+        dump.write_atomic(str(path), [b"new ", b"bytes\n"])
+    assert path.read_bytes() == b"old bytes\n"
+    assert os.listdir(tmp_path) == ["x.tsv"]
+
+
 # -- training resumption --------------------------------------------------
 
 def test_halted_run_resumes_bitwise(tmp_path):

@@ -350,6 +350,25 @@ def test_threads_below_one_is_refused_at_parse_time(value, capsys,
     assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
+@pytest.mark.parametrize("command", ["gradcheck", "train-toy", "eval"])
+@pytest.mark.parametrize("before", [True, False])
+def test_negative_seed_is_refused_at_parse_time(command, before, tmp_path,
+                                                capsys):
+    out = str(tmp_path / "run")
+    seed = ["--seed", "-1"]
+    argv = (seed + ["--out", out, command] if before
+            else ["--out", out, command] + seed)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error:" in line]
+    prog = "trifuse" if before else f"trifuse {command}"
+    assert errors == [f"{prog}: error: argument --seed: must be at least 0, "
+                      f"got -1"]
+    assert not os.path.exists(out)
+
+
 @pytest.mark.slow
 def test_ablate_grid_structure(tiny_cfg_path, tmp_path):
     out = str(tmp_path / "grid")

@@ -111,11 +111,14 @@ def test_mhsa_rows_stochastic_and_uniform_inputs():
     att = nn.MultiHeadSelfAttention(8, 4, rng())
     x = Tensor(np.ones((8, 5)))
     qkv = att.wqkv(x).data.reshape(4, 3, 2, 5)  # [head, qkv, d, n]
-    q, k = qkv[:, 0], qkv[:, 1]
-    e = T._attention_exp(np.empty((4, 5, 5)), q, k, 2 ** -0.5)  # [heads, keys, n]
-    w = e / e.sum(axis=-2, keepdims=True)
-    assert np.abs(w.sum(axis=-2) - 1.0).max() < 1e-7
-    assert np.abs(w - 1.0 / 5.0).max() < 1e-12  # identical tokens
+    qkv[:, 2] = 1.0  # values of ones read the weights' column sums
+    sums = T.attention(Tensor(qkv.reshape(24, 5)), 4, 2 ** -0.5).data
+    assert np.abs(sums - 1.0).max() < 1e-12
+    v = np.arange(40.0).reshape(4, 2, 5)
+    qkv[:, 2] = v  # identical tokens weigh every value alike
+    mean = T.attention(Tensor(qkv.reshape(24, 5)), 4, 2 ** -0.5).data
+    want = v.mean(axis=-1, keepdims=True)
+    assert np.abs(mean.reshape(v.shape) - want).max() < 1e-12
 
 
 def test_mhsa_rejects_indivisible_heads():

@@ -166,9 +166,10 @@ def test_scan_runtime_scales_linearly():
     assert r2 > 0.98
 
 
-def test_tape_memory_doubles_for_scan_and_quadruples_for_attention():
-    # a deterministic twin of the wall-clock fits: numpy reports its
-    # buffers to tracemalloc, so the ratios hold on any machine and load
+def test_tape_memory_doubles_for_scan_and_for_attention():
+    # numpy reports its buffers to tracemalloc, so the ratios hold on any
+    # machine and load; attention's time grows quadratically, but its node
+    # keeps no [N, N] array, so what it holds grows linearly
     lengths = [256, 512, 1024, 2048]
     scan = SelectiveScan(16, d_state=16, dt_rank=16,
                          rng=np.random.default_rng(1))
@@ -177,4 +178,4 @@ def test_tape_memory_doubles_for_scan_and_quadruples_for_attention():
 
     att = MultiHeadSelfAttention(16, 4, np.random.default_rng(2))
     held = np.array([held_bytes(att, n) for n in lengths], float)
-    assert np.all(np.abs(held[1:] / held[:-1] - 4.0) < 0.2), held
+    assert np.all(np.abs(held[1:] / held[:-1] - 2.0) < 0.05), held

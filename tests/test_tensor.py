@@ -276,17 +276,16 @@ def test_concat_axis_counts_from_the_end_and_is_range_checked():
 
 
 def _softmax_columns(scores: np.ndarray) -> np.ndarray:
-    """Key-major softmax of ``scores [M, N]`` over the M keys (axis -2)
-    through ``_attention_exp``: with k the identity, the scores kᵀq are q
-    itself."""
-    e = T._attention_exp(np.empty(scores.shape), scores,
-                         np.eye(len(scores)), 1.0)
-    return e / e.sum(axis=-2, keepdims=True)
+    """Key-major softmax of square ``scores [N, N]`` over the N keys (axis
+    -2) through the attention op: with k and v the identity, the scores kᵀq
+    are q itself and the output v p is p."""
+    eye = np.eye(len(scores))
+    return T.attention(Tensor(_packed(scores, eye, eye)), 1, 1.0).data
 
 
 def test_softmax_columns_sum_to_one():
-    s = _softmax_columns(np.random.default_rng(1).normal(size=(6, 4)) * 3)
-    assert s.shape == (6, 4)
+    s = _softmax_columns(np.random.default_rng(1).normal(size=(6, 6)) * 3)
+    assert s.shape == (6, 6)
     assert np.allclose(s.sum(axis=-2), 1.0, atol=1e-12)
     assert s.min() > 0
 
@@ -300,8 +299,8 @@ def test_sigmoid_and_softmax_stay_finite_at_extremes():
     y = T.silu(x).data  # x * sigmoid(x)
     assert np.isfinite(y).all()
     assert (y[0], y[2], y[4]) == (0.0, 0.0, 800.0)
-    spread = np.array([1.0, 10.0, 100.0])  # one per query column
-    scores = 1e3 + spread * np.random.default_rng(2).normal(size=(6, 3))
+    spread = np.array([1.0, 10.0, 100.0]).repeat(2)  # per query column
+    scores = 1e3 + spread * np.random.default_rng(2).normal(size=(6, 6))
     p = _softmax_columns(scores)
     assert np.isfinite(p).all()
     assert np.allclose(p.sum(axis=-2), 1.0, atol=1e-12)
@@ -350,43 +349,54 @@ def _unpacked(qkv, heads):
 
 def test_attention_matches_the_unfused_chain():
     rng = np.random.default_rng(4)
-    q, k, v = (rng.normal(size=(2, 3, 4, 6)) for _ in range(3))
+    q, k, v, g = (rng.normal(size=(2, 3, 4, 6)) for _ in range(4))
     scale = 0.5
-    s = np.swapaxes(q, -1, -2) @ k * scale
+    s = np.swapaxes(q, -1, -2) @ k * scale  # query-major [N, M]
     e = np.exp(s - s.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
     ctx = v @ np.swapaxes(p, -1, -2)
+    gp = np.swapaxes(g, -1, -2) @ v
+    gs = p * (gp - (p * gp).sum(axis=-1, keepdims=True)) * scale
+    want = (k @ np.swapaxes(gs, -1, -2), q @ gs, g @ p)  # gq, gk, gv
     # the three heads of a [2, 36, 6] operand are the [2, 3, 4, 6] lanes
-    got = T.attention(Tensor(_packed(q, k, v)), 3, scale).data
+    qkv = Tensor(_packed(q, k, v), requires_grad=True)
+    got = T.attention(qkv, 3, scale)
     assert got.shape == (2, 12, 6)
-    assert np.abs(got.reshape(ctx.shape) - ctx).max() < 1e-12
-    buf = np.empty_like(p)
-    e = T._attention_exp(buf, q, k, scale)  # key-major: pᵀ
-    assert e is buf
-    assert np.abs(e / e.sum(axis=-2, keepdims=True)
-                  - np.swapaxes(p, -1, -2)).max() < 1e-12
+    assert np.abs(got.data.reshape(ctx.shape) - ctx).max() < 1e-12
+    got.backward(g.reshape(2, 12, 6))
+    for gr, ref in zip(_unpacked(qkv.grad, 3), want):
+        assert np.abs(gr - ref).max() < 1e-12
 
 
-def _attention_in_one_go(q, k, v, g, scale):
+def _attention_in_one_go(qkv, heads, g, scale):
     """Output and gq, gk, gv of softmax attention over all lanes at once,
     in the numpy calls the blocked op makes on each block."""
-    e = np.swapaxes(k, -1, -2) @ (q * scale)
-    e -= e.max(axis=-2, keepdims=True)
-    np.exp(e, out=e)
-    sums = e.sum(axis=-2, keepdims=True)
-    out = v @ e
-    out /= sums
-    gn = g / sums
+    d, n = qkv.shape[-2] // (3 * heads), qkv.shape[-1]
+    lanes = qkv.reshape(-1, 3, d, n)
+    sq = np.einsum("lidn,lidn->lin", lanes[:, :2], lanes[:, :2])
+    k2 = sq[:, 1].max(axis=-1, keepdims=True)
+    k2 *= scale * scale
+    shift = sq[:, 0] * k2
+    np.sqrt(shift, out=shift)
+    buf = np.empty((len(lanes), 3, d + 1, n), dtype=qkv.dtype)
+    buf[:, 1:, d] = 1.0
+    np.multiply(lanes[:, 0], scale, out=buf[:, 0, :d])
+    buf[:, 1:, :d] = lanes[:, 1:]
+    np.negative(shift, out=buf[:, 0, d])
+    e = np.exp(np.swapaxes(buf[:, 1], -1, -2) @ buf[:, 0])
+    acc = buf[:, 2] @ e
+    sums = acc[:, d:].copy()
+    out = acc[:, :d] / sums
+    gd = np.empty_like(acc)
+    gn = np.divide(g.reshape(-1, d, n), sums, out=gd[:, :d])
+    np.einsum("ldn,ldn->ln", gn, out, out=gd[:, d])
+    np.negative(gd[:, d], out=gd[:, d])
     gv = gn @ np.swapaxes(e, -1, -2)
-    gz = np.swapaxes(v, -1, -2) @ gn
-    dot = np.einsum("...mn,...mn->...n", gz, e)
-    dot /= sums[..., 0, :]
-    gz -= dot[..., None, :]
+    gz = np.swapaxes(buf[:, 2], -1, -2) @ gd
     gz *= e
-    gq = k @ gz
+    gq = buf[:, 1, :d] @ gz
     gq *= scale
-    gk = q @ np.swapaxes(gz, -1, -2)
-    gk *= scale
+    gk = buf[:, 0, :d] @ np.swapaxes(gz, -1, -2)
     return out, gq, gk, gv
 
 
@@ -397,7 +407,7 @@ def test_blocked_attention_is_bitwise_the_one_go_formula(dtype):
     assert T._CACHE_ELEMS // 64 ** 2 == 8
     rng = np.random.default_rng(11)
     q0, k0, v0, g = (rng.normal(size=shape).astype(dtype) for _ in range(4))
-    want = _attention_in_one_go(q0, k0, v0, g, 0.3)
+    want = _attention_in_one_go(_packed(q0, k0, v0), 5, g, 0.3)
     # the 5 heads of a [4, 45, 64] operand are the [4, 5, 3, 64] lanes
     qkv = Tensor(_packed(q0, k0, v0), requires_grad=True, dtype=dtype)
     out = T.attention(qkv, 5, 0.3)
@@ -408,7 +418,7 @@ def test_blocked_attention_is_bitwise_the_one_go_formula(dtype):
     for got, ref in zip((out.data, *_unpacked(qkv.grad, 5), free.data),
                         want + (want[0],)):
         assert got.dtype == dtype
-        assert np.array_equal(got.reshape(shape), ref)
+        assert np.array_equal(got.reshape(shape), ref.reshape(shape))
 
 
 def test_attention_without_a_tape_builds_no_whole_probability_array():
@@ -436,6 +446,46 @@ def test_attention_gradient_over_several_lane_blocks(monkeypatch):
     err = check_function(lambda: T.tsum(T.mul(T.attention(qkv, 1, 0.6), w)),
                          [qkv])
     assert err < 1e-8
+
+
+def _underflow_lanes(big: float, dtype) -> np.ndarray:
+    """Two one-head lanes ``[2, 6, 2]`` (d = 2, N = 2). Lane 0's queries
+    are (big, 0) against keys (0, big) and (0.1, 0): the scores are 0 and
+    0.1·big, but the shift bound ‖q‖·max‖k‖ is big², so every exponential
+    of the bound-shifted softmax underflows. Lane 1 is ordinary."""
+    rng = np.random.default_rng(15)
+    q = np.array([[big, big], [0.0, 0.0]])
+    k = np.array([[0.0, 0.1], [big, 0.0]])
+    lane0 = np.concatenate([q, k, rng.normal(size=(2, 2))])
+    return np.stack([lane0, rng.normal(size=(6, 2))]).astype(dtype)
+
+
+def _max_shifted_attention(qkv: np.ndarray) -> np.ndarray:
+    q, k, v = qkv[:, 0:2], qkv[:, 2:4], qkv[:, 4:6]
+    z = np.swapaxes(k, -1, -2) @ q  # key-major scores, scale 1
+    e = np.exp(z - z.max(axis=-2, keepdims=True))
+    return v @ (e / e.sum(axis=-2, keepdims=True))
+
+
+@pytest.mark.parametrize("dtype, big, h, tol", [
+    (np.float64, 30.0, 1e-6, 1e-8),  # the bound overshoots by 897
+    (np.float32, 10.0, 1e-2, 1e-2),  # by 99
+])
+def test_attention_reruns_underflowed_lanes_with_their_exact_maxima(
+        dtype, big, h, tol):
+    lanes = _underflow_lanes(big, dtype)
+    overshoot = big * big - 0.1 * big
+    fi = np.finfo(dtype)
+    assert math.exp(-overshoot) < 2 * fi.tiny / fi.eps  # lane 0 reruns
+    got = T.attention(Tensor(lanes, dtype=dtype), 1, 1.0).data
+    assert got.dtype == dtype and np.isfinite(got).all()
+    want = _max_shifted_attention(lanes.astype(np.float64))
+    assert np.abs(got - want).max() < (1e-12 if dtype == np.float64 else 1e-5)
+    qkv = Tensor(lanes, requires_grad=True, dtype=dtype)
+    w = Tensor(np.random.default_rng(16).normal(size=(2, 2, 2)), dtype=dtype)
+    err = check_function(lambda: T.tsum(T.mul(T.attention(qkv, 1, 1.0), w)),
+                         [qkv], h=h)
+    assert err < tol
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
