@@ -209,6 +209,10 @@ def main(argv: list[str] | None = None) -> int:
         for var in _THREAD_VARS:
             os.environ[var] = str(args.threads)
     if args.precision == "f32":
+        if args.command == "gradcheck":
+            sys.exit("error: gradcheck runs in float64 only, its "
+                     "finite-difference steps and tolerances being "
+                     "float64's; drop --precision f32")
         import numpy as np
         from .tensor import set_default_dtype
         set_default_dtype(np.float32)

@@ -1,16 +1,19 @@
 """Reverse-mode autodiff on numpy arrays, sized for desk-scale experiments.
 
 The design is a dynamically recorded tape: every differentiable operation
-returns a tensor holding references to its parent tensors and a closure that
-maps the upstream gradient to parent gradients. ``backward`` walks the
-recorded graph once in reverse topological order and releases it as it
-goes: each node drops its closure, parents and gradient once its VJP has
-run, so after ``backward`` only leaves hold a ``.grad`` (each its own
-array) and a second ``backward`` through the same graph raises
-``RuntimeError``. There is no compilation and no GPU path; a few hot
-chains (``linear``, ``mlp``, ``attention``, ``selective_scan``) are
-fused into single hand-written nodes. The point is a core small enough to
-verify against central finite differences and fast enough for toy models.
+returns a tensor whose tape node holds the parents' nodes and a closure
+that maps the upstream gradient to parent gradients. A leaf is its own
+node. A node does not hold its op's output: the graph keeps only what the
+closures capture, so an intermediate tensor the caller drops is freed at
+once unless some VJP reads it. ``backward`` walks the recorded nodes once
+in reverse topological order and releases them as it goes: each node
+drops its closure, parents and gradient once its VJP has run, so after
+``backward`` only leaves hold a ``.grad`` (each its own array) and a
+second ``backward`` through the same graph raises ``RuntimeError``. There
+is no compilation and no GPU path; a few hot chains (``linear``, ``mlp``,
+``attention``, ``selective_scan``) are fused into single hand-written
+nodes. The point is a core small enough to verify against central finite
+differences and fast enough for toy models.
 
 Conventions used throughout the package:
 
@@ -46,7 +49,8 @@ from __future__ import annotations
 import ctypes
 import math
 import platform
-from typing import Callable, Iterable, Sequence
+import weakref
+from typing import Sequence
 
 import numpy as np
 
@@ -186,16 +190,42 @@ def _released(g):
                        "an earlier backward(); run the forward pass again")
 
 
+class _Node(weakref.ref):
+    """An op output's place on the tape: its VJP, its parents' nodes and
+    the gradient flowing into it, but not the output array itself.
+
+    The node is a weak reference to the output tensor, one object where
+    a node holding a reference would be two. ``data`` reads the output
+    while the tensor is alive and is empty once it is gone, so a walk
+    over ``_parents`` (as perfbench's ``tape_stats`` makes) sees the
+    outputs still held.
+    """
+
+    __slots__ = ("_parents", "_vjp", "grad")
+    requires_grad = True
+
+    @property
+    def data(self) -> np.ndarray:
+        out = self()
+        return _GONE if out is None else out.data
+
+
+_GONE = np.empty(0)
+
+
 class Tensor:
     """A dense array plus the bookkeeping reverse mode needs.
 
     Attributes:
         data: the underlying numpy array (row-major).
-        grad: accumulated gradient, same shape as ``data``, or None.
+        grad: accumulated gradient, same shape as ``data``, or None; only
+            a leaf (a tensor no op recorded) gets one from ``backward``.
         requires_grad: whether backward should reach this tensor.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "__weakref__")
+    #: a leaf is its own tape node, one without a VJP
+    _vjp = None
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype or _DEFAULT_DTYPE)
@@ -204,8 +234,7 @@ class Tensor:
             _check_finite(self.data, "tensor")
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp: Callable | None = None
+        self._node: _Node | None = None
 
     @classmethod
     def _from_op(cls, data: np.ndarray, parents: tuple, vjp, op: str) -> "Tensor":
@@ -214,15 +243,26 @@ class Tensor:
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
-        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+        # list comprehensions, not generators: this runs once per op
+        if _GRAD_ENABLED and any([p.requires_grad for p in parents]):
             out.requires_grad = True
-            out._parents = parents
-            out._vjp = vjp
+            node = out._node = _Node(out)
+            # a tensor no op recorded (a leaf or an untaped output) is its
+            # own node
+            node._parents = tuple([p if p._node is None else p._node
+                                   for p in parents])
+            node._vjp = vjp
+            node.grad = None
         else:
             out.requires_grad = False
-            out._parents = ()
-            out._vjp = None
+            out._node = None
         return out
+
+    @property
+    def _parents(self) -> tuple:
+        """The tape nodes of the tensors this one was computed from, or ()
+        for a leaf, an untaped output or a released node."""
+        return () if self._node is None else self._node._parents
 
     # ---- introspection ----
 
@@ -275,9 +315,10 @@ class Tensor:
             if grad.shape != self.data.shape:
                 raise ValueError("gradient seed shape mismatch")
 
-        topo: list[Tensor] = []
+        root = self if self._node is None else self._node
+        topo: list = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[object, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -288,10 +329,12 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if p.requires_grad and id(p) not in visited:
+                # a leaf (no VJP) needs no visit: the nodes it feeds write
+                # its gradient
+                if p._vjp is not None and id(p) not in visited:
                     stack.append((p, False))
 
-        self.grad = grad.copy() if self.grad is None else self.grad + grad
+        root.grad = grad.copy() if root.grad is None else root.grad + grad
         for node in reversed(topo):
             vjp, parents, g = node._vjp, node._parents, node.grad
             if vjp is None:
@@ -428,10 +471,11 @@ def add(a: Tensor, b) -> Tensor:
     a, b = a, _coerce(b, a)
     out = a.data + b.data
     na, nb = _needs((a, b))
+    ash, bsh = a.data.shape, b.data.shape
 
     def vjp(g):
-        return (_unbroadcast(g, a.data.shape) if na else None,
-                _unbroadcast(g, b.data.shape) if nb else None)
+        return (_unbroadcast(g, ash) if na else None,
+                _unbroadcast(g, bsh) if nb else None)
 
     return Tensor._from_op(out, (a, b), vjp, "add")
 
@@ -441,10 +485,11 @@ def sub(a: Tensor, b) -> Tensor:
     a, b = a, _coerce(b, a)
     out = a.data - b.data
     na, nb = _needs((a, b))
+    ash, bsh = a.data.shape, b.data.shape
 
     def vjp(g):
-        return (_unbroadcast(g, a.data.shape) if na else None,
-                _unbroadcast(-g, b.data.shape) if nb else None)
+        return (_unbroadcast(g, ash) if na else None,
+                _unbroadcast(-g, bsh) if nb else None)
 
     return Tensor._from_op(out, (a, b), vjp, "sub")
 
@@ -605,8 +650,12 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 @_diffop("mlp")
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """``w2 @ gelu(w1 @ x + b1) + b2`` as one tape node, GELU in its tanh
-    form, weights and biases lined up as :func:`linear`'s. It keeps the
-    pre-activation and gelu's tanh, and the hidden output only if w2 trains."""
+    form, weights and biases lined up as :func:`linear`'s. When x, w1 or
+    b1 needs a gradient, the taped forward forms GELU's derivative
+    gelu'(pre) and the node keeps that one hidden-size array, not the
+    pre-activation and the tanh it is made from; it keeps the hidden
+    output only if w2 trains."""
+    inner = _GRAD_ENABLED and any(_needs((x, w1, b1)))
     pre, first = _affine(w1, x.data, b1, x.requires_grad)
     # t = tanh(c * (pre + 0.044715 * pre**3)) in one buffer, pre**3 as multiplies
     t = pre * pre
@@ -618,11 +667,10 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     h = t + 1.0
     h *= pre
     h *= 0.5
-    out, second = _affine(w2, h, b2, nx=True)
-
-    def vjp(g):
-        gw2, gh, gb2 = second(g)
-        # gh * (0.5 (1 + t) + 0.5 pre (1 - t²) c (1 + 3 · 0.044715 pre²)) in
+    out, second = _affine(w2, h, b2, nx=inner)
+    d = None
+    if inner:
+        # d = 0.5 (1 + t) + 0.5 pre (1 - t²) c (1 + 3 · 0.044715 pre²) in
         # three buffers, each product and sum in the order the formula reads
         dinner = pre * (3.0 * 0.044715)
         dinner *= pre
@@ -636,8 +684,13 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         np.add(t, 1.0, out=d)
         d *= 0.5
         d += rest
-        d *= gh
-        gw1, gx, gb1 = first(d)
+
+    def vjp(g):
+        gw2, gh, gb2 = second(g)
+        if d is None:
+            return None, None, None, gw2, gb2
+        gh *= d
+        gw1, gx, gb1 = first(gh)
         return gx, gw1, gb1, gw2, gb2
 
     return Tensor._from_op(out, (x, w1, b1, w2, b2), vjp, "mlp")
@@ -762,13 +815,14 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     out = np.concatenate([np.broadcast_to(t.data, rest[:axis] + (s[axis],) + rest[axis:])
                           for t, s in zip(tensors, shapes)], axis=axis)
     offsets = np.cumsum([0] + [s[axis] for s in shapes])
+    own = [t.data.shape for t in tensors]
 
     def vjp(g):
         pieces = []
-        for i, t in enumerate(tensors):
+        for i, shape in enumerate(own):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(offsets[i], offsets[i + 1])
-            pieces.append(_unbroadcast(g[tuple(sl)], t.data.shape))
+            pieces.append(_unbroadcast(g[tuple(sl)], shape))
         return tuple(pieces)
 
     return Tensor._from_op(out, tuple(tensors), vjp, "concat")

@@ -23,7 +23,7 @@ from .model import FusionModel
 from .nn import locate_non_finite
 from .retrieval import RetrievalResult, evaluate
 from .synthetic import ReidData, SyntheticWorld
-from .tensor import NonFiniteError, Param, finite_checks
+from .tensor import NonFiniteError, Param, default_dtype, finite_checks
 
 _MODEL_STREAM = 11
 _BATCH_STREAM = 17
@@ -161,14 +161,15 @@ def _checkpoint_arrays(model: FusionModel, opt: Adam):
 
 
 class RestoreRefused(ValueError):
-    """A checkpoint missing, corrupt, or of another seed, config or layout."""
+    """A checkpoint missing, corrupt, or of another seed, config, precision
+    or layout."""
 
 
 def _restore(model: FusionModel, opt: Adam, directory: str, seed: int,
              cfg: RunConfig) -> int:
-    """Load a checkpoint trained with ``seed`` and the config ``cfg``
-    (compared by the sha256 of its ``config.cfg`` text); returns its
-    step."""
+    """Load a checkpoint trained with ``seed``, the config ``cfg``
+    (compared by the sha256 of its ``config.cfg`` text) and the default
+    dtype in force; returns its step."""
     try:
         arrays, meta = load_checkpoint(directory)
         if meta.get("seed") != seed:
@@ -179,6 +180,12 @@ def _restore(model: FusionModel, opt: Adam, directory: str, seed: int,
             raise ValueError(f"{directory} was trained with config sha256 "
                              f"{meta.get('config_sha256', '(none recorded)')}, "
                              f"not {digest}")
+        want = np.dtype(default_dtype())
+        other = sorted({arr.dtype.name for arr, _ in arrays.values()}
+                       - {want.name})
+        if other:
+            raise ValueError(f"{directory} was trained in "
+                             f"{', '.join(other)}, not {want.name}")
         model.load_state_dict({name[len("model."):]: entry
                                for name, entry in arrays.items()
                                if name.startswith("model.")})
@@ -232,8 +239,9 @@ def train(cfg: RunConfig, seed: int, out_dir: str,
     logs no row and writes no checkpoint, and the batch norm running
     statistics keep their values from before it.
 
-    The checkpoint records the seed and the sha256 of ``config.cfg``;
-    ``resume_from`` raises :class:`RestoreRefused` for one it may not load.
+    The checkpoint records the seed, the sha256 of ``config.cfg`` and
+    each array's dtype; ``resume_from`` raises :class:`RestoreRefused` for
+    one it may not load, one of another precision included.
     """
     model = build_model(cfg, seed)
     model.train()

@@ -319,6 +319,42 @@ def test_precision_flag_switches_dtype(tiny_cfg_path, tmp_path):
         set_default_dtype(np.float64)
 
 
+@pytest.mark.parametrize("command", ["eval", "resume"])
+def test_a_checkpoint_of_another_precision_is_refused_with_one_error_line(
+        tiny_cfg_path, tmp_path, command):
+    # resumed in float32, a float64 run would log float32 values from the
+    # checkpoint on: neither the f64 run nor an f32 one
+    out = str(tmp_path / "run")
+    main(_train_args(tiny_cfg_path, out, extra=["--halt-after", "2"]))
+    ckpt = os.path.join(out, "checkpoint")
+    resumed = str(tmp_path / "resumed")
+    argv = (["--out", out, "eval"] if command == "eval" else
+            _train_args(tiny_cfg_path, resumed, extra=["--resume-from", ckpt]))
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(["--precision", "f32"] + argv)
+    finally:
+        set_default_dtype(np.float64)
+    assert str(exc.value.code) == (
+        f"error: {ckpt} was trained in float64, not float32")
+    assert not os.path.exists(os.path.join(out, "eval_report.csv"))
+    assert not os.path.exists(os.path.join(resumed, "metrics.tsv"))
+
+
+def test_gradcheck_refuses_f32_with_one_error_line(tmp_path, capsys):
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(["--precision", "f32", "--out", str(tmp_path), "gradcheck"])
+        assert default_dtype() == np.float64
+    finally:
+        set_default_dtype(np.float64)
+    assert str(exc.value.code) == (
+        "error: gradcheck runs in float64 only, its finite-difference steps "
+        "and tolerances being float64's; drop --precision f32")
+    assert not os.listdir(tmp_path)
+    assert capsys.readouterr().out == ""
+
+
 def test_threads_flag_sets_environment(tiny_cfg_path, tmp_path, capsys):
     saved = {k: os.environ.get(k) for k in
              ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}

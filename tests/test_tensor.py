@@ -1,7 +1,9 @@
 """Autodiff core: op semantics, backward correctness, tape mechanics."""
 
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -101,6 +103,37 @@ def test_leaves_fed_by_one_add_own_their_gradients():
     assert not np.shares_memory(a.grad, b.grad)
     a.grad[0] = 5.0
     assert np.array_equal(b.grad, [1.0, 1.0, 1.0])
+
+
+def test_a_dropped_intermediate_is_freed_before_backward():
+    # the tape keeps what VJPs read, not op outputs: add and sum read no
+    # array, so the add's output dies with its tensor
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    w = Param(np.array([0.5, -1.0]))
+    y = T.add(x, w)
+    gone = weakref.ref(y), weakref.ref(y.data)
+    out = T.tsum(y)
+    del y
+    gc.collect()
+    assert gone[0]() is None and gone[1]() is None
+    assert out._parents[0].data.size == 0  # the node reads nothing now
+    out.backward()
+    assert np.array_equal(x.grad, [1.0, 1.0])
+    assert np.array_equal(w.grad, [1.0, 1.0])
+    with pytest.raises(RuntimeError, match="released"):
+        out.backward()
+
+
+def test_parents_walk_nodes_down_to_the_leaves():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    w = Param(np.array([0.5, -1.0]))
+    y = T.mul(x, w)
+    out = T.tsum(y)
+    (node,) = out._parents
+    assert node.data is y.data  # the output, read while y is alive
+    assert node._parents == (x, w)  # a leaf is its own node
+    assert not x._parents and not w._parents
+    assert y.grad is None  # an intermediate tensor never holds a gradient
 
 
 def test_broadcasting_unbroadcast():
