@@ -16,7 +16,8 @@ curve, whatever the scan itself does.
 Timings use medians over repetitions after warmup. They are inherently
 machine-dependent and are excluded from byte-determinism guarantees; the
 flops columns come from closed forms and are reproducible, and so is
-``held_bytes``, the memory a forward call leaves on its tape.
+``held_bytes``, the memory a forward call leaves on its tape, and
+``peak_bytes``, the most memory a call has in use at once.
 """
 
 from __future__ import annotations
@@ -66,6 +67,18 @@ def held_bytes(module, n: int, dim: int = 16) -> int:
     try:
         out = module(x)  # noqa: F841 -- held while the memory is read
         return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def peak_bytes(fn) -> int:
+    """The most bytes that ``fn()`` has allocated and not freed at any
+    moment of its run, numpy's buffers included; what was allocated
+    before the call does not count."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 

@@ -2,10 +2,12 @@
 
 The design is a dynamically recorded tape: every differentiable operation
 returns a tensor whose tape node holds the parents' nodes and a closure
-that maps the upstream gradient to parent gradients. A leaf is its own
-node. A node does not hold its op's output: the graph keeps only what the
-closures capture, so an intermediate tensor the caller drops is freed at
-once unless some VJP reads it. ``backward`` walks the recorded nodes once
+that maps the upstream gradient to parent gradients. A leaf that needs a
+gradient is its own node, and every parent that needs none shares one
+constant node. A node does not hold its op's output, nor an untaped
+input: the graph keeps only what the closures capture, so an
+intermediate tensor the caller drops is freed at once unless some VJP
+reads it. ``backward`` walks the recorded nodes once
 in reverse topological order and releases them as it goes: each node
 drops its closure, parents and gradient once its VJP has run, so after
 ``backward`` only leaves hold a ``.grad`` (each its own array) and a
@@ -36,6 +38,10 @@ Conventions used throughout the package:
   its key-major ``[M, N]`` exponentials are one GEMM and one ``exp`` and
   the output and its column sums one more GEMM; its tape keeps no
   ``[N, N]`` array, and the VJP rebuilds the exponentials block by block
+* ``mlp`` sweeps its lanes in blocks whose ``[hidden, N]`` matrices fit
+  ``_CACHE_ELEMS``, running both GEMMs, the biases, GELU and, with a
+  tape, GELU's derivative block by block through three reused buffers,
+  so a no-grad call builds no hidden-size array
 * the scan builds its ``[..., D, S, K]``-sized arrays token-major, as
   ``[K, ..., S, D]``: its sweep steps over whole contiguous rows, and its
   sums over S or D are batched matmuls
@@ -80,8 +86,8 @@ _DEFAULT_DTYPE = np.float64
 _GRAD_ENABLED = True
 _FINITE_CHECKS = True
 
-#: Elements in one block of attention lanes, small enough to stay in a
-#: core's cache (256 KB in float64)
+#: Elements in one block of attention or ``mlp`` lanes, small enough to
+#: stay in a core's cache (256 KB in float64)
 _CACHE_ELEMS = 1 << 15
 
 
@@ -213,6 +219,20 @@ class _Node(weakref.ref):
 _GONE = np.empty(0)
 
 
+class _Constant:
+    """The one tape node of every parent that needs no gradient: no
+    parents, no VJP and no gradient, so the tape holds no array of an
+    untaped input, which no VJP reads."""
+
+    __slots__ = ()
+    _parents = ()
+    _vjp = None
+    requires_grad = False
+
+
+_CONSTANT = _Constant()
+
+
 class Tensor:
     """A dense array plus the bookkeeping reverse mode needs.
 
@@ -247,10 +267,11 @@ class Tensor:
         if _GRAD_ENABLED and any([p.requires_grad for p in parents]):
             out.requires_grad = True
             node = out._node = _Node(out)
-            # a tensor no op recorded (a leaf or an untaped output) is its
-            # own node
-            node._parents = tuple([p if p._node is None else p._node
-                                   for p in parents])
+            # a leaf that needs a gradient is its own node, and a parent
+            # that needs none is the shared constant
+            node._parents = tuple([
+                _CONSTANT if not p.requires_grad else
+                p if p._node is None else p._node for p in parents])
             node._vjp = vjp
             node.grad = None
         else:
@@ -532,18 +553,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(out, (a, b), vjp, "matmul")
 
 
-def _affine(w: Tensor, x: np.ndarray, b: Tensor | None, nx: bool):
-    """``w @ x + b[:, None]`` on an array x, lined up by :func:`stack_shape`,
-    and its VJP ``g -> (gw, gx, gb)``, which keeps x only if w trains."""
-    if x.shape[-2] != w.shape[-1]:
-        raise ValueError(f"expected {w.shape[-1]} features, got {x.shape[-2]}")
-    wv = w.data.reshape(stack_shape(w.data.shape, x.ndim))
-    out = wv @ x
-    if b is not None:
-        bv = _column(b.data, out.ndim)
-        out += bv
+def _lined_up(w: Tensor, b: Tensor | None, width: int, ndim: int):
+    """w's array and b's column lined up by :func:`stack_shape` with an
+    input of ``ndim`` axes and ``width`` features, after checking the
+    width; the column is None when b is."""
+    if width != w.shape[-1]:
+        raise ValueError(f"expected {w.shape[-1]} features, got {width}")
+    wv = w.data.reshape(stack_shape(w.data.shape, ndim))
+    return wv, None if b is None else _column(b.data, max(ndim, wv.ndim))
+
+
+def _affine_vjp(w: Tensor, wv: np.ndarray, b: Tensor | None, bv,
+                x: np.ndarray | None, x_shape: tuple, nx: bool):
+    """VJP ``g -> (gw, gx, gb)`` of ``wv @ x + bv``, the lined-up arrays of
+    :func:`_lined_up`; it keeps x only if w trains."""
     nw, nb = w.requires_grad, b is not None and b.requires_grad
-    kept, x_shape = (x if nw else None), x.shape
+    kept = x if nw else None
 
     def vjp(g):
         gw = (_unbroadcast(g @ np.swapaxes(kept, -1, -2), wv.shape)
@@ -552,7 +577,7 @@ def _affine(w: Tensor, x: np.ndarray, b: Tensor | None, nx: bool):
         gb = _unbroadcast(g, bv.shape).reshape(b.data.shape) if nb else None
         return gw, gx, gb
 
-    return out, vjp
+    return vjp
 
 
 @_diffop("linear")
@@ -560,7 +585,12 @@ def linear(w: Tensor, x: Tensor, b: Tensor | None = None) -> Tensor:
     """Affine map ``w @ x + b[:, None]`` as one tape node: weight
     ``[out, in]``, input ``[..., in, N]``, optional bias ``[out]``; stacked
     ``[S, out, in]`` and ``[S, out]`` ones line up by :func:`stack_shape`."""
-    out, vjp = _affine(w, x.data, b, x.requires_grad)
+    xd = x.data
+    wv, bv = _lined_up(w, b, xd.shape[-2], xd.ndim)
+    out = wv @ xd
+    if bv is not None:
+        out += bv
+    vjp = _affine_vjp(w, wv, b, bv, xd, xd.shape, x.requires_grad)
     return Tensor._from_op(out, (w, x) if b is None else (w, x, b), vjp, "linear")
 
 
@@ -647,43 +677,114 @@ def relu(a: Tensor) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-@_diffop("mlp")
-def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """``w2 @ gelu(w1 @ x + b1) + b2`` as one tape node, GELU in its tanh
-    form, weights and biases lined up as :func:`linear`'s. When x, w1 or
-    b1 needs a gradient, the taped forward forms GELU's derivative
-    gelu'(pre) and the node keeps that one hidden-size array, not the
-    pre-activation and the tanh it is made from; it keeps the hidden
-    output only if w2 trains."""
-    inner = _GRAD_ENABLED and any(_needs((x, w1, b1)))
-    pre, first = _affine(w1, x.data, b1, x.requires_grad)
-    # t = tanh(c * (pre + 0.044715 * pre**3)) in one buffer, pre**3 as multiplies
-    t = pre * pre
+def _lane_blocks(lead: tuple, lane_elems: int):
+    """Blocks of at most ``_CACHE_ELEMS // lane_elems`` (at least one) of
+    the lanes of a ``lead`` shape, in C order.
+
+    Returns the largest block's shape and, per block, ``(index, part)``:
+    ``index`` is a basic index (a view) into an array whose leading axes
+    are ``lead``, and ``part`` cuts a buffer of the largest block's shape
+    down to the block's, which is smaller when the block is the ragged
+    end of its axis. A block runs whole over the trailing axes of lead
+    that fit and in runs of one axis before them."""
+    step = max(1, _CACHE_ELEMS // max(1, lane_elems))
+    j, inner = len(lead), 1
+    while j and inner * lead[j - 1] <= step:
+        j -= 1
+        inner *= lead[j]
+    if not j:
+        return lead, [((), slice(None))]
+    run, size = step // inner, lead[j - 1]
+    blocks = [(outer + (slice(m, m + run),), slice(min(run, size - m)))
+              for outer in np.ndindex(*lead[:j - 1])
+              for m in range(0, size, run)]
+    return (run,) + lead[j:], blocks
+
+
+def _gelu(pre: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
+    """Write GELU(pre) into ``out`` and tanh(c (pre + 0.044715 pre³)) into
+    ``t``, pre³ as multiplies."""
+    np.multiply(pre, pre, out=t)
     t *= pre
     t *= 0.044715
     t += pre
     t *= _GELU_C
     np.tanh(t, out=t)
-    h = t + 1.0
-    h *= pre
-    h *= 0.5
-    out, second = _affine(w2, h, b2, nx=inner)
-    d = None
-    if inner:
-        # d = 0.5 (1 + t) + 0.5 pre (1 - t²) c (1 + 3 · 0.044715 pre²) in
-        # three buffers, each product and sum in the order the formula reads
-        dinner = pre * (3.0 * 0.044715)
-        dinner *= pre
-        dinner += 1.0
-        dinner *= _GELU_C
-        d = t * t
-        np.subtract(1.0, d, out=d)
-        rest = pre * 0.5
-        rest *= d
-        rest *= dinner
-        np.add(t, 1.0, out=d)
-        d *= 0.5
-        d += rest
+    np.add(t, 1.0, out=out)
+    out *= pre
+    out *= 0.5
+
+
+def _gelu_derivative(pre: np.ndarray, t: np.ndarray, spare: np.ndarray,
+                     out: np.ndarray) -> None:
+    """Write gelu'(pre) = 0.5 (1 + t) + 0.5 pre (1 - t²) c (1 + 3 · 0.044715
+    pre²) into ``out``, t as :func:`_gelu` leaves it, each product and sum in
+    the order the formula reads; ``spare`` and then ``pre`` are
+    overwritten."""
+    dinner = np.multiply(pre, 3.0 * 0.044715, out=spare)
+    dinner *= pre
+    dinner += 1.0
+    dinner *= _GELU_C
+    np.multiply(t, t, out=out)
+    np.subtract(1.0, out, out=out)
+    rest = np.multiply(pre, 0.5, out=pre)
+    rest *= out
+    rest *= dinner
+    np.add(t, 1.0, out=out)
+    out *= 0.5
+    out += rest
+
+
+@_diffop("mlp")
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``w2 @ gelu(w1 @ x + b1) + b2`` as one tape node, GELU in its tanh
+    form, weights and biases lined up as :func:`linear`'s.
+
+    A lane is one ``[D, N]`` matrix of the broadcast leading axes of x and
+    the weight stacks. The op sweeps the lanes in blocks of
+    ``_CACHE_ELEMS // (hidden·N)`` (:func:`_lane_blocks`); each block runs
+    the w1 GEMM and its bias, GELU's tanh passes and the w2 GEMM and its
+    bias into its slice of the output, reusing three block-sized buffers,
+    so a no-grad call builds no hidden-size array. When x, w1 or b1 needs
+    a gradient, the taped block then writes GELU's derivative gelu'(pre)
+    into its slice of the one hidden-size array the node keeps for that,
+    in place of the pre-activation and the tanh it is made from; the
+    block writes its hidden output into a kept array only if the call is
+    taped and w2 trains. The VJP runs on the whole arrays. Every lane goes
+    through the same numpy calls whatever the block, so the block size
+    never changes a bit of the output or the gradients."""
+    xd = x.data
+    wv1, bv1 = _lined_up(w1, b1, xd.shape[-2], xd.ndim)
+    hidden, n = wv1.shape[-2], xd.shape[-1]
+    wv2, bv2 = _lined_up(w2, b2, hidden, max(xd.ndim, wv1.ndim))
+    lead = np.broadcast(xd[..., :1, :1], wv1[..., :1, :1],
+                        wv2[..., :1, :1]).shape[:-2]
+    hid = lead + (hidden, n)
+    dtype = np.result_type(wv1, xd)
+    out = np.empty(lead + (wv2.shape[-2], n), np.result_type(wv2, dtype))
+    inner = _GRAD_ENABLED and any(_needs((x, w1, b1)))
+    d = np.empty(hid, dtype) if inner else None
+    kept = np.empty(hid, dtype) if _GRAD_ENABLED and w2.requires_grad else None
+    shape, blocks = _lane_blocks(lead, hidden * n)
+    bufs = [np.empty(shape + (hidden, n), dtype) for _ in range(3)]
+    # a block indexes an array over all of lead; one without lead axes
+    # goes whole into every block, broadcast by numpy as one block would
+    arrays = [a if a.ndim == 2 or a.shape[:-2] == lead or len(blocks) == 1
+              else np.broadcast_to(a, lead + a.shape[-2:])
+              for a in (xd, wv1, bv1, wv2, bv2)]
+    for i, part in blocks:
+        xb, w1b, b1b, w2b, b2b = [a if a.ndim == 2 else a[i] for a in arrays]
+        pre, t, spare = [b[part] for b in bufs]
+        h = spare if kept is None else kept[i]
+        np.matmul(w1b, xb, out=pre)
+        pre += b1b
+        _gelu(pre, t, h)
+        y = np.matmul(w2b, h, out=out[i])
+        y += b2b
+        if d is not None:
+            _gelu_derivative(pre, t, spare, d[i])
+    first = _affine_vjp(w1, wv1, b1, bv1, xd, xd.shape, x.requires_grad)
+    second = _affine_vjp(w2, wv2, b2, bv2, kept, hid, inner)
 
     def vjp(g):
         gw2, gh, gb2 = second(g)

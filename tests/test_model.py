@@ -2,11 +2,11 @@
 
 import dataclasses
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from trifuse.bench import peak_bytes
 from trifuse.config import RunConfig, load_config
 from trifuse.model import FusionModel
 from trifuse.prompts import MODALITIES
@@ -193,12 +193,20 @@ def test_eval_pass_memory_does_not_grow_with_the_split():
     rng = np.random.default_rng(6)
     images = rng.normal(size=(36, len(MODALITIES), cfg.channels, 64, 32)
                         ).swapaxes(0, 1)
-    peaks = []
-    for count in (12, 36):
-        tracemalloc.start()
-        try:
-            model.features(images[:, :count])
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [peak_bytes(lambda: model.features(images[:, :count]))
+             for count in (12, 36)]
     assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def test_gallery_eval_pass_peaks_below_the_hidden_size_arrays():
+    # gallery_eval's 128 gallery samples run as one chunk. Its peak was
+    # set by mlp's three whole [3, 128, 64, 15] hidden arrays, 12.2 MB;
+    # with mlp in lane blocks it is the scan's, 7.7 MB
+    cfg = dataclasses.replace(load_config(TOY_CFG), num_ids=32,
+                              eval_instances_per_id=6, eval_queries_per_id=2)
+    model = build_model(cfg, 1).eval()
+    rng = np.random.default_rng(7)
+    images = rng.normal(size=(len(MODALITIES), 128, cfg.channels,
+                              cfg.image_h, cfg.image_w))
+    peak = peak_bytes(lambda: model.features(images))
+    assert peak < 8.5e6, peak

@@ -5,7 +5,7 @@ import pytest
 
 from trifuse import nn
 from trifuse import tensor as T
-from trifuse.bench import held_bytes
+from trifuse.bench import held_bytes, peak_bytes
 from trifuse.tensor import Param, Tensor
 
 
@@ -180,6 +180,17 @@ def test_mlp_keeps_its_hidden_output_only_for_the_second_weight():
     # the derivative, plus the [16, N] output: not the pre-activation and
     # the tanh besides
     assert one_hidden <= held[1] < 2 * one_hidden
+
+
+def test_mlp_without_a_tape_builds_no_hidden_size_array():
+    # one gallery eval chunk's FFN: the [3, 128, 64, 15] hidden arrays are
+    # 2.9 MB each; the lane blocks' three buffers are 0.26 MB each and the
+    # output 0.74 MB. A trained w2 changes nothing without a tape
+    mlp = nn.Mlp(16, 64, rng())
+    x = Tensor(rng().normal(size=(3, 128, 16, 15)))
+    with T.no_grad():
+        peak = peak_bytes(lambda: mlp(x))
+    assert mlp.w2.requires_grad and peak < 2e6, peak
 
 
 def test_module_traversal_and_state_roundtrip():

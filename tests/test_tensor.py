@@ -2,13 +2,13 @@
 
 import gc
 import math
-import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from trifuse import tensor as T
+from trifuse.bench import peak_bytes
 from trifuse.gradcheck import check_function
 from trifuse.tensor import (NonFiniteError, Param, Tensor, no_grad)
 
@@ -122,6 +122,22 @@ def test_a_dropped_intermediate_is_freed_before_backward():
     assert np.array_equal(w.grad, [1.0, 1.0])
     with pytest.raises(RuntimeError, match="released"):
         out.backward()
+
+
+def test_an_untaped_input_is_freed_once_dropped():
+    # c needs no gradient, and the add and the sum read no array, so the
+    # tape holds nothing of c; the gradient of w (c + w) is c + 2w
+    x = Tensor(np.array([0.5, -2.0]))
+    w = Param(np.array([1.5, 0.25]))
+    c = T.exp(x)
+    want = c.data + 2.0 * w.data
+    out = T.tsum(T.mul(w, T.add(c, w)))
+    gone = weakref.ref(c), weakref.ref(c.data)
+    del c
+    gc.collect()
+    assert gone[0]() is None and gone[1]() is None
+    out.backward()
+    assert np.array_equal(w.grad, want)
 
 
 def test_parents_walk_nodes_down_to_the_leaves():
@@ -247,32 +263,47 @@ def _unfused(x, w1, b1, w2, b2, g):
 
 
 #: input shape and lead axes of the stacked maps: a batch through one map,
-#: three streams through one map each, the prompt bank's [3, 2] maps
-MLP_LAYOUTS = {"batched": ((4, 4, 16), ()), "stacked": ((3, 2, 4, 16), (3,)),
-               "bank": ((3, 1, 4, 8), (3, 2))}
+#: three streams through one map each, and the prompt bank's input
+#: broadcast over its maps (the bank has [3, 2]; [3, 3] lets a block end
+#: ragged, as three or more blocks of a [3, 2] lead are single lanes or
+#: whole rows)
+MLP_LAYOUTS = {"batched": ((5, 4, 16), ()), "stacked": ((3, 3, 4, 16), (3,)),
+               "bank": ((3, 1, 4, 8), (3, 3))}
 
 
 @pytest.mark.parametrize("w2_frozen", [False, True], ids=["w2", "w2_frozen"])
 @pytest.mark.parametrize("layout", sorted(MLP_LAYOUTS))
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_mlp_is_the_unfused_chain_bitwise(dtype, layout, w2_frozen):
+def test_mlp_is_the_unfused_chain_bitwise(monkeypatch, dtype, layout,
+                                          w2_frozen):
     shape, lead = MLP_LAYOUTS[layout]
     rng = np.random.default_rng(len(shape))
     arrays = [rng.normal(size=s).astype(dtype)
               for s in (shape, lead + (6, 4), lead + (6,), lead + (4, 6),
                         lead + (4,))]
-    tensors = [Tensor(a, requires_grad=not (w2_frozen and i >= 3),
-                      dtype=dtype) for i, a in enumerate(arrays)]
-    out = T.mlp(*tensors)
-    seed = rng.normal(size=out.shape).astype(dtype)
-    want, grads = _unfused(*arrays, seed)
-    assert out.data.dtype == dtype and np.array_equal(out.data, want)
-    out.backward(seed)
-    for i, (t, gr) in enumerate(zip(tensors, grads)):
-        if w2_frozen and i >= 3:
-            assert t.grad is None
-        else:
-            assert t.grad.dtype == dtype and np.array_equal(t.grad, gr), i
+    lanes = np.broadcast_shapes(shape[:-2], lead)
+    # the whole call in one block, then two lanes a block: at least 3
+    # blocks, the last one ragged
+    for budget in (None, 2 * 6 * shape[-1]):
+        if budget:
+            monkeypatch.setattr(T, "_CACHE_ELEMS", budget)
+        _, blocks = T._lane_blocks(lanes, 6 * shape[-1])
+        assert (len(blocks) >= 3 and blocks[-1][1].stop < blocks[0][1].stop
+                if budget else len(blocks) == 1), blocks
+        tensors = [Tensor(a, requires_grad=not (w2_frozen and i >= 3),
+                          dtype=dtype) for i, a in enumerate(arrays)]
+        out = T.mlp(*tensors)
+        seed = rng.normal(size=out.shape).astype(dtype)
+        want, grads = _unfused(*arrays, seed)
+        assert out.data.dtype == dtype and np.array_equal(out.data, want)
+        with no_grad():
+            assert np.array_equal(T.mlp(*tensors).data, want)
+        out.backward(seed)
+        for i, (t, gr) in enumerate(zip(tensors, grads)):
+            if w2_frozen and i >= 3:
+                assert t.grad is None
+            else:
+                assert t.grad.dtype == dtype and np.array_equal(t.grad, gr), i
 
 
 def test_reductions_and_argextremes():
@@ -460,12 +491,7 @@ def test_attention_without_a_tape_builds_no_whole_probability_array():
     rng = np.random.default_rng(12)
     qkv = Tensor(rng.normal(size=(108, 48, 135)))
     with no_grad():
-        tracemalloc.start()
-        try:
-            T.attention(qkv, 2, 8 ** -0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(lambda: T.attention(qkv, 2, 8 ** -0.5))
     assert peak < 4e6, peak
 
 
