@@ -108,13 +108,13 @@ class FusionModel(Module):
         ``forward_batch``'s rows stacked: the class-token feature, with the
         fused feature below it when aggregation is enabled. The samples run
         in chunks of ``_EVAL_CHUNK_PIXELS // (H * W)`` (at least one), so
-        the pass's working memory, the scans' ``[3, B, D, S, N]`` states
-        above all, does not grow with the split. Every column depends on its
-        own sample only, so the chunks give the one-pass matrix bitwise. The
-        pass runs without per-op finite checks or numpy floating-point
-        warnings and checks the returned matrix once; if that fails, the
-        pass runs again with per-op checks to name the op and module at
-        fault.
+        the pass's working memory, every layer's ``[3, B, D, N]`` columns
+        and the scans' ``[3, B, S, D]`` state rows, does not grow with the
+        split. Every column depends on its own sample only, so the chunks
+        give the one-pass matrix bitwise. The pass runs without per-op
+        finite checks or numpy floating-point warnings and checks the
+        returned matrix once; if that fails, the pass runs again with
+        per-op checks to name the op and module at fault.
         """
         _, b, _, h, w = images.shape
         step = max(1, _EVAL_CHUNK_PIXELS // (h * w))

@@ -14,9 +14,10 @@ form bbarx = delta * b * x, as Mamba does.
 
 ``SelectiveScan`` computes delta, b and c and hands them, with x, a_log
 and skip, to the tensor core's ``selective_scan``: one tape node that
-discretizes, sweeps the states once over the tokens, contracts them with
-c and adds the skip, and whose VJP runs the adjoint recurrence down the
-same sweep in reverse.
+discretizes, sweeps the states once over the tokens in cache-sized
+chunks, contracts them with c and adds the skip. It keeps only the state
+entering each chunk, and its VJP rebuilds each chunk's decays and states
+and runs the adjoint recurrence down them in reverse.
 ``scan_sequential`` builds the same function of the same six operands from
 tape primitives and a plain loop over tokens. It is the test oracle only:
 the two must agree in value and gradient to near machine precision, and

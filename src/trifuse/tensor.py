@@ -42,9 +42,11 @@ Conventions used throughout the package:
   ``_CACHE_ELEMS``, running both GEMMs, the biases, GELU and, with a
   tape, GELU's derivative block by block through three reused buffers,
   so a no-grad call builds no hidden-size array
-* the scan builds its ``[..., D, S, K]``-sized arrays token-major, as
-  ``[K, ..., S, D]``: its sweep steps over whole contiguous rows, and its
-  sums over S or D are batched matmuls
+* the scan builds its ``[..., D, S, K]``-sized arrays token-major, in
+  ``[T, ..., S, D]`` chunks of T tokens that fit ``_CACHE_ELEMS``: its
+  sweep steps over whole contiguous rows, and its sums over S or D are
+  batched matmuls; its tape keeps the state entering each chunk, not the
+  decays and states, and the VJP rebuilds those chunk by chunk
 * importing this module fixes glibc's allocator thresholds for the
   process, so the arrays a step frees stay in the heap for the next step
   (``_keep_freed_memory``)
@@ -86,8 +88,9 @@ _DEFAULT_DTYPE = np.float64
 _GRAD_ENABLED = True
 _FINITE_CHECKS = True
 
-#: Elements in one block of attention or ``mlp`` lanes, small enough to
-#: stay in a core's cache (256 KB in float64)
+#: Elements in one block of attention or ``mlp`` lanes, or in one chunk
+#: of the scan's decays or states, small enough to stay in a core's cache
+#: (256 KB in float64)
 _CACHE_ELEMS = 1 << 15
 
 
@@ -1169,6 +1172,22 @@ def _sweep(a: np.ndarray, h: np.ndarray) -> np.ndarray:
     return h
 
 
+def _chunk_states(dt: np.ndarray, dx: np.ndarray, bt: np.ndarray,
+                  a_row: np.ndarray, h_prev: np.ndarray | None,
+                  abar: np.ndarray, h: np.ndarray) -> None:
+    """Write one chunk's decays exp(delta a) into ``abar`` and its states
+    into ``h``, both ``[T, ..., S, D]``, from the chunk's T rows of
+    token-major delta ``dt``, delta·x ``dx`` and b ``bt``. ``h_prev`` is
+    the state before the chunk's first token, None at the sequence's
+    first token."""
+    np.multiply(dt[..., None, :], a_row, out=abar)
+    np.exp(abar, out=abar)
+    np.multiply(dx[..., None, :], bt[..., None], out=h)
+    if h_prev is not None:
+        h[0] += abar[0] * h_prev
+    _sweep(abar[1:], h)
+
+
 def _tokens_first(v: np.ndarray) -> np.ndarray:
     """``v [..., K]`` laid out contiguous as ``[K, ...]``: a copy, or a view
     of ``v`` when that layout is contiguous already."""
@@ -1192,11 +1211,24 @@ def selective_scan(x: Tensor, delta: Tensor, a_log: Tensor, b: Tensor,
     for x, delta ``[..., D, K]`` and b, c ``[..., S, K]`` on the same
     leading axes; ``a_log`` ``[(L,) D, S]`` and ``skip`` ``[(L,) D]`` line
     up by :func:`stack_shape`. Only the small operands are transposed:
-    the states are built token-major, ``[K, ..., S, D]``, so the sweep
-    steps over whole contiguous rows and every sum over S or D is a
-    batched matmul. The VJP runs the adjoint recurrence down the same rows
-    in reverse. Besides token-major copies of its small operands the node
-    keeps only h and the decays abar = exp(delta a)."""
+    the decays abar = exp(delta a) and the states h are built
+    token-major, ``[T, ..., S, D]``, so the sweep steps over whole
+    contiguous rows and every sum over S or D is a batched matmul.
+
+    The tokens run in chunks of T = ``_CACHE_ELEMS // (lanes·S·D)``, at
+    least one, so that a chunk's abar and h stay in cache. Each chunk
+    fills the same two buffers (:func:`_chunk_states`), carrying in the
+    state the chunk before it left, and writes its rows of y with one
+    batched matmul, so a no-grad call builds nothing ``[K, ..., S, D]``
+    in size. The node keeps token-major copies of the small operands and
+    the state entering each chunk after the first, not abar and h; the
+    VJP walks the chunks in reverse, rebuilds each one's abar and h with
+    the forward's calls, bitwise, and runs the adjoint recurrence down
+    its rows in reverse, carrying abar·ghat over each chunk edge. A call
+    of one chunk keeps its abar and h and rebuilds nothing. A chunk
+    makes on its rows the calls one whole-sequence chunk would, so the
+    chunk length changes no bit of the output or of the gradients except
+    a_log's, which is summed chunk by chunk."""
     xd = x.data
     if (delta.shape != xd.shape or c.shape != b.shape
             or b.shape[:-2] + b.shape[-1:] != xd.shape[:-2] + xd.shape[-1:]):
@@ -1207,39 +1239,82 @@ def selective_scan(x: Tensor, delta: Tensor, a_log: Tensor, b: Tensor,
     a_row = np.swapaxes(a, -1, -2)                       # [(L,) S, D]
     a_row = a_row.reshape(stack_shape(a_row.shape, xd.ndim))
     dx = dt * xt                                         # [K, ..., D]
-    abar = dt[..., None, :] * a_row                      # [K, ..., S, D]
-    np.exp(abar, out=abar)
-    h = _sweep(abar[1:], dx[..., None, :] * bt[..., None])
+    k, rows = len(xt), xd.shape[:-2] + b.shape[-2:-1] + xd.shape[-2:-1]
+    step = max(1, _CACHE_ELEMS // math.prod(rows))       # tokens per chunk
+    chunks = [slice(m, min(m + step, k)) for m in range(0, k, step)]
+    dtype = np.result_type(dx, bt, a_row)
+    abar, h = (np.empty((min(k, step),) + rows, dtype) for _ in range(2))
+    ys = xt.shape[:-1] + (1, xt.shape[-1])               # [K, ..., 1, D]
+    yt = np.empty(ys, dtype)
+    needs = _needs((x, delta, a_log, b, c, skip))
+    nx, ndelta, na, nb, nc, ns = needs
+    taped = _GRAD_ENABLED and any(needs)
+    entry = [None]  # the state entering each chunk; untaped, the next only
+    for s in chunks:
+        n = s.stop - s.start
+        _chunk_states(dt[s], dx[s], bt[s], a_row, entry[-1], abar[:n], h[:n])
+        np.matmul(ct[s, ..., None, :], h[:n], out=yt[s])
+        if s.stop < k:
+            if not taped:
+                entry.pop()
+            entry.append(h[n - 1].copy())
     skip_col = _column(skip.data, xd.ndim)
     out = skip_col * xd
-    out += np.moveaxis((ct[..., None, :] @ h)[..., 0, :], 0, -1)
-    nx, ndelta, na, nb, nc, ns = _needs((x, delta, a_log, b, c, skip))
+    out += np.moveaxis(yt[..., 0, :], 0, -1)
+    kept = (abar, h) if len(chunks) == 1 else None
 
     def vjp(g):
         gt = _tokens_first(g)
-        # adjoint recurrence: ghat_k = dL/dh_k + abar_{k+1} * ghat_{k+1}
-        ghat = ct[..., None] * gt[..., None, :]
-        _sweep(abar[:0:-1], ghat[::-1])
-        q = (bt[..., None, :] @ ghat)[..., 0, :]         # dL/d(delta x)
-        gb = _tokens_last((ghat @ dx[..., None])[..., 0]) if nb else None
-        gc = _tokens_last((h @ gt[..., None])[..., 0]) if nc else None
-        # dL/d(delta a) through abar = exp(delta a) is ghat_k h_{k-1} abar_k;
-        # times a, u holds each (d, s) share of dL/d delta and dL/da_log
-        u = ghat
-        u[0] = 0.0
-        u[1:] *= h[:-1]
-        u[1:] *= abar[1:]
-        u *= a_row
+        abar, h = kept or [np.empty((step,) + rows, dtype) for _ in range(2)]
+        ghat_buf = np.empty(abar.shape, dtype)
+        q = np.empty(ys, dtype)                          # dL/d(delta x)
+        gbt = np.empty(bt.shape + (1,), dtype) if nb else None
+        gct = np.empty(ct.shape + (1,), dtype) if nc else None
+        su = np.empty(dt.shape, dtype) if ndelta else None  # u summed over S
+        ones = np.ones(rows[-2], dtype)
+        ga = carry = None
+        for s, h_prev in zip(reversed(chunks), reversed(entry)):
+            n = s.stop - s.start
+            ab, hc, ghat = abar[:n], h[:n], ghat_buf[:n]
+            if kept is None:
+                _chunk_states(dt[s], dx[s], bt[s], a_row, h_prev, ab, hc)
+            # adjoint recurrence: ghat_k = dL/dh_k + abar_{k+1} * ghat_{k+1}
+            np.multiply(ct[s, ..., None], gt[s, ..., None, :], out=ghat)
+            if carry is not None:
+                ghat[n - 1] += carry
+            _sweep(ab[:0:-1], ghat[::-1])
+            if h_prev is not None:
+                carry = ab[0] * ghat[0]
+            np.matmul(bt[s, ..., None, :], ghat, out=q[s])
+            if nb:
+                np.matmul(ghat, dx[s, ..., None], out=gbt[s])
+            if nc:
+                np.matmul(hc, gt[s, ..., None], out=gct[s])
+            # dL/d(delta a) through abar = exp(delta a) is ghat_k h_{k-1}
+            # abar_k; times a, u holds each (d, s) share of dL/d delta and
+            # dL/da_log
+            u = ghat
+            if h_prev is None:
+                u[0] = 0.0
+            else:
+                u[0] *= h_prev
+                u[0] *= ab[0]
+            u[1:] *= hc[:-1]
+            u[1:] *= ab[1:]
+            u *= a_row
+            if ndelta:  # the sum over S as a matmul with a row of ones
+                np.matmul(ones, u, out=su[s])
+            if na:
+                part = np.einsum("k...sd,k...d->...sd", u, dt[s])
+                ga = part if ga is None else np.add(ga, part, out=ga)
+        q = q[..., 0, :]
         gx = _tokens_last(q * dt + gt * skip_col[..., 0]) if nx else None
-        gdelta = None
-        if ndelta:  # the sum over S as a matmul with a row of ones
-            ones = np.ones(u.shape[-2], dtype=u.dtype)
-            gdelta = _tokens_last(q * xt + ones @ u)
-        ga = None
+        gdelta = _tokens_last(q * xt + su) if ndelta else None
         if na:
-            ga = _unbroadcast(np.einsum("k...sd,k...d->...sd", u, dt),
-                              a_row.shape)
+            ga = _unbroadcast(ga, a_row.shape)
             ga = np.swapaxes(ga, -1, -2).reshape(a.shape)
+        gb = _tokens_last(gbt[..., 0]) if nb else None
+        gc = _tokens_last(gct[..., 0]) if nc else None
         gskip = (_unbroadcast(g * xd, skip_col.shape).reshape(skip.data.shape)
                  if ns else None)
         return gx, gdelta, ga, gb, gc, gskip

@@ -1,10 +1,14 @@
 """Selective scan kernel: oracle equivalence, discretization, flops."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import run_pinned
-from trifuse.bench import bench_scan, fit_linear, held_bytes
+from trifuse import tensor as T
+from trifuse.bench import bench_scan, fit_linear, held_bytes, peak_bytes
+from trifuse.gradcheck import check_function
 from trifuse.nn import MultiHeadSelfAttention
 from trifuse.ssm import (SelectiveScan, attention_flops, scan_sequential,
                          ssm_flops)
@@ -47,6 +51,22 @@ def test_fast_scan_matches_sequential_reference():
             assert gap.max() < 1e-10
 
 
+def _assert_fused_matches_sequential(rng, values):
+    """The output and the six gradients of both scans on ``values``, under
+    a random weighting of the output, agree to 1e-10 relative."""
+    w = Tensor(rng.normal(size=values[0].shape))
+    got = []
+    for scan in (selective_scan, scan_sequential):
+        ops = [Tensor(v, requires_grad=True) for v in values]
+        y = scan(*ops)
+        tsum(mul(y, w)).backward()
+        got.append([y.data] + [t.grad for t in ops])
+    for name, fast, ref in zip(("y", "x", "delta", "a_log", "b", "c",
+                                "skip"), *got):
+        gap = np.abs(fast - ref).max() / np.abs(ref).max()
+        assert gap < 1e-10, name
+
+
 @pytest.mark.parametrize("lead,stacked", [((3, 2), True), ((2,), False),
                                           ((), False), ((1, 2), False)])
 def test_fused_gradients_match_sequential_reference(lead, stacked):
@@ -55,18 +75,111 @@ def test_fused_gradients_match_sequential_reference(lead, stacked):
     # K = 130, a long sequence like the inter scan's 3 x k tokens
     rng = np.random.default_rng(len(lead))
     for k in (13, 13, 13, 130):
-        values = _operands(rng, lead, 3, 4, k, stacked)
-        w = Tensor(rng.normal(size=values[0].shape))
-        got = []
-        for scan in (selective_scan, scan_sequential):
-            ops = [Tensor(v, requires_grad=True) for v in values]
-            y = scan(*ops)
-            tsum(mul(y, w)).backward()
-            got.append([y.data] + [t.grad for t in ops])
-        for name, fast, ref in zip(("y", "x", "delta", "a_log", "b", "c",
-                                    "skip"), *got):
-            gap = np.abs(fast - ref).max() / np.abs(ref).max()
-            assert gap < 1e-10, name
+        _assert_fused_matches_sequential(
+            rng, _operands(rng, lead, 3, 4, k, stacked))
+
+
+def test_multi_chunk_scan_matches_sequential_reference():
+    # 2 x 16 x 16 states a token leave room for 64 tokens a chunk in the
+    # default cache budget, so 150 tokens run as 64, 64 and 22
+    rng = np.random.default_rng(9)
+    _assert_fused_matches_sequential(rng, _operands(rng, (2,), 16, 16, 150))
+
+
+#: leading axes of x and whether a_log and skip stack one row per stream,
+#: the layouts of test_fused_gradients_match_sequential_reference
+SCAN_LAYOUTS = {"stacked": ((3, 2), True), "batched": ((2,), False),
+                "single": ((), False), "inter": ((1, 2), False)}
+
+
+@pytest.mark.parametrize("layout", sorted(SCAN_LAYOUTS))
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_scan_chunks_give_the_one_chunk_call_bitwise(monkeypatch, dtype,
+                                                     layout):
+    lead, stacked = SCAN_LAYOUTS[layout]
+    d, s, k = 3, 4, 13
+    rng = np.random.default_rng(len(lead))
+    arrays = [v.astype(dtype) for v in _operands(rng, lead, d, s, k, stacked)]
+    seed = rng.normal(size=lead + (d, k)).astype(dtype)
+    lengths = []  # of the chunks whose abar and h are built
+
+    def chunk_states(*args):
+        lengths.append(len(args[-1]))
+        return states(*args)
+
+    states = T._chunk_states
+    monkeypatch.setattr(T, "_chunk_states", chunk_states)
+    got = []
+    # the whole call in one chunk, then three tokens a chunk: five
+    # chunks, the last of one token, each rebuilt once by the VJP
+    for budget, want in ((None, [13]), (3 * int(np.prod(lead)) * s * d,
+                                        [3, 3, 3, 3, 1, 1, 3, 3, 3, 3])):
+        if budget:
+            monkeypatch.setattr(T, "_CACHE_ELEMS", budget)
+        ops = [Tensor(a, requires_grad=True, dtype=dtype) for a in arrays]
+        lengths.clear()
+        out = selective_scan(*ops)
+        out.backward(seed)
+        assert lengths == want
+        with no_grad():
+            assert np.array_equal(selective_scan(*ops).data, out.data)
+        got.append([out.data] + [t.grad for t in ops])
+    for name, one, chunked in zip(("y", "x", "delta", "a_log", "b", "c",
+                                   "skip"), *got):
+        assert chunked.dtype == dtype, name
+        if name == "a_log":  # summed chunk by chunk
+            gap = np.abs(chunked - one).max() / np.abs(one).max()
+            assert gap < (1e-13 if dtype == np.float64 else 1e-5), gap
+        else:
+            assert np.array_equal(chunked, one), name
+
+
+@pytest.mark.parametrize("layout", ["stacked", "batched"])
+def test_scan_gradients_across_chunks_match_finite_differences(monkeypatch,
+                                                               layout):
+    # gradcheck's scan case runs in one chunk; two tokens a chunk here
+    # puts four chunk edges inside nine tokens
+    lead, stacked = SCAN_LAYOUTS[layout]
+    d, s = 2, 3
+    monkeypatch.setattr(T, "_CACHE_ELEMS", 2 * int(np.prod(lead)) * s * d)
+    rng = np.random.default_rng(8)
+    ops = [Tensor(v, requires_grad=True)
+           for v in _operands(rng, lead, d, s, 9, stacked)]
+    w = Tensor(rng.normal(size=ops[0].shape))
+    err = check_function(lambda: tsum(mul(selective_scan(*ops), w)), ops)
+    assert err < 1e-8
+
+
+def _one_state_array(lead, d, s, k) -> int:
+    """Bytes of one float64 [K, ..., S, D] array."""
+    return 8 * k * int(np.prod(lead)) * s * d
+
+
+def test_scan_without_a_tape_builds_no_whole_state_array():
+    # 512 tokens run in chunks of 64: the two chunk buffers, the
+    # token-major small operands and y peak below one whole abar or h
+    lead, d, s, k = (2,), 16, 16, 512
+    ops = [Tensor(v) for v in _operands(np.random.default_rng(10), lead,
+                                        d, s, k)]
+    with no_grad():
+        peak = peak_bytes(lambda: selective_scan(*ops))
+    assert peak < _one_state_array(lead, d, s, k), peak
+
+
+def test_taped_scan_holds_less_than_one_state_array():
+    # the node keeps the small operands and one state per chunk edge; its
+    # VJP rebuilds abar and h chunk by chunk
+    lead, d, s, k = (2,), 16, 16, 512
+    ops = [Tensor(v, requires_grad=True)
+           for v in _operands(np.random.default_rng(11), lead, d, s, k)]
+    tracemalloc.start()
+    try:
+        y = selective_scan(*ops)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < _one_state_array(lead, d, s, k), held
+    y.backward(np.ones(y.shape))
 
 
 def test_scan_refuses_operands_on_other_leading_axes():
