@@ -16,8 +16,9 @@ curve, whatever the scan itself does.
 Timings use medians over repetitions after warmup. They are inherently
 machine-dependent and are excluded from byte-determinism guarantees; the
 flops columns come from closed forms and are reproducible, and so is
-``held_bytes``, the memory a forward call leaves on its tape, and
-``peak_bytes``, the most memory a call has in use at once.
+``held_bytes``, the memory a forward call leaves on its tape,
+``peak_bytes``, the most memory a call has in use at once, and
+``step_bytes``, both of them for one training step.
 """
 
 from __future__ import annotations
@@ -29,9 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregation import AggregationBlock
+from .config import RunConfig
+from .losses import total_loss
 from .nn import MultiHeadSelfAttention
 from .ssm import SelectiveScan, attention_flops, ssm_flops
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, finite_checks, no_grad
+from .train import Adam, build_model, build_world, lr_at, sample_batch
 
 
 def median_time(fn, reps: int, warmup: int) -> float:
@@ -81,6 +85,36 @@ def peak_bytes(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def step_bytes(cfg: RunConfig, seed: int = 1) -> tuple[int, int]:
+    """Bytes one training step of ``cfg`` holds after forward and loss,
+    and the most it has in use at once through backward, as ``train``
+    runs the step: no per-op finite checks, batch norm in training mode.
+
+    The second step is measured, after one whole step and update, so the
+    optimizer's moments and the params' gradients exist already and are
+    not counted; the model, the data and the step's batch are allocated
+    before the measurement too."""
+    model = build_model(cfg, seed).train()
+    opt = Adam(model.named_params())
+    data = build_world(cfg, seed).train_part(cfg.instances_per_id)
+    for step in range(2):
+        images, labels = sample_batch(step, seed, data, cfg)
+        opt.zero_grad()
+        if step:
+            tracemalloc.start()
+        try:
+            with finite_checks(False), np.errstate(all="ignore"):
+                loss, _ = total_loss(model.forward_batch(images), labels,
+                                     model.heads, cfg)
+                held = tracemalloc.get_traced_memory()[0]
+                loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        opt.step(lr_at(step, cfg))
+    return held, peak
 
 
 @dataclass

@@ -162,9 +162,9 @@ def cmd_eval(args) -> int:
     cfg = load_config(cfg_path)
     model = build_model(cfg, seed)
     _restore(model, Adam(model.named_params()), ckpt, seed, cfg)
-    world = build_world(cfg, seed)
-    query, gallery = world.eval_parts(cfg.eval_instances_per_id,
-                                      cfg.eval_queries_per_id)
+    # the world goes once its splits are rendered, as in train()
+    query, gallery = build_world(cfg, seed).eval_parts(
+        cfg.eval_instances_per_id, cfg.eval_queries_per_id)
     result = evaluate_model(model, query, gallery)
     print(format_table(result), end="")
     write_csv(os.path.join(out, "eval_report.csv"), result)

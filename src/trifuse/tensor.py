@@ -47,6 +47,16 @@ Conventions used throughout the package:
   sweep steps over whole contiguous rows, and its sums over S or D are
   batched matmuls; its tape keeps the state entering each chunk, not the
   decays and states, and the VJP rebuilds those chunk by chunk
+* a node keeps an array only if its VJP reads it and, where it can, one
+  that a neighbouring node keeps already; what it derived from such an
+  array it rebuilds in the VJP with the forward's own calls, bitwise.
+  ``silu`` keeps its sigmoid and its output, which the gate product
+  keeps too, not its input; ``norm_affine`` keeps its input (before an
+  encoder FFN, the residual the parallel adapter keeps) and the per-lane
+  mean and inverse std, not the normalised copy; the scan keeps x's own
+  array, which its projections keep, not x or delta·x token-major. An
+  array whose rebuild would cost a GEMM or a transcendental pass stays:
+  ``mlp``'s GELU derivative and hidden output, ``silu``'s sigmoid
 * importing this module fixes glibc's allocator thresholds for the
   process, so the arrays a step frees stay in the heap for the next step
   (``_keep_freed_memory``)
@@ -802,12 +812,14 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 
 @_diffop("silu")
 def silu(a: Tensor) -> Tensor:
-    x = a.data
-    s = _sigmoid(x)
-    out = x * s
+    """x·sigmoid(x). The node keeps the sigmoid s and the output, which
+    the gate product that reads it keeps as well, not x: the derivative
+    s + x·s·(1 − s) is s + out·(1 − s), out being x·s to the bit."""
+    s = _sigmoid(a.data)
+    out = a.data * s
 
     def vjp(g):
-        return (g * (s + x * s * (1.0 - s)),)
+        return (g * (s + out * (1.0 - s)),)
 
     return Tensor._from_op(out, (a,), vjp, "silu")
 
@@ -1092,8 +1104,15 @@ def norm_affine(x: Tensor, gain: Tensor, shift: Tensor, eps: float, axis: int) -
     ``axis=-2`` is layer norm over the feature axis (per token/column);
     ``axis=-1`` is batch norm over the token axis (per channel/row), which
     keeps each sequence of a ``[B, D, N]`` batch to its own statistics.
+
+    The node keeps x (before an encoder FFN, the residual that the
+    parallel adapter keeps as well) and the per-lane mean and inverse
+    standard deviation, not the normalised copy: the VJP rebuilds that
+    with the forward's two passes, bitwise.
     """
-    xhat = x.data - x.data.mean(axis=axis, keepdims=True)
+    xd = x.data
+    mu = xd.mean(axis=axis, keepdims=True)
+    xhat = xd - mu
     # the mean of squared deviations, as np.var takes it, from the same centring
     inv = 1.0 / np.sqrt(np.mean(xhat * xhat, axis=axis, keepdims=True) + eps)
     xhat *= inv
@@ -1103,6 +1122,8 @@ def norm_affine(x: Tensor, gain: Tensor, shift: Tensor, eps: float, axis: int) -
     nx, ng, ns = _needs((x, gain, shift))
 
     def vjp(g):
+        xhat = xd - mu
+        xhat *= inv
         gx = None
         if nx:
             dxhat = g * gcol
@@ -1220,12 +1241,14 @@ def selective_scan(x: Tensor, delta: Tensor, a_log: Tensor, b: Tensor,
     fills the same two buffers (:func:`_chunk_states`), carrying in the
     state the chunk before it left, and writes its rows of y with one
     batched matmul, so a no-grad call builds nothing ``[K, ..., S, D]``
-    in size. The node keeps token-major copies of the small operands and
-    the state entering each chunk after the first, not abar and h; the
-    VJP walks the chunks in reverse, rebuilds each one's abar and h with
-    the forward's calls, bitwise, and runs the adjoint recurrence down
-    its rows in reverse, carrying abar·ghat over each chunk edge. A call
-    of one chunk keeps its abar and h and rebuilds nothing. A chunk
+    in size. The node keeps x's own array, which the projections that
+    made delta, b and c keep as well, token-major copies of delta, b and
+    c, and the state entering each chunk after the first, not abar and
+    h; the VJP lays x out token-major once, walks the chunks in reverse,
+    rebuilds each one's delta·x, abar and h with the forward's calls,
+    bitwise, and runs the adjoint recurrence down its rows in reverse,
+    carrying abar·ghat over each chunk edge. A call of one chunk keeps
+    its abar and h and rebuilds only delta·x. A chunk
     makes on its rows the calls one whole-sequence chunk would, so the
     chunk length changes no bit of the output or of the gradients except
     a_log's, which is summed chunk by chunk."""
@@ -1265,6 +1288,7 @@ def selective_scan(x: Tensor, delta: Tensor, a_log: Tensor, b: Tensor,
 
     def vjp(g):
         gt = _tokens_first(g)
+        xt = _tokens_first(xd)
         abar, h = kept or [np.empty((step,) + rows, dtype) for _ in range(2)]
         ghat_buf = np.empty(abar.shape, dtype)
         q = np.empty(ys, dtype)                          # dL/d(delta x)
@@ -1276,8 +1300,9 @@ def selective_scan(x: Tensor, delta: Tensor, a_log: Tensor, b: Tensor,
         for s, h_prev in zip(reversed(chunks), reversed(entry)):
             n = s.stop - s.start
             ab, hc, ghat = abar[:n], h[:n], ghat_buf[:n]
+            dx = dt[s] * xt[s]
             if kept is None:
-                _chunk_states(dt[s], dx[s], bt[s], a_row, h_prev, ab, hc)
+                _chunk_states(dt[s], dx, bt[s], a_row, h_prev, ab, hc)
             # adjoint recurrence: ghat_k = dL/dh_k + abar_{k+1} * ghat_{k+1}
             np.multiply(ct[s, ..., None], gt[s, ..., None, :], out=ghat)
             if carry is not None:
@@ -1287,7 +1312,7 @@ def selective_scan(x: Tensor, delta: Tensor, a_log: Tensor, b: Tensor,
                 carry = ab[0] * ghat[0]
             np.matmul(bt[s, ..., None, :], ghat, out=q[s])
             if nb:
-                np.matmul(ghat, dx[s, ..., None], out=gbt[s])
+                np.matmul(ghat, dx[..., None], out=gbt[s])
             if nc:
                 np.matmul(hc, gt[s, ..., None], out=gct[s])
             # dL/d(delta a) through abar = exp(delta a) is ghat_k h_{k-1}
@@ -1307,9 +1332,18 @@ def selective_scan(x: Tensor, delta: Tensor, a_log: Tensor, b: Tensor,
             if na:
                 part = np.einsum("k...sd,k...d->...sd", u, dt[s])
                 ga = part if ga is None else np.add(ga, part, out=ga)
+        # q·x + su into su (a sum is the same either way round), then
+        # q·delta + g·skip in q's buffer: a backward pass peaks here
         q = q[..., 0, :]
-        gx = _tokens_last(q * dt + gt * skip_col[..., 0]) if nx else None
-        gdelta = _tokens_last(q * xt + su) if ndelta else None
+        gdelta = gx = None
+        if ndelta:
+            su += q * xt
+            gdelta = _tokens_last(su)
+        del xt, su
+        if nx:
+            q *= dt
+            q += gt * skip_col[..., 0]
+            gx = _tokens_last(q)
         if na:
             ga = _unbroadcast(ga, a_row.shape)
             ga = np.swapaxes(ga, -1, -2).reshape(a.shape)

@@ -250,6 +250,7 @@ def train(cfg: RunConfig, seed: int, out_dir: str,
     train_data = world.train_part(cfg.instances_per_id)
     query, gallery = world.eval_parts(cfg.eval_instances_per_id,
                                       cfg.eval_queries_per_id)
+    del world  # its rendering maps are not read once the splits exist
 
     start_step = 0
     if resume_from is not None:

@@ -134,6 +134,35 @@ def test_scan_chunks_give_the_one_chunk_call_bitwise(monkeypatch, dtype,
             assert np.array_equal(chunked, one), name
 
 
+@pytest.mark.parametrize("tokens_a_chunk", [None, 3])
+def test_taped_scan_keeps_no_token_major_copy_of_x(monkeypatch,
+                                                   tokens_a_chunk):
+    # the projections of delta, b and c keep x itself, so the node keeps
+    # x's own array; its VJP rebuilds x token-major, and delta x chunk by
+    # chunk. None runs all 13 tokens in one chunk
+    lead, stacked = SCAN_LAYOUTS["stacked"]
+    d, s, k = 3, 4, 13
+    if tokens_a_chunk:
+        monkeypatch.setattr(T, "_CACHE_ELEMS",
+                            tokens_a_chunk * int(np.prod(lead)) * s * d)
+    arrays = _operands(np.random.default_rng(12), lead, d, s, k, stacked)
+    ops = [Tensor(v, requires_grad=True) for v in arrays]
+    out = selective_scan(*ops)
+    kept = []
+    for cell in out._node._vjp.__closure__:
+        v = cell.cell_contents
+        kept.extend(v if isinstance(v, (tuple, list)) else [v])
+    kept = [v for v in kept if isinstance(v, np.ndarray)]
+    xt = np.moveaxis(arrays[0], -1, 0)
+    copies = [xt, np.moveaxis(arrays[1], -1, 0) * xt]    # x, delta x
+    assert any(v is ops[0].data for v in kept)
+    for v in kept:
+        assert not any(v.shape == c.shape and np.array_equal(v, c)
+                       for c in copies), v.shape
+    out.backward(np.ones(out.shape))
+    assert all(t.grad is not None for t in ops)
+
+
 @pytest.mark.parametrize("layout", ["stacked", "batched"])
 def test_scan_gradients_across_chunks_match_finite_differences(monkeypatch,
                                                                layout):

@@ -7,8 +7,9 @@ import weakref
 import numpy as np
 import pytest
 
+from trifuse import nn
 from trifuse import tensor as T
-from trifuse.bench import peak_bytes
+from trifuse.bench import held_bytes, peak_bytes
 from trifuse.gradcheck import check_function
 from trifuse.tensor import (NonFiniteError, Param, Tensor, no_grad)
 
@@ -138,6 +139,29 @@ def test_an_untaped_input_is_freed_once_dropped():
     assert gone[0]() is None and gone[1]() is None
     out.backward()
     assert np.array_equal(w.grad, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_silu_keeps_its_sigmoid_and_output_not_its_input(dtype):
+    # the gate product keeps silu's output, so the node keeps that and
+    # the sigmoid s: its input dies with its tensor, and the derivative
+    # s + out (1 - s) is bitwise s + x s (1 - s)
+    rng = np.random.default_rng(17)
+    x = Tensor(rng.normal(size=(4, 6)) * 3, requires_grad=True, dtype=dtype)
+    w = Param(rng.normal(size=(4, 6)), dtype=dtype)
+    a = T.add(x, w)
+    xa = a.data.copy()
+    out = T.silu(a)
+    gone = weakref.ref(a), weakref.ref(a.data)
+    del a
+    gc.collect()
+    assert gone[0]() is None and gone[1]() is None
+    g = rng.normal(size=(4, 6)).astype(dtype)
+    out.backward(g)
+    s = T._sigmoid(xa)
+    want = g * (s + xa * s * (1.0 - s))
+    assert x.grad.dtype == dtype
+    assert np.array_equal(x.grad, want) and np.array_equal(w.grad, want)
 
 
 def test_parents_walk_nodes_down_to_the_leaves():
@@ -720,3 +744,38 @@ def test_norm_affine_axis_semantics():
     row_gain = Tensor(np.ones(4))
     row = T.norm_affine(x, row_gain, shift, 1e-5, axis=1).data
     assert np.abs(row.mean(axis=1)).max() < 1e-12
+
+
+@pytest.mark.parametrize("axis", [-2, -1])
+def test_norm_affine_keeps_its_input_not_a_normalised_copy(axis):
+    # a caller that keeps x pays for the output and the per-lane mean and
+    # inverse std only: 1.14 (axis -2) and 1.02 (axis -1) arrays of x's
+    # size, where a node keeping the normalised copy held 2.07 and 2.02
+    module = (nn.LayerNorm(16) if axis == -2 else nn.BatchNorm(16)).train()
+    n = 1024
+    one = 16 * n * np.dtype(np.float64).itemsize
+    held = held_bytes(module, n, dim=16)
+    assert one <= held < 1.5 * one, held / one
+
+
+@pytest.mark.parametrize("axis", [-2, -1])
+def test_norm_affine_gradients_are_the_whole_array_formula_bitwise(axis):
+    # the VJP rebuilds x̂ = (x - mean) * inv with the forward's two passes
+    rng = np.random.default_rng(18)
+    x0 = rng.normal(size=(3, 2, 5, 7)) * 2 + 1
+    g0, s0 = rng.normal(size=(3, 5)), rng.normal(size=(3, 5))
+    g = rng.normal(size=x0.shape)
+    x, gain, shift = (Tensor(v, requires_grad=True) for v in (x0, g0, s0))
+    out = T.norm_affine(x, gain, shift, 1e-5, axis)
+    out.backward(g)
+    xhat = x0 - x0.mean(axis=axis, keepdims=True)
+    inv = 1.0 / np.sqrt(np.mean(xhat * xhat, axis=axis, keepdims=True) + 1e-5)
+    xhat *= inv
+    gcol = g0[:, None, :, None]
+    assert np.array_equal(out.data, xhat * gcol + s0[:, None, :, None])
+    dxhat = g * gcol
+    want = inv * (dxhat - dxhat.mean(axis=axis, keepdims=True)
+                  - xhat * (dxhat * xhat).mean(axis=axis, keepdims=True))
+    assert np.array_equal(x.grad, want)
+    assert np.array_equal(gain.grad, (g * xhat).sum(axis=(1, 3)))
+    assert np.array_equal(shift.grad, g.sum(axis=(1, 3)))

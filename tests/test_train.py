@@ -3,7 +3,6 @@
 import ast
 import dataclasses
 import os
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -12,6 +11,7 @@ import pytest
 from conftest import make_tiny_cfg, run_pinned_script
 from trifuse import tensor as T
 from trifuse import train as training
+from trifuse.bench import step_bytes
 from trifuse.cli import ABLATE_GRID
 from trifuse.config import RunConfig, load_config
 from trifuse.losses import total_loss
@@ -277,26 +277,33 @@ def _assert_step_ops_at_most(monkeypatch, cfg, limit):
         f"{dict(counts.most_common(8))}")
 
 
-#: bytes one forward-plus-loss step of demos/toy.cfg (seed 3) leaves held:
-#: 2.85 MB measured with numpy's buffers counted by tracemalloc, plus a 9%
-#: margin. Tape nodes that kept their op outputs held 4.64 MB
-TOY_STEP_HELD_BYTES = 3_100_000
+#: bytes one step of demos/toy.cfg (seed 3) holds after forward and loss,
+#: and its peak through backward, by ``bench.step_bytes``: 2.56 and 2.97 MB
+#: measured, plus a 9% margin. Nodes that kept silu's input, norm_affine's
+#: normalised copy and the scan's token-major x and delta x held 2.81 MB
+TOY_STEP_HELD_BYTES = 2_790_000
+TOY_STEP_PEAK_BYTES = 3_240_000
+#: the same at the long_seq_train size, 64x32 images in 4x4 patches:
+#: 22.40 and 26.45 MB measured, 25.85 and 29.84 MB with those copies
+LONG_STEP_HELD_BYTES = 24_400_000
+LONG_STEP_PEAK_BYTES = 28_800_000
+
+
+def _assert_step_bytes_below(cfg, held_limit, peak_limit):
+    held, peak = step_bytes(cfg, seed=3)
+    assert held < held_limit, held
+    assert peak < peak_limit, peak
 
 
 def test_toy_step_holds_no_more_than_its_vjps_read():
-    cfg = load_config(TOY_CFG)
-    model = build_model(cfg, seed=3).train()
-    data = build_world(cfg, seed=3).train_part(cfg.instances_per_id)
-    images, labels = sample_batch(0, 3, data, cfg)
-    tracemalloc.start()
-    try:
-        loss, _ = total_loss(model.forward_batch(images), labels,
-                             model.heads, cfg)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert held < TOY_STEP_HELD_BYTES, held
-    loss.backward()
+    _assert_step_bytes_below(load_config(TOY_CFG), TOY_STEP_HELD_BYTES,
+                             TOY_STEP_PEAK_BYTES)
+
+
+def test_long_seq_step_holds_no_more_than_its_vjps_read():
+    cfg = dataclasses.replace(load_config(TOY_CFG), image_h=64, image_w=32,
+                              patch=4)
+    _assert_step_bytes_below(cfg, LONG_STEP_HELD_BYTES, LONG_STEP_PEAK_BYTES)
 
 
 def test_toy_step_op_count_does_not_grow(monkeypatch):
