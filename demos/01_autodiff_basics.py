@@ -9,7 +9,7 @@ two switches that control recording: frozen parameters and no_grad.
 import numpy as np
 
 from trifuse.gradcheck import check_function
-from trifuse.tensor import Param, Tensor, matmul, mlp, mul, no_grad, sub, tsum
+from trifuse.tensor import Param, Tensor, add, matmul, mlp, mul, no_grad, tsum
 
 rng = np.random.default_rng(0)
 
@@ -19,7 +19,7 @@ w = Param(rng.standard_normal((2, 3)))
 x = Tensor(rng.standard_normal((3, 1)))
 target = Tensor(rng.standard_normal((2, 1)))
 
-residual = sub(matmul(w, x), target)
+residual = add(matmul(w, x), mul(target, -1.0))
 loss = tsum(mul(residual, residual))
 loss.backward()
 

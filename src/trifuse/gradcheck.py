@@ -4,9 +4,10 @@ The tensor core keeps a registry of op names that claim differentiability
 (``trifuse.tensor.DIFFERENTIABLE_OPS``). This module owns a matching table
 of check cases. ``run_suite`` walks the registry, so an op registered
 without a case here fails the suite loudly; nothing is hand-listed at the
-call site. The registry names tape nodes only; the table also holds
-cases for module paths built from them (``mhsa``, ``inter_ma``,
-``total_loss`` and so on), which the suite runs as well.
+call site. The registry names tape nodes only, the two loss terms
+(``ce_smooth`` and ``triplet_batch_hard``, one node each) among them; the
+table also holds cases for module paths built from them (``mhsa``,
+``inter_ma``, ``total_loss`` and so on), which the suite runs as well.
 
 A case builds a scalar-valued closure plus the tensors to differentiate
 with respect to. The analytic gradient comes from one backward pass, the
@@ -147,12 +148,6 @@ def format_report(results: Sequence[CheckResult]) -> str:
 # cases: tensor primitives
 # ---------------------------------------------------------------------------
 
-def _away_from(x: np.ndarray, pivot: float, gap: float) -> np.ndarray:
-    """Nudge values out of a +-gap band around pivot (kink avoidance)."""
-    close = np.abs(x - pivot) < gap
-    return x + np.where(close, np.sign(x - pivot + 1e-12) * gap, 0.0)
-
-
 def _pair(rng):
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(3, 1)), requires_grad=True)  # broadcast path
@@ -187,23 +182,14 @@ def _scan_case(scan):
 
 def _build_primitive_cases() -> None:
 
-    def simple(op, positive=False, avoid_zero=False, shape=(3, 4)):
+    def simple(op, shape=(3, 4)):
         def build(rng, weigh):
-            data = rng.normal(size=shape)
-            if positive:
-                data = np.abs(data) + 0.5
-            if avoid_zero:
-                data = _away_from(data, 0.0, 0.05)
-            x = Tensor(data, requires_grad=True)
+            x = Tensor(rng.normal(size=shape), requires_grad=True)
             return (lambda: weigh(op(x))), [x]
         return build
 
-    register_case("neg", simple(T.neg))
     register_case("exp", simple(T.exp))
-    register_case("log", simple(T.log, positive=True), tol=1e-6)
-    register_case("sqrt", simple(T.sqrt, positive=True), tol=1e-6)
     register_case("softplus", simple(T.softplus), tol=1e-6)
-    register_case("relu", simple(T.relu, avoid_zero=True), tol=1e-6)
     register_case("silu", simple(T.silu), tol=1e-6)
 
     def linear_case(rng, weigh):
@@ -242,7 +228,6 @@ def _build_primitive_cases() -> None:
         return build
 
     register_case("add", binary(T.add), tol=1e-6)
-    register_case("sub", binary(T.sub), tol=1e-6)
     register_case("mul", binary(T.mul), tol=1e-6)
 
     def matmul_case(rng, weigh):
@@ -255,17 +240,6 @@ def _build_primitive_cases() -> None:
     register_case("sum", simple(lambda x: T.tsum(x, axis=1)), tol=1e-6)
     register_case("mean", simple(lambda x: T.tmean(x, axis=0, keepdims=True)),
                   tol=1e-6)
-
-    def extreme_case(op):
-        def build(rng, weigh):
-            # distinct values so the argextreme is stable under the FD step
-            base = rng.permutation(12).astype(float).reshape(3, 4)
-            x = Tensor(base + 0.1 * rng.normal(size=(3, 4)), requires_grad=True)
-            return (lambda: weigh(op(x, axis=1))), [x]
-        return build
-
-    register_case("max", extreme_case(T.tmax), tol=1e-6)
-    register_case("min", extreme_case(T.tmin), tol=1e-6)
 
     register_case("reshape", simple(lambda x: T.reshape(x, (2, 6))), tol=1e-6)
     register_case("moveaxis", simple(lambda x: T.add(
@@ -329,7 +303,7 @@ def _build_primitive_cases() -> None:
 
 
 def _build_module_cases() -> None:
-    """Cases for composite ops living in the other modules."""
+    """Cases for the nodes and composite ops living in the other modules."""
 
     def ln_case(rng, weigh):
         ln = nn.LayerNorm(4)

@@ -6,6 +6,9 @@ feature. Both loss terms run once on the whole stack, each row through its
 own row of one stacked classifier head, and give one value per row:
 
     total = sum over rows of  lambda_ce * ce + lambda_tri * triplet
+
+Each term is one tape node with a hand-written VJP, registered for the
+gradient-check suite as ``nn.py`` registers ``batch_norm``.
 """
 
 from __future__ import annotations
@@ -14,35 +17,34 @@ import numpy as np
 
 from .config import RunConfig
 from .nn import Linear
-from .tensor import (Tensor, add, exp, log, matmul, moveaxis, mul, neg, relu,
-                     sqrt, sub, tmax, tmean, tmin, tsum, where_mask)
+from .retrieval import pairwise_sqdist
+from .tensor import Tensor, add, mul, register_differentiable, tsum
 
-_FAR = 1e9
+register_differentiable("ce_smooth")
+register_differentiable("triplet_batch_hard")
 
 
 def ce_smooth(logits: Tensor, labels: np.ndarray, smoothing: float) -> Tensor:
     """Cross entropy against (1 - eps) * onehot + eps / classes targets,
     averaged over the batch: logits ``[..., C, B]`` give one value per
-    leading index."""
+    leading index. The VJP is (softmax - target) · g / B per column."""
     c, b = logits.shape[-2:]
     if len(labels) != b:
         raise ValueError("one label per column required")
     target = np.full((c, b), smoothing / c)
     target[labels, np.arange(b)] += 1.0 - smoothing
+    target = target.astype(logits.dtype, copy=False)
 
-    z = sub(logits, tmax(logits, axis=-2, keepdims=True))
-    lse = log(tsum(exp(z), axis=-2, keepdims=True))
-    logp = sub(z, lse)
-    return neg(tmean(tsum(mul(Tensor(target), logp), axis=-2), axis=-1))
+    z = logits.data - logits.data.max(axis=-2, keepdims=True)
+    e = np.exp(z)
+    s = e.sum(axis=-2, keepdims=True)
+    logp = z - np.log(s)
+    out = -((target * logp).sum(axis=-2).mean(axis=-1))
 
+    def vjp(g):
+        return ((e / s - target) * g[..., None, None] / b,)
 
-def pairwise_sqdist(emb: Tensor) -> Tensor:
-    """Squared Euclidean distances between columns: ``[..., F, B]`` gives
-    ``[..., B, B]``."""
-    g = matmul(moveaxis(emb, -1, -2), emb)
-    sq = tsum(mul(emb, emb), axis=-2, keepdims=True)  # [..., 1, B]
-    d2 = sub(add(moveaxis(sq, -1, -2), sq), mul(g, 2.0))
-    return relu(d2)  # clamp tiny negatives from cancellation
+    return Tensor._from_op(np.asarray(out), (logits,), vjp, "ce_smooth")
 
 
 def triplet_batch_hard(emb: Tensor, labels: np.ndarray,
@@ -52,7 +54,11 @@ def triplet_batch_hard(emb: Tensor, labels: np.ndarray,
 
     For each anchor the hardest positive is the farthest same-id column
     (excluding the anchor itself) and the hardest negative the nearest
-    other-id column. Requires at least two ids with two instances each.
+    other-id column, a tie going to the first such column. Requires at
+    least two ids with two instances each. The VJP sends ±g/B, for each
+    anchor whose hinge is active, through d = sqrt(d² + 1e-24) at the two
+    picked entries only, and then through d² = sq_i + sq_j - 2 x_iᵀx_j; an
+    entry whose d² was clamped to 0 passes nothing.
     """
     labels = np.asarray(labels)
     b = emb.shape[-1]
@@ -66,11 +72,28 @@ def triplet_batch_hard(emb: Tensor, labels: np.ndarray,
     if not neg_mask.any(axis=1).all():
         raise ValueError("every anchor needs a negative; use >=2 ids")
 
-    d = sqrt(add(pairwise_sqdist(emb), 1e-24))
-    far = np.full((b, b), _FAR)
-    d_pos = tmax(where_mask(pos_mask, d, Tensor(-far)), axis=-1)
-    d_neg = tmin(where_mask(neg_mask, d, Tensor(far)), axis=-1)
-    return tmean(relu(add(sub(d_pos, d_neg), margin)), axis=-1)
+    x = emb.data
+    d2 = pairwise_sqdist(x, x)
+    d = np.sqrt(d2 + 1e-24)
+    pos = np.argmax(np.where(pos_mask, d, -np.inf), axis=-1)[..., None]
+    neg = np.argmin(np.where(neg_mask, d, np.inf), axis=-1)[..., None]
+    d_pos = np.take_along_axis(d, pos, axis=-1)
+    d_neg = np.take_along_axis(d, neg, axis=-1)
+    hinge = d_pos - d_neg + margin
+    out = np.maximum(hinge, 0.0)[..., 0].mean(axis=-1)
+
+    def vjp(g):
+        live = (g[..., None, None] / b) * (hinge > 0)
+        gd = np.zeros_like(d2)
+        for idx, sign, dist in ((pos, 1.0, d_pos), (neg, -1.0, d_neg)):
+            nonzero = np.take_along_axis(d2, idx, axis=-1) > 0
+            np.put_along_axis(gd, idx, sign * live * 0.5 / dist * nonzero,
+                              axis=-1)
+        s = gd.sum(axis=-1) + gd.sum(axis=-2)
+        gd = gd + np.swapaxes(gd, -1, -2)
+        return (2.0 * (x * s[..., None, :] - x @ gd),)
+
+    return Tensor._from_op(np.asarray(out), (emb,), vjp, "triplet_batch_hard")
 
 
 def total_loss(feats: Tensor, labels: np.ndarray, heads: Linear,

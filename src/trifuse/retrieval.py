@@ -18,12 +18,21 @@ import numpy as np
 from .dump import write_atomic
 
 
+def pairwise_sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between columns of a ``[..., f, na]`` and
+    b ``[..., f, nb]``, ``[..., na, nb]``, as sq_i + sq_j - 2 a_iᵀb_j clamped
+    at 0 against cancellation. The transpose is made contiguous before the
+    GEMM, so a stacked call gives each 2-d call's values to the bit."""
+    sq_a = (a * a).sum(axis=-2)
+    sq_b = (b * b).sum(axis=-2)
+    gram = np.ascontiguousarray(np.swapaxes(a, -1, -2)) @ b
+    d2 = sq_a[..., :, None] + sq_b[..., None, :] - 2.0 * gram
+    return np.maximum(d2, 0.0)
+
+
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distances between columns of a [f, na] and b [f, nb]."""
-    sq_a = (a * a).sum(axis=0)
-    sq_b = (b * b).sum(axis=0)
-    d2 = sq_a[:, None] + sq_b[None, :] - 2.0 * (a.T @ b)
-    return np.sqrt(np.maximum(d2, 0.0))
+    return np.sqrt(pairwise_sqdist(a, b))
 
 
 def average_precision(matches: np.ndarray) -> float:

@@ -13,9 +13,10 @@ drops its closure, parents and gradient once its VJP has run, so after
 ``backward`` only leaves hold a ``.grad`` (each its own array) and a
 second ``backward`` through the same graph raises ``RuntimeError``. There
 is no compilation and no GPU path; a few hot chains (``linear``, ``mlp``,
-``attention``, ``selective_scan``) are fused into single hand-written
-nodes. The point is a core small enough to verify against central finite
-differences and fast enough for toy models.
+``attention``, ``selective_scan``, and in :mod:`trifuse.losses` the two
+loss terms) are fused into single hand-written nodes. The point is a core
+small enough to verify against central finite differences and fast
+enough for toy models.
 
 Conventions used throughout the package:
 
@@ -76,9 +77,8 @@ __all__ = [
     "Tensor", "Param", "NonFiniteError", "no_grad",
     "set_default_dtype", "default_dtype", "finite_checks",
     "register_differentiable", "DIFFERENTIABLE_OPS",
-    "add", "sub", "mul", "neg", "matmul", "linear", "exp", "log",
-    "sqrt", "softplus", "relu", "mlp", "silu",
-    "tsum", "tmean", "tmax", "tmin", "reshape", "moveaxis",
+    "add", "mul", "matmul", "linear", "exp", "softplus", "mlp", "silu",
+    "tsum", "tmean", "reshape", "moveaxis",
     "concat", "narrow", "where_mask", "attention",
     "norm_affine", "dwconv1d", "selective_scan", "stack_shape",
 ]
@@ -133,8 +133,9 @@ def _keep_freed_memory() -> bool:
 _keep_freed_memory()
 
 #: Names of every tape node, by the op name it records, that claims
-#: differentiability: this module's ops and the eval ``batch_norm`` node of
-#: :class:`~trifuse.nn.BatchNorm`. The gradient-check suite
+#: differentiability: this module's ops, the eval ``batch_norm`` node of
+#: :class:`~trifuse.nn.BatchNorm` and the two loss terms of
+#: :mod:`trifuse.losses`. The gradient-check suite
 #: enumerates this registry and refuses to pass unless it has a case for each
 #: entry, so adding an op here without a check is a loud failure, not a gap.
 DIFFERENTIABLE_OPS: set[str] = set()
@@ -399,19 +400,10 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_coerce(other, self), self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -514,20 +506,6 @@ def add(a: Tensor, b) -> Tensor:
     return Tensor._from_op(out, (a, b), vjp, "add")
 
 
-@_diffop("sub")
-def sub(a: Tensor, b) -> Tensor:
-    a, b = a, _coerce(b, a)
-    out = a.data - b.data
-    na, nb = _needs((a, b))
-    ash, bsh = a.data.shape, b.data.shape
-
-    def vjp(g):
-        return (_unbroadcast(g, ash) if na else None,
-                _unbroadcast(-g, bsh) if nb else None)
-
-    return Tensor._from_op(out, (a, b), vjp, "sub")
-
-
 @_diffop("mul")
 def mul(a: Tensor, b) -> Tensor:
     a, b = a, _coerce(b, a)
@@ -540,13 +518,6 @@ def mul(a: Tensor, b) -> Tensor:
                 _unbroadcast(g * ad, bd.shape) if nb else None)
 
     return Tensor._from_op(out, (a, b), vjp, "mul")
-
-
-@_diffop("neg")
-def neg(a: Tensor) -> Tensor:
-    def vjp(g):
-        return (-g,)
-    return Tensor._from_op(-a.data, (a,), vjp, "neg")
 
 
 @_diffop("matmul")
@@ -613,33 +584,14 @@ def linear(w: Tensor, x: Tensor, b: Tensor | None = None) -> Tensor:
 
 @_diffop("exp")
 def exp(a: Tensor) -> Tensor:
+    """Elementwise exp; the reference scan ``ssm.scan_sequential`` takes
+    its decays with it."""
     out = np.exp(a.data)
 
     def vjp(g):
         return (g * out,)
 
     return Tensor._from_op(out, (a,), vjp, "exp")
-
-
-@_diffop("log")
-def log(a: Tensor) -> Tensor:
-    out = np.log(a.data)
-    ad = a.data
-
-    def vjp(g):
-        return (g / ad,)
-
-    return Tensor._from_op(out, (a,), vjp, "log")
-
-
-@_diffop("sqrt")
-def sqrt(a: Tensor) -> Tensor:
-    out = np.sqrt(a.data)
-
-    def vjp(g):
-        return (g * 0.5 / out,)
-
-    return Tensor._from_op(out, (a,), vjp, "sqrt")
 
 
 def _exp_neg_abs(x: np.ndarray) -> np.ndarray:
@@ -674,17 +626,6 @@ def softplus(a: Tensor) -> Tensor:
         return (g * _sigmoid(ad),)
 
     return Tensor._from_op(out, (a,), vjp, "softplus")
-
-
-@_diffop("relu")
-def relu(a: Tensor) -> Tensor:
-    out = np.maximum(a.data, 0.0)
-    mask = a.data > 0
-
-    def vjp(g):
-        return (g * mask,)
-
-    return Tensor._from_op(out, (a,), vjp, "relu")
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -857,36 +798,6 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (_expand_reduced(g, shape, axis, keepdims) / count,)
 
     return Tensor._from_op(np.asarray(out), (a,), vjp, "mean")
-
-
-def _extreme(a: Tensor, axis: int, keepdims: bool, kind: str) -> Tensor:
-    data = a.data
-    if kind == "max":
-        out = data.max(axis=axis, keepdims=keepdims)
-        idx = np.argmax(data, axis=axis)
-    else:
-        out = data.min(axis=axis, keepdims=keepdims)
-        idx = np.argmin(data, axis=axis)
-    shape = data.shape
-
-    def vjp(g):
-        # route the gradient to the first extremal element along the axis
-        gx = np.zeros(shape, dtype=g.dtype)
-        gsel = g if keepdims else np.expand_dims(g, axis)
-        np.put_along_axis(gx, np.expand_dims(idx, axis), gsel, axis=axis)
-        return (gx,)
-
-    return Tensor._from_op(np.asarray(out), (a,), vjp, kind)
-
-
-@_diffop("max")
-def tmax(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    return _extreme(a, axis, keepdims, "max")
-
-
-@_diffop("min")
-def tmin(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    return _extreme(a, axis, keepdims, "min")
 
 
 # ---------------------------------------------------------------------------

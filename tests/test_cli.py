@@ -292,7 +292,7 @@ def test_a_report_write_that_fails_midway_keeps_the_previous_file(
     from trifuse import dump, gradcheck, train
     suite = gradcheck.run_suite
     monkeypatch.setattr(gradcheck, "run_suite",
-                        lambda seed: suite(seed, names=["relu"]))
+                        lambda seed: suite(seed, names=["silu"]))
     monkeypatch.setattr(train, "train", lambda cfg, **kwargs: dict(
         map=0.5, cmc1=0.5, trainable=1))
     path = tmp_path / name

@@ -5,9 +5,9 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from trifuse.config import RunConfig
-from trifuse.losses import (ce_smooth, pairwise_sqdist, total_loss,
-                            triplet_batch_hard)
+from trifuse.losses import ce_smooth, total_loss, triplet_batch_hard
 from trifuse.nn import Linear, stack_modules
+from trifuse.retrieval import pairwise_sqdist
 from trifuse.tensor import Tensor, set_default_dtype, tsum
 
 
@@ -53,6 +53,18 @@ def test_ce_extreme_logits_stay_finite():
     assert np.isfinite(loss)
 
 
+def test_ce_gradient_is_softmax_minus_target():
+    # one node whose VJP is (softmax - target) · g / B
+    logits = Tensor(np.array([[2.0, -1.0], [0.5, 0.0], [-0.5, 3.0]]),
+                    requires_grad=True)
+    loss = ce_smooth(logits, np.array([0, 2]), 0.3)
+    assert loss._parents == (logits,)
+    loss.backward(np.asarray(0.7))
+    p = np.exp(logits.data) / np.exp(logits.data).sum(axis=0)
+    target = np.array([[0.8, 0.1], [0.1, 0.1], [0.1, 0.8]])
+    assert np.abs(logits.grad - (p - target) * 0.7 / 2).max() < 1e-15
+
+
 def test_ce_label_count_validation():
     with pytest.raises(ValueError):
         ce_smooth(Tensor(np.zeros((3, 2))), np.array([0]), 0.1)
@@ -64,7 +76,12 @@ def test_pairwise_sqdist_matches_scipy():
     rng = np.random.default_rng(2)
     emb = rng.normal(size=(6, 9))
     want = cdist(emb.T, emb.T, "sqeuclidean")
-    assert np.allclose(pairwise_sqdist(Tensor(emb)).data, want, atol=1e-10)
+    assert np.allclose(pairwise_sqdist(emb, emb), want, atol=1e-10)
+    # a stack of inputs gives each 2-d call's distances to the bit
+    stack = rng.normal(size=(2, 6, 9))
+    both = pairwise_sqdist(stack, stack)
+    for i in range(2):
+        assert np.array_equal(both[i], pairwise_sqdist(stack[i], stack[i]))
 
 
 # -- triplet ------------------------------------------------------------
@@ -82,6 +99,20 @@ def test_triplet_line_fixture_active_at_large_margin():
     # per anchor: gap + 1.0 = [0.1, 0.2, 0.2, 0.1], mean 0.15
     loss = triplet_batch_hard(Tensor(_LINE), _AABB, 1.0).item()
     assert abs(loss - 0.15) < 1e-12
+
+
+def test_triplet_tie_sends_gradient_to_the_first_negative():
+    # columns 2 and 3 are negatives of anchor 0 at one distance; only
+    # anchor 0's hinge is active, so column 3 gets no gradient at all
+    emb = Tensor(np.array([[0.0, -2.0, 1.0, 1.0],
+                           [0.0, 0.0, 0.05, -0.05]]), requires_grad=True)
+    loss = triplet_batch_hard(emb, _AABB, 0.5)
+    assert loss._parents == (emb,)
+    d02 = np.sqrt(1.0025)
+    assert abs(loss.item() - (2.0 - d02 + 0.5) / 4) < 1e-12
+    loss.backward()
+    assert np.array_equal(emb.grad[:, 3], [0.0, 0.0])
+    assert np.allclose(emb.grad[:, 2], -emb.data[:, 2] / d02 / 4)
 
 
 def _brute_force(emb, labels, margin):
@@ -215,6 +246,23 @@ def test_total_loss_composition_and_parts():
     assert set(parts_cls) == {"ce_cls", "tri_cls", "total"}
     assert abs(cls_total.item()
                - (0.25 * parts["ce_cls"] + parts["tri_cls"])) < 1e-12
+
+
+def test_total_loss_records_seven_nodes(monkeypatch):
+    ops = []
+    from_op = Tensor._from_op.__func__
+
+    def recording(cls, data, parents, vjp, op):
+        ops.append(op)
+        return from_op(cls, data, parents, vjp, op)
+
+    rng = np.random.default_rng(10)
+    feats = Tensor(rng.normal(size=(2, 6, 4)), requires_grad=True)
+    heads = _heads(2, 6, 3, rng)
+    monkeypatch.setattr(Tensor, "_from_op", classmethod(recording))
+    total_loss(feats, np.array([0, 0, 1, 1]), heads, RunConfig())
+    assert sorted(ops) == sorted(["linear", "ce_smooth", "triplet_batch_hard",
+                                  "mul", "mul", "add", "sum"])
 
 
 def test_total_loss_requires_matching_head():
